@@ -1,10 +1,11 @@
 """Receding-horizon energy management for shipboard power systems.
 
 Layered library: an exact bounded-variable simplex (`lp`), branch and
-bound on top of it (`milp`), the ship-system domain model and window
-builder (`model`, `builder`), the mission engines and metrics
-(`engine`), weight tuning (`tuning`), and file/CLI plumbing (`io`,
-`cli`).
+bound on top of it (`milp`), the ship-system domain model (`model`),
+the plant rules -- limits, unwind guards and objective terms -- that
+the builder, fallback and audit share (`plant`), the window builder
+(`builder`), the mission engines and metrics (`engine`), weight tuning
+(`tuning`), and file/CLI plumbing (`io`, `cli`).
 """
 
 from .builder import build_window_milp, decode_plan, window_variable_count
@@ -22,8 +23,7 @@ from .milp import (MilpProblem, MilpSolution, MilpStatus, SolverConfig,
                    solve_milp)
 from .model import (DispatchPlan, GeneratorSpec, LoadSpec, ObjectiveTerms,
                     ObjectiveWeights, ScenarioSpec, StorageClass, StorageSpec,
-                    SystemState, normalized_weight, scale_stepped_load,
-                    soc_step)
+                    SystemState, normalized_weight, soc_step)
 from .tuning import (TunerConfig, TunerResult, default_norms,
                      make_mission_evaluator, normalized_merit, tune_weights)
 

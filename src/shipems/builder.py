@@ -22,7 +22,9 @@ bounding the final-step storage power by the energy needed to ramp it
 to zero inside the SoC box.  Without them a window may legally end
 discharging at the SoC floor and the next shifted window wakes up in a
 dead end.  The guards are exact, cost a few rows per unit, and are
-vacuous for units that can stop within one step.
+vacuous for units that can stop within one step.  The guard rows, the
+generator trip/ramp rule and the objective terms come from `plant`,
+which the engine's fallback and trajectory audit share.
 
 The builder also produces a crash basis for the simplex: loads served
 greedily by weight wherever the generator ceiling affords them,
@@ -37,16 +39,15 @@ real-time budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import plant
 from .errors import DecodeMismatch
 from .lp import AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram
 from .milp import MilpProblem, MilpSolution
-from .model import (DispatchPlan, ObjectiveTerms, ObjectiveWeights,
-                    ScenarioSpec, SystemState, scale_stepped_load, soc_step)
+from .model import DispatchPlan, ObjectiveWeights, ScenarioSpec, SystemState, soc_step
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class WindowLayout:
 
     start_step: int
     horizon: int
-    pairs: tuple
     load_cols: np.ndarray      # (n_loads, h)
     gen_cols: np.ndarray       # (n_generators, h)
     discharge_cols: np.ndarray     # (n_storage, h)
@@ -163,16 +163,16 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     objective = np.zeros(n)
     integrality = np.zeros(n, dtype=bool)
 
-    # loads: scaled weight/demand for stepped units, bound 1/step_size
+    # loads: a stepped load's service runs over the integers 0..steps,
+    # so its weight and demand are scaled by the step size
     scaled_demand = demand.copy()
     for i, ld in enumerate(scenario.loads):
         cols = load_cols[i]
         if ld.is_stepped:
-            wi, _, bound = scale_stepped_load(w_hat[i], 0.0, ld.step_size)
             scaled_demand[i] = demand[i] * ld.step_size
-            upper[cols] = bound
+            upper[cols] = ld.steps
             integrality[cols] = True
-            objective[cols] = wi
+            objective[cols] = w_hat[i] * ld.step_size
         else:
             upper[cols] = 1.0
             objective[cols] = w_hat[i]
@@ -185,40 +185,35 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     rec_rows = np.empty((ne, h), dtype=np.int64)
 
     # generators: boxes with trips forced to zero; ramp seam and
-    # reachability folded into bounds along the initial available run.
-    # A unit returning from an outage restarts unconstrained (the trip
-    # overrides the ramp in both directions), and that rule must hold
-    # identically whether the recovery lands inside a window or on a
-    # window seam, or receding-horizon runs diverge from the baseline.
-    full_avail = scenario.availability()
+    # reachability folded into bounds along each available run.  Where
+    # the ramp applies (plant.ramp_linked) must be the same inside a
+    # window and on a window seam, or receding-horizon runs diverge from
+    # the baseline.
+    linked = plant.ramp_linked(scenario, t0, h)
     for g, gen in enumerate(scenario.generators):
-        lo_prev, up_prev = None, None
         rdn, rup = gen.ramp_down_mw_s * dt, gen.ramp_up_mw_s * dt
         for k in range(h):
             col = gen_cols[g, k]
             if not avail[g, k]:
                 lower[col] = upper[col] = 0.0
-                lo_prev = up_prev = None
                 continue
             lo_k, up_k = gen.p_min_mw, gen.p_max_mw
-            if k == 0:
-                was_up = t0 == 0 or full_avail[g, t0 - 1]
-                if was_up:
-                    seam_lo = state.prev_generator_power[g] + rdn
-                    seam_up = state.prev_generator_power[g] + rup
-                    if max(lo_k, seam_lo) <= min(up_k, seam_up) + 1e-12:
-                        lo_k = max(lo_k, seam_lo)
-                        up_k = min(up_k, seam_up)
-                    else:
-                        # inconsistent prev power: keep the box, emit the
-                        # seam row so the solver reports infeasibility
-                        rows.add([col], [1.0], seam_lo, seam_up)
-            elif lo_prev is not None:
-                lo_k = max(lo_k, lo_prev + rdn)
-                up_k = min(up_k, up_prev + rup)
-                rows.add([gen_cols[g, k - 1], col], [-1.0, 1.0], rdn, rup)
+            if linked[g, k] and k == 0:
+                seam_lo = state.prev_generator_power[g] + rdn
+                seam_up = state.prev_generator_power[g] + rup
+                if max(lo_k, seam_lo) <= min(up_k, seam_up) + 1e-12:
+                    lo_k = max(lo_k, seam_lo)
+                    up_k = min(up_k, seam_up)
+                else:
+                    # inconsistent prev power: keep the box, emit the
+                    # seam row so the solver reports infeasibility
+                    rows.add([col], [1.0], seam_lo, seam_up)
+            elif linked[g, k]:
+                prev = gen_cols[g, k - 1]
+                lo_k = max(lo_k, lower[prev] + rdn)
+                up_k = min(up_k, upper[prev] + rup)
+                rows.add([prev, col], [-1.0, 1.0], rdn, rup)
             lower[col], upper[col] = lo_k, up_k
-            lo_prev, up_prev = lo_k, up_k
 
     # storage: net power split into discharge (>= 0) and charge (>= 0)
     # columns; the linearized objective penalizes their sum, which
@@ -254,23 +249,9 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
         # terminal SoC reward lands directly on the final SoC column
         objective[soc_cols[e, h - 1]] += weights.terminal * alphas[e]
 
-        # terminal unwind guards: final-step power must be rampable to
-        # zero after the window without leaving the SoC box; the unwind
-        # energy of P decelerating by r per step is the convex
-        # piecewise-linear max_j dt*(j*P - j(j+1)/2*r), one row per
-        # breakpoint (vacuous for units that stop within one step)
-        last_d, last_c = dis_cols[e, h - 1], chg_cols[e, h - 1]
-        last_soc = soc_cols[e, h - 1]
-        r_d = -sto.ramp_down_mw_s * dt
-        for j in range(1, int(np.ceil(sto.p_max_mw / r_d - 1e-9)) + 1):
-            rhs = dt * j * (j + 1) / 2.0 * r_d - caps[e] * sto.soc_min
-            rows.add([last_d, last_c, last_soc], [dt * j, -dt * j, -caps[e]],
-                     -np.inf, rhs)
-        r_c = sto.ramp_up_mw_s * dt
-        for j in range(1, int(np.ceil(-sto.p_min_mw / r_c - 1e-9)) + 1):
-            rhs = dt * j * (j + 1) / 2.0 * r_c + caps[e] * sto.soc_max
-            rows.add([last_d, last_c, last_soc], [-dt * j, dt * j, caps[e]],
-                     -np.inf, rhs)
+        last = [dis_cols[e, h - 1], chg_cols[e, h - 1], soc_cols[e, h - 1]]
+        for a, b, rhs in plant.unwind_guards(sto, dt):
+            rows.add(last, [a, -a, -b], -np.inf, rhs)
 
     # balance rows: served demand <= storage + generation supply
     bal_sign = np.concatenate([-np.ones(ne), np.ones(ne), -np.ones(ng)])
@@ -350,10 +331,10 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                          dis_cols, crash_dis, swing, swing_active,
                          balance_rows, soc_cols, rec_rows, us_cols,
                          us_plus_rows, us_minus_rows, crash_soc, pairs)
-    layout = WindowLayout(start_step=t0, horizon=h, pairs=tuple(pairs),
-                          load_cols=load_cols, gen_cols=gen_cols,
-                          discharge_cols=dis_cols, charge_cols=chg_cols,
-                          soc_cols=soc_cols, soc_gap_cols=us_cols,
+    layout = WindowLayout(start_step=t0, horizon=h, load_cols=load_cols,
+                          gen_cols=gen_cols, discharge_cols=dis_cols,
+                          charge_cols=chg_cols, soc_cols=soc_cols,
+                          soc_gap_cols=us_cols,
                           weights=weights, w_hat=w_hat,
                           step_sizes=step_sizes, demand=demand)
     problem = MilpProblem(lp=lp, integrality=integrality, basis_hint=basis)
@@ -450,7 +431,7 @@ def decode_plan(solution: MilpSolution, layout: WindowLayout,
         if np.max(np.abs(soc - internal)) > 1e-7:
             raise DecodeMismatch("SoC recursion diverged from window columns")
 
-    terms = window_terms(layout, scenario, frac, sto_power, soc)
+    terms = plant.objective_terms(scenario, layout.w_hat, frac, sto_power, soc)
     recombined = terms.combined(layout.weights)
     if abs(recombined - solution.objective_value) > 1e-6:
         raise DecodeMismatch(
@@ -460,17 +441,3 @@ def decode_plan(solution: MilpSolution, layout: WindowLayout,
                         gen_power=gen_power, storage_power=sto_power, soc=soc,
                         terms=terms, objective=solution.objective_value)
 
-
-def window_terms(layout: WindowLayout, scenario: ScenarioSpec,
-                 frac: np.ndarray, sto_power: np.ndarray,
-                 soc: np.ndarray) -> ObjectiveTerms:
-    """Raw objective terms of a decoded window trajectory."""
-    served = float(layout.w_hat @ frac.sum(axis=1)) if frac.size else 0.0
-    throughput = float(np.abs(sto_power).sum())
-    imbalance = 0.0
-    for (l, m) in layout.pairs:
-        imbalance += float(np.abs(soc[l] - soc[m]).sum())
-    alphas = np.array([s.terminal_priority for s in scenario.storage])
-    terminal = float(alphas @ soc[:, -1]) if soc.size else 0.0
-    return ObjectiveTerms(served=served, throughput=throughput,
-                          imbalance=imbalance, terminal_soc=terminal)

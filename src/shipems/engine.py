@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .builder import build_window_milp, decode_plan, window_terms
+from . import plant
+from .builder import build_window_milp, decode_plan
 from .errors import InfeasibleWindow, ZeroDenominator
 from .milp import MilpStatus, SolverConfig, solve_milp
 from .model import (DispatchPlan, ObjectiveTerms, ObjectiveWeights,
@@ -67,21 +68,6 @@ class MissionResult:
 
     def objective(self) -> float:
         return self.terms.combined(self.weights)
-
-
-def mission_terms(scenario: ScenarioSpec, load_fraction, storage_power,
-                  soc) -> ObjectiveTerms:
-    """Raw objective terms of a full applied trajectory."""
-    w_hat = scenario.normalized_weights()
-    served = float(w_hat @ load_fraction.sum(axis=1))
-    throughput = float(np.abs(storage_power).sum())
-    imbalance = 0.0
-    for (l, m) in scenario.storage_pairs():
-        imbalance += float(np.abs(soc[l] - soc[m]).sum())
-    alphas = np.array([s.terminal_priority for s in scenario.storage])
-    terminal = float(alphas @ soc[:, -1]) if soc.size else 0.0
-    return ObjectiveTerms(served=served, throughput=throughput,
-                          imbalance=imbalance, terminal_soc=terminal)
 
 
 def operability(result: MissionResult, scenario: ScenarioSpec) -> float:
@@ -136,7 +122,9 @@ def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
         weights=weights, load_fraction=plan.load_fraction,
         gen_power=plan.gen_power, storage_power=plan.storage_power,
         soc=plan.soc, operability=0.0,
-        terms=mission_terms(scenario, plan.load_fraction, plan.storage_power, plan.soc),
+        terms=plant.objective_terms(scenario, scenario.normalized_weights(),
+                                    plan.load_fraction, plan.storage_power,
+                                    plan.soc),
         solve_times=times, statuses=statuses,
         total_wall_s=time.perf_counter() - t_start)
     result.operability = operability(result, scenario)
@@ -168,6 +156,7 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
     statuses = []
     fallbacks = []
 
+    caps = np.array([s.capacity_mj for s in scenario.storage])
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
     t_start = time.perf_counter()
@@ -202,7 +191,6 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
         frac[:, t] = o_t
         pgen[:, t] = pg_t
         psto[:, t] = pe_t
-        caps = np.array([s.capacity_mj for s in scenario.storage])
         new_soc = soc_step(state.soc, pe_t, scenario.dt_s, caps) if ne else state.soc
         soc[:, t] = new_soc
         state = SystemState(soc=np.asarray(new_soc, dtype=float).copy(),
@@ -218,7 +206,8 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
         scenario_name=scenario.name, mode="rho", horizon=horizon,
         weights=weights, load_fraction=frac, gen_power=pgen,
         storage_power=psto, soc=soc, operability=0.0,
-        terms=mission_terms(scenario, frac, psto, soc),
+        terms=plant.objective_terms(scenario, scenario.normalized_weights(),
+                                    frac, psto, soc),
         solve_times=times, statuses=statuses, fallbacks=fallbacks,
         total_wall_s=time.perf_counter() - t_start,
         exact_propagation=feedback is None)
@@ -235,58 +224,12 @@ def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
             cand = (prev_plan.load_fraction[:, offset],
                     prev_plan.gen_power[:, offset],
                     prev_plan.storage_power[:, offset])
-            if _actions_feasible(scenario, state, cand, t):
+            caps = np.array([s.capacity_mj for s in scenario.storage])
+            soc = soc_step(state.soc, cand[2], scenario.dt_s, caps)
+            column = [a[:, None] for a in (*cand, soc)]
+            if not plant.violations(scenario, state, *column, tol=1e-7):
                 return cand, "shifted_previous_plan"
     return _greedy_shed(scenario, state, t), "hold_and_shed"
-
-
-def _actions_feasible(scenario, state, actions, t, tol=1e-7):
-    o_t, pg_t, pe_t = actions
-    dt = scenario.dt_s
-    full_avail = scenario.availability()
-    avail = full_avail[:, t] if scenario.n_generators else np.zeros(0, bool)
-    for g, gen in enumerate(scenario.generators):
-        if not avail[g]:
-            if abs(pg_t[g]) > tol:
-                return False
-            continue
-        was_up = t == 0 or full_avail[g, t - 1]
-        if was_up:
-            rate = (pg_t[g] - state.prev_generator_power[g]) / dt
-            if not (gen.ramp_down_mw_s - tol <= rate <= gen.ramp_up_mw_s + tol):
-                return False
-        if not (gen.p_min_mw - tol <= pg_t[g] <= gen.p_max_mw + tol):
-            return False
-    for e, sto in enumerate(scenario.storage):
-        rate = (pe_t[e] - state.prev_storage_power[e]) / dt
-        if not (sto.ramp_down_mw_s - tol <= rate <= sto.ramp_up_mw_s + tol):
-            return False
-        nxt = soc_step(state.soc[e], pe_t[e], dt, sto.capacity_mj)
-        if not (sto.soc_min - tol <= nxt <= sto.soc_max + tol):
-            return False
-    demand = scenario.demand_mw[:, t]
-    if (demand * o_t).sum() > pg_t.sum() + pe_t.sum() + 1e-9:
-        return False
-    return True
-
-
-def _unwind_safe_power(headroom_frac: float, capacity_mj: float, dt: float,
-                       step_down_mw: float) -> float:
-    """Largest power whose full ramp-down-to-zero stays inside the
-    given SoC headroom (headroom as a fraction of capacity)."""
-    budget = max(headroom_frac, 0.0) * capacity_mj   # MJ
-    r = step_down_mw
-    best = 0.0
-    # applying P then decelerating by r per step consumes
-    # dt * ((m+1)P - r m(m+1)/2) with m = floor(P/r); scan brackets
-    for m in range(0, 64):
-        energy_cap = budget / dt / (m + 1) + r * m / 2.0
-        p_cap = min(energy_cap, (m + 1) * r)
-        if m * r <= p_cap:
-            best = max(best, p_cap)
-        if energy_cap <= (m + 1) * r:
-            break  # the true maximum lies in this bracket
-    return best
 
 
 def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
@@ -303,12 +246,12 @@ def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
         # clamp into the unwind-safe envelope: after applying v the unit
         # must still be able to ramp to zero inside the SoC box, or the
         # next window wakes up in a dead end
-        v = min(v, _unwind_safe_power(state.soc[e] - sto.soc_min,
-                                      sto.capacity_mj, dt,
-                                      -sto.ramp_down_mw_s * dt))
-        v = max(v, -_unwind_safe_power(sto.soc_max - state.soc[e],
-                                       sto.capacity_mj, dt,
-                                       sto.ramp_up_mw_s * dt))
+        v = min(v, plant.unwind_limit(
+            (state.soc[e] - sto.soc_min) * sto.capacity_mj, dt,
+            -sto.ramp_down_mw_s * dt, sto.p_max_mw))
+        v = max(v, -plant.unwind_limit(
+            (sto.soc_max - state.soc[e]) * sto.capacity_mj, dt,
+            sto.ramp_up_mw_s * dt, -sto.p_min_mw))
         pe[e] = v
     supply = pg.sum() + pe.sum()
     demand = scenario.demand_mw[:, t]
@@ -331,69 +274,24 @@ def validate_trajectory(result: MissionResult, scenario: ScenarioSpec,
                         tol: float = 1e-6):
     """Post-hoc invariant audit of an applied trajectory.
 
-    Checks power balance, ramp boxes (including the seam against the
-    initial state), the SoC box, and (for exact propagation) that the
+    Checks every plant limit (``plant.violations``, with the ramp seam
+    against the initial state) and, for exact propagation, that the
     recorded SoC path matches the storage kinematics.  Returns a list
     of violation strings; empty means clean.  Independent of the solver.
     """
-    bad = []
-    dt = scenario.dt_s
-    T = result.steps
-    demand = scenario.demand_mw
-    served = (demand * result.load_fraction).sum(axis=0)
-    supply = result.gen_power.sum(axis=0) + result.storage_power.sum(axis=0)
-    for t in np.flatnonzero(served > supply + 1e-9 + tol):
-        bad.append(f"step {t}: balance violated ({served[t]:.6f} > {supply[t]:.6f})")
-
-    avail = scenario.availability()
-    for g, gen in enumerate(scenario.generators):
-        p = result.gen_power[g]
-        prev = gen.initial_mw
-        prev_avail = True
-        for t in range(T):
-            if not avail[g, t]:
-                if abs(p[t]) > tol:
-                    bad.append(f"step {t}: tripped generator {gen.id} at {p[t]:.4f} MW")
-                prev, prev_avail = 0.0, False
-                continue
-            if prev_avail:
-                rate = (p[t] - prev) / dt
-                if not (gen.ramp_down_mw_s - tol <= rate <= gen.ramp_up_mw_s + tol):
-                    bad.append(f"step {t}: generator {gen.id} ramp {rate:.4f} MW/s")
-            if not (gen.p_min_mw - tol <= p[t] <= gen.p_max_mw + tol):
-                bad.append(f"step {t}: generator {gen.id} power {p[t]:.4f} outside box")
-            prev, prev_avail = p[t], True
-
-    for e, sto in enumerate(scenario.storage):
-        p = result.storage_power[e]
-        prev = sto.initial_mw
-        for t in range(T):
-            rate = (p[t] - prev) / dt
-            if not (sto.ramp_down_mw_s - tol <= rate <= sto.ramp_up_mw_s + tol):
-                bad.append(f"step {t}: storage {sto.id} ramp {rate:.4f} MW/s")
-            if not (sto.p_min_mw - tol <= p[t] <= sto.p_max_mw + tol):
-                bad.append(f"step {t}: storage {sto.id} power {p[t]:.4f} outside box")
-            prev = p[t]
-        s = result.soc[e]
-        if np.any(s < sto.soc_min - 1e-9 - tol) or np.any(s > sto.soc_max + 1e-9 + tol):
-            bad.append(f"storage {sto.id}: SoC leaves [{sto.soc_min}, {sto.soc_max}]")
-        if result.exact_propagation:
-            path = np.empty(T)
-            cur = sto.initial_soc
-            for t in range(T):
-                cur = soc_step(cur, p[t], dt, sto.capacity_mj)
-                path[t] = cur
-            if np.max(np.abs(path - s)) > 1e-7:
-                bad.append(f"storage {sto.id}: recorded SoC diverges from kinematics")
-
-    for i, ld in enumerate(scenario.loads):
-        o = result.load_fraction[i]
-        if np.any(o < -tol) or np.any(o > 1 + tol):
-            bad.append(f"load {ld.id}: service fraction outside [0, 1]")
-        if ld.is_stepped:
-            lev = o / ld.step_size
-            if np.max(np.abs(lev - np.round(lev))) > 1e-6:
-                bad.append(f"load {ld.id}: service off the 1/{ld.steps} grid")
+    bad = plant.violations(scenario, scenario.initial_state(),
+                           result.load_fraction, result.gen_power,
+                           result.storage_power, result.soc, tol)
+    if result.exact_propagation:
+        caps = np.array([s.capacity_mj for s in scenario.storage])
+        path = np.empty_like(result.soc)
+        cur = scenario.initial_state().soc
+        for t in range(result.steps):
+            cur = soc_step(cur, result.storage_power[:, t], scenario.dt_s, caps)
+            path[:, t] = cur
+        for e in np.flatnonzero(np.any(np.abs(path - result.soc) > 1e-7, axis=1)):
+            bad.append(f"storage {scenario.storage[e].id}: recorded SoC "
+                       f"diverges from kinematics")
     return bad
 
 

@@ -17,7 +17,6 @@ be solved concurrently.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -228,11 +227,6 @@ class _SimplexCore:
         self._ci = self.a_csc.indices
         self._cp = self.a_csc.indptr
         self._cd = self.a_csc.data
-        # small LRU of factorizations keyed by the basic set; warm
-        # starts in branch and bound resume from recently seen bases
-        # (dive children immediately, heap siblings shortly after)
-        self._lu_cache: "OrderedDict[bytes, object]" = OrderedDict()
-        self._lu_cache_max = 96
         # live factor state (basic, lu, etas, eta_nnz) from the last
         # solve; adopted wholesale when a warm start resumes from it,
         # which skips the entry refactorization entirely
@@ -341,18 +335,9 @@ class _SimplexCore:
             eta_nnz = 0
             if m == 0:
                 return
-            key = basic.tobytes()
-            cached = self._lu_cache.get(key)
-            if cached is not None:
-                self._lu_cache.move_to_end(key)
-                lu = cached
-                return
             lu = splu(self._basis_matrix(basic).tocsc(),
                       permc_spec="COLAMD",
                       options={"SymmetricMode": False})
-            self._lu_cache[key] = lu
-            if len(self._lu_cache) > self._lu_cache_max:
-                self._lu_cache.popitem(last=False)
 
         def ftran(v):
             u = lu.solve(v) if m else v.copy()

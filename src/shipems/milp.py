@@ -137,7 +137,6 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
     nodes = 0
     root_lo = lp.lower.copy()
     root_up = lp.upper.copy()
-    abs_deadline = None if cfg.deadline_s is None else start + cfg.deadline_s
 
     def solve_node(lo, up, warm):
         nonlocal nodes
@@ -148,7 +147,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             return LpStatus.INFEASIBLE, None, -np.inf, 0, None
         nodes += 1
         return core.solve(col_lo=lo, col_up=up, warm=warm,
-                          deadline=abs_deadline)
+                          deadline=deadline)
 
     if timed_out():
         return MilpSolution(MilpStatus.TIMED_OUT, None, -np.inf, 0,

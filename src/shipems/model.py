@@ -11,7 +11,7 @@ as read-only, which makes concurrent window builds safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -314,27 +314,6 @@ def normalized_weight(load: LoadSpec, scenario_weight: float) -> float:
     if not (np.isfinite(scenario_weight) and scenario_weight >= 0):
         raise ValueError("scenario weight must be finite and >= 0")
     return scenario_weight * load.rated_mw
-
-
-def scale_stepped_load(w_hat: float, demand_mw: float, step_size: float):
-    """Rescale a stepped load for integer modeling.
-
-    The service variable of a stepped load runs over integers
-    0..1/step_size, so its weight and demand are multiplied by the step
-    size; the decoded fraction is the integer times ``step_size``.
-    Returns (scaled weight, scaled demand, integer upper bound).
-    """
-    if not 0.0 < step_size <= 1.0:
-        raise ValueError("step_size must lie in (0, 1]")
-    n = 1.0 / step_size
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError("step_size must be the reciprocal of a positive integer")
-    return w_hat * step_size, demand_mw * step_size, int(round(n))
-
-
-def decode_stepped(value: float, step_size: float) -> float:
-    """Integer service level back to a served fraction."""
-    return value * step_size
 
 
 def soc_step(soc, power_mw, dt_s: float, capacity_mj: float):

@@ -1,0 +1,154 @@
+"""The plant rules, written once: limits, terminal unwind guards and the
+objective terms.
+
+The window builder turns these rules into rows and bounds, the engine's
+degraded mode checks a candidate step against them, and the trajectory
+audit checks a whole mission against them; all three take them from
+here.
+
+Arrays are (unit, step) and start at ``state.step_index``; the state
+supplies the powers the first column ramps from.  A bound passes within
+``1e-9 + tol``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .model import ObjectiveTerms, ScenarioSpec, StorageSpec, SystemState
+
+
+def ramp_linked(scenario: ScenarioSpec, t0: int, h: int) -> np.ndarray:
+    """(n_generators, h) mask: True where generator power at step t0+k is
+    ramp-limited against the step before it (the state's power for k = 0).
+
+    A trip overrides the ramp in both directions: the tripped step and
+    the step after it carry no ramp limit, whether the recovery falls
+    inside a window or on a window seam.
+    """
+    avail = scenario.availability()
+    before = (avail[:, t0 - 1:t0] if t0
+              else np.ones((scenario.n_generators, 1), dtype=bool))
+    return avail[:, t0:t0 + h] & np.concatenate(
+        [before, avail[:, t0:t0 + h - 1]], axis=1)
+
+
+def _per_unit(units, attr) -> np.ndarray:
+    return np.array([getattr(u, attr) for u in units], dtype=float)[:, None]
+
+
+def _outside(x, lo, up, slack):
+    return (x < lo - slack) | (x > up + slack)
+
+
+def violations(scenario: ScenarioSpec, state: SystemState, frac, gen_power,
+               storage_power, soc, tol: float = 1e-6) -> list:
+    """Plant-limit violations of a trajectory that starts at ``state``.
+
+    Checks power balance, generator trips, boxes and ramps, storage
+    boxes and ramps, the SoC box, and load service in [0, 1] on each
+    stepped load's grid.  ``soc`` is the end-of-step state of charge.
+    Returns one message per violated (unit, step); empty means clean.
+    """
+    t0 = int(state.step_index)
+    h = np.shape(frac)[1]
+    dt = scenario.dt_s
+    slack = 1e-9 + tol
+    gens, stos, loads = scenario.generators, scenario.storage, scenario.loads
+    bad = []
+
+    served = (scenario.demand_mw[:, t0:t0 + h] * frac).sum(axis=0)
+    supply = gen_power.sum(axis=0) + storage_power.sum(axis=0)
+    for k in np.flatnonzero(served > supply + slack):
+        bad.append(f"step {t0 + k}: balance violated "
+                   f"({served[k]:.6f} > {supply[k]:.6f})")
+
+    avail = scenario.availability()[:, t0:t0 + h]
+    gen_rate = np.diff(gen_power, axis=1,
+                       prepend=np.reshape(state.prev_generator_power, (-1, 1))) / dt
+    sto_rate = np.diff(storage_power, axis=1,
+                       prepend=np.reshape(state.prev_storage_power, (-1, 1))) / dt
+    level = frac / _per_unit(loads, "step_size")
+    off_grid = (_per_unit(loads, "is_stepped") > 0) \
+        & (np.abs(level - np.round(level)) > slack)
+    checks = (
+        (gens, ~avail & (np.abs(gen_power) > slack),
+         "tripped generator {} at {:.4f} MW", gen_power),
+        (gens, avail & _outside(gen_power, _per_unit(gens, "p_min_mw"),
+                                _per_unit(gens, "p_max_mw"), slack),
+         "generator {} power {:.4f} outside box", gen_power),
+        (gens, ramp_linked(scenario, t0, h)
+         & _outside(gen_rate, _per_unit(gens, "ramp_down_mw_s"),
+                    _per_unit(gens, "ramp_up_mw_s"), slack),
+         "generator {} ramp {:.4f} MW/s", gen_rate),
+        (stos, _outside(storage_power, _per_unit(stos, "p_min_mw"),
+                        _per_unit(stos, "p_max_mw"), slack),
+         "storage {} power {:.4f} outside box", storage_power),
+        (stos, _outside(sto_rate, _per_unit(stos, "ramp_down_mw_s"),
+                        _per_unit(stos, "ramp_up_mw_s"), slack),
+         "storage {} ramp {:.4f} MW/s", sto_rate),
+        (stos, _outside(soc, _per_unit(stos, "soc_min"), _per_unit(stos, "soc_max"),
+                        slack),
+         "storage {} SoC {:.6f} outside box", soc),
+        (loads, _outside(frac, 0.0, 1.0, slack),
+         "load {} service {:.6f} outside [0, 1]", frac),
+        (loads, off_grid, "load {} service {:.6f} off its stepped grid", frac),
+    )
+    for units, mask, text, values in checks:
+        for u, k in np.argwhere(mask):
+            bad.append(f"step {t0 + k}: " + text.format(units[u].id, values[u, k]))
+    return bad
+
+
+def unwind_breakpoints(p_max_mw: float, step_mw: float) -> range:
+    """Steps j = 1..J of ramping p_max_mw down to zero by step_mw per step."""
+    return range(1, math.ceil(p_max_mw / step_mw - 1e-9) + 1)
+
+
+def unwind_limit(headroom_mj: float, dt: float, step_mw: float,
+                 p_max_mw: float) -> float:
+    """Largest power in [0, p_max_mw] that can be applied for one step
+    and then ramped down to zero by step_mw per step within headroom_mj.
+
+    Applying P and then decelerating uses dt * ((j+1) P - step j(j+1)/2)
+    maximized over j >= 0, so the limit is the minimum over the
+    breakpoints of (headroom/dt + step j(j+1)/2) / (j+1).
+    """
+    j = np.array([0, *unwind_breakpoints(p_max_mw, step_mw)])
+    limits = (max(headroom_mj, 0.0) / dt + step_mw * j * (j + 1) / 2.0) / (j + 1)
+    return min(p_max_mw, float(limits.min()))
+
+
+def unwind_guards(unit: StorageSpec, dt: float) -> list:
+    """Terminal unwind guard rows of one storage unit, discharge side first.
+
+    Each (a, b, rhs) reads a * P - b * soc <= rhs, with P the net power
+    of the window's last step and soc its end-of-step SoC: the power
+    must be rampable to zero after the window without leaving the SoC
+    box.  The unwind energy of P decelerating by r per step is the
+    convex piecewise-linear max_j dt * (j P - j(j+1)/2 r), one row per
+    breakpoint (none for a unit that stops within one step).
+    """
+    cap = unit.capacity_mj
+    sides = ((1.0, unit.p_max_mw, -unit.ramp_down_mw_s * dt, unit.soc_min),
+             (-1.0, -unit.p_min_mw, unit.ramp_up_mw_s * dt, unit.soc_max))
+    return [(sign * dt * j, sign * cap,
+             dt * j * (j + 1) / 2.0 * step - sign * cap * bound)
+            for sign, p_max, step, bound in sides
+            for j in unwind_breakpoints(p_max, step)]
+
+
+def objective_terms(scenario: ScenarioSpec, w_hat, frac, storage_power,
+                    soc) -> ObjectiveTerms:
+    """The four raw objective terms of a trajectory (see ObjectiveTerms)."""
+    served = float(w_hat @ frac.sum(axis=1))
+    throughput = float(np.abs(storage_power).sum())
+    imbalance = 0.0
+    for (l, m) in scenario.storage_pairs():
+        imbalance += float(np.abs(soc[l] - soc[m]).sum())
+    alphas = np.array([s.terminal_priority for s in scenario.storage])
+    terminal = float(alphas @ soc[:, -1]) if soc.size else 0.0
+    return ObjectiveTerms(served=served, throughput=throughput,
+                          imbalance=imbalance, terminal_soc=terminal)

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from shipems.engine import (MissionResult, audit_shedding_order, compare_f1,
-                            mission_terms, operability, run_fho, run_rho,
-                            validate_trajectory)
+                            operability, run_fho, run_rho, validate_trajectory)
 from shipems.errors import ZeroDenominator
 from shipems.lp import LinearProgram, LpStatus, solve_lp
 from shipems.milp import SolverConfig
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveTerms,
                            ObjectiveWeights, ScenarioSpec, StorageClass,
                            StorageSpec)
+from shipems.plant import objective_terms
 
 
 def load(i, rated=4.0, weight=1.0, steps=None):
@@ -47,7 +47,8 @@ def fake_result(scenario, frac, weights=ObjectiveWeights()):
         scenario_name=scenario.name, mode="fho", horizon=T, weights=weights,
         load_fraction=frac, gen_power=np.zeros((ng, T)),
         storage_power=np.zeros((ne, T)), soc=soc, operability=0.0,
-        terms=mission_terms(scenario, frac, np.zeros((ne, T)), soc),
+        terms=objective_terms(scenario, scenario.normalized_weights(), frac,
+                              np.zeros((ne, T)), soc),
         solve_times=np.zeros(T), statuses=["optimal"] * T)
     res.operability = operability(res, scenario)
     return res

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
                            ScenarioSpec, StorageClass, StorageSpec,
-                           normalized_weight, scale_stepped_load, soc_step)
+                           normalized_weight, soc_step)
 
 
 def make_load(**kw):
@@ -40,28 +40,6 @@ class TestNormalizedWeight:
 
     def test_zero_weight_annihilates(self):
         assert normalized_weight(make_load(rated_mw=123.0), 0.0) == 0.0
-
-
-class TestScaleSteppedLoad:
-    def test_quarter_steps(self):
-        w, d, bound = scale_stepped_load(8.0, 4.0, 0.25)
-        assert (w, d, bound) == (2.0, 1.0, 4)
-
-    def test_identity_step_is_binary(self):
-        w, d, bound = scale_stepped_load(3.0, 2.0, 1.0)
-        assert (w, d, bound) == (3.0, 2.0, 1)
-
-    def test_decode_three_quarters(self):
-        # integer level 3 at quarter steps serves 75%
-        assert 3 * 0.25 == pytest.approx(0.75)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            scale_stepped_load(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            scale_stepped_load(1.0, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            scale_stepped_load(1.0, 1.0, 0.3)
 
 
 class TestSocStep:
