@@ -32,7 +32,7 @@ print(f"receding, window = mission:        O={full.operability:.4f} "
       f"objective={full.objective():.2f} (matches the baseline to "
       f"{abs(full.objective() - fho.objective()):.1e})")
 
-short = run_rho(scenario, weights, horizon=40, step_deadline_s=0.45,
+short = run_rho(scenario, weights, horizon=40,
                 cfg=SolverConfig(gap_tol=1e-6, rel_gap=1e-4, deadline_s=0.45))
 ms = short.solve_times * 1e3
 print(f"receding, 40-step window:          O={short.operability:.4f} "

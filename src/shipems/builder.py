@@ -47,7 +47,7 @@ from . import plant
 from .errors import DecodeMismatch
 from .lp import AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram
 from .milp import MilpProblem, MilpSolution
-from .model import DispatchPlan, ObjectiveWeights, ScenarioSpec, SystemState, soc_step
+from .model import DispatchPlan, ObjectiveWeights, ScenarioSpec, SystemState
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,7 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     soc_cols = base[None, :] + nl + ng + 2 * ne + np.arange(ne)[:, None]
     us_cols = base[None, :] + nl + ng + 3 * ne + np.arange(npairs)[:, None]
 
-    w_eff = scenario.effective_load_weights()
-    w_hat = np.array([w * ld.rated_mw for w, ld in zip(w_eff, scenario.loads)])
+    w_hat = scenario.normalized_weights()
     step_sizes = np.array([ld.step_size for ld in scenario.loads])
     demand = scenario.demand_mw[:, t0:t0 + h].copy()
     avail = scenario.availability()[:, t0:t0 + h]
@@ -419,17 +418,10 @@ def decode_plan(solution: MilpSolution, layout: WindowLayout,
     else:
         sto_power = np.zeros((0, h))
 
-    caps = np.array([s.capacity_mj for s in scenario.storage])
-    soc = np.empty_like(sto_power)
-    if caps.size:
-        prev = np.asarray(state.soc, dtype=float)
-        for k in range(h):
-            prev = soc_step(prev, sto_power[:, k], scenario.dt_s, caps)
-            soc[:, k] = prev
-        # cross-check against the window's internal SoC columns
-        internal = x[layout.soc_cols]
-        if np.max(np.abs(soc - internal)) > 1e-7:
-            raise DecodeMismatch("SoC recursion diverged from window columns")
+    soc = plant.soc_path(scenario, state.soc, sto_power)
+    # cross-check against the window's internal SoC columns
+    if soc.size and np.max(np.abs(soc - x[layout.soc_cols])) > 1e-7:
+        raise DecodeMismatch("SoC recursion diverged from window columns")
 
     terms = plant.objective_terms(scenario, layout.w_hat, frac, sto_power, soc)
     recombined = terms.combined(layout.weights)

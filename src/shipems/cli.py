@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .engine import compare_f1, run_fho, run_rho, validate_trajectory
+from .engine import ENGINE_GAP, compare_f1, run_fho, run_rho, validate_trajectory
 from .errors import (BundleInvariantError, DecodeMismatch, InfeasibleWindow,
                      NonFiniteMerit, NumericalBreakdown, ScenarioError)
+from .milp import SolverConfig
 from .model import ObjectiveWeights
 from .tuning import TunerConfig, make_mission_evaluator, tune_weights
 
@@ -46,6 +47,13 @@ def _resolve_weights(args):
     return ObjectiveWeights(*FALLBACK_WEIGHTS)
 
 
+def _rho_config(args):
+    """The engine's default solver settings, with ``--deadline-ms`` as the
+    per-step wall budget."""
+    deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
+    return SolverConfig(gap_tol=ENGINE_GAP, deadline_s=deadline)
+
+
 def _out_dir(args):
     return Path(args.out) if args.out else sio.default_output_dir()
 
@@ -62,9 +70,8 @@ def cmd_run(args):
     scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
     weights = _resolve_weights(args)
     horizon = args.np or file_horizon
-    deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
     if args.mode == "rho":
-        result = run_rho(scenario, weights, horizon, step_deadline_s=deadline)
+        result = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
     else:
         result = run_fho(scenario, weights)
     out = sio.write_result_bundle(result, scenario, _out_dir(args) / args.mode)
@@ -79,9 +86,8 @@ def cmd_compare(args):
     scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
     weights = _resolve_weights(args)
     horizon = args.np or file_horizon
-    deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
     fho = run_fho(scenario, weights)
-    rho = run_rho(scenario, weights, horizon, step_deadline_s=deadline)
+    rho = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
     delta = compare_f1(fho, rho)
     base = _out_dir(args)
     sio.write_result_bundle(fho, scenario, base / "fho",
@@ -156,14 +162,16 @@ def build_parser():
     p_run.add_argument("--weights", type=_parse_weights, default=None,
                        help="w1,w2,w3 scalarization weights")
     p_run.add_argument("--deadline-ms", type=float, default=None,
-                       help="per-step solve deadline")
+                       help="per-step wall budget: build, solve and decode")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run both modes and report delta_f1")
     add_common(p_cmp)
     p_cmp.add_argument("--np", type=int, default=None)
     p_cmp.add_argument("--weights", type=_parse_weights, default=None)
-    p_cmp.add_argument("--deadline-ms", type=float, default=None)
+    p_cmp.add_argument("--deadline-ms", type=float, default=None,
+                       help="per-step wall budget of the RHO run: build, "
+                            "solve and decode")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_tune = sub.add_parser("tune", help="descend on the scalarization weights")

@@ -29,7 +29,7 @@ from .builder import build_window_milp, decode_plan
 from .errors import InfeasibleWindow, ZeroDenominator
 from .milp import MilpStatus, SolverConfig, solve_milp
 from .model import (DispatchPlan, ObjectiveTerms, ObjectiveWeights,
-                    ScenarioSpec, SystemState, soc_step)
+                    ScenarioSpec, SystemState)
 
 #: Engine-level solver defaults: the gap is far below the per-solve
 #: default so per-step suboptimality cannot accumulate above the
@@ -90,49 +90,69 @@ def compare_f1(fho: MissionResult, rho: MissionResult) -> float:
     return (fho.terms.served - rho.terms.served) / fho.terms.served
 
 
-def _solver_cfg(deadline_s=None, cfg: Optional[SolverConfig] = None) -> SolverConfig:
-    if cfg is None:
-        return SolverConfig(gap_tol=ENGINE_GAP, deadline_s=deadline_s)
-    if deadline_s is not None:
-        return replace(cfg, deadline_s=deadline_s)
-    return cfg
-
-
-def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
-            cfg: Optional[SolverConfig] = None) -> MissionResult:
-    """One MILP across the whole mission, applied open loop."""
-    state = scenario.initial_state()
-    t_start = time.perf_counter()
-    t0 = time.perf_counter()
-    problem, layout = build_window_milp(scenario, state, weights, scenario.steps)
-    sol = solve_milp(problem, _solver_cfg(cfg=cfg))
-    if sol.status is MilpStatus.INFEASIBLE:
-        raise InfeasibleWindow("whole-mission problem infeasible: "
-                               "inconsistent ramp/initial data")
-    if not sol.has_incumbent:
-        raise InfeasibleWindow("whole-mission solve timed out with no incumbent")
-    plan = decode_plan(sol, layout, scenario, state)
-    step_time = time.perf_counter() - t0
-
-    times = np.zeros(scenario.steps)
-    times[0] = step_time
-    statuses = [sol.status.value] * scenario.steps
+def _mission_result(scenario: ScenarioSpec, weights: ObjectiveWeights,
+                    mode: str, horizon: int, frac, pgen, psto, soc, times,
+                    statuses, t_start: float, **extra) -> MissionResult:
+    """Assemble an applied trajectory with its objective terms and
+    operability."""
     result = MissionResult(
-        scenario_name=scenario.name, mode="fho", horizon=scenario.steps,
-        weights=weights, load_fraction=plan.load_fraction,
-        gen_power=plan.gen_power, storage_power=plan.storage_power,
-        soc=plan.soc, operability=0.0,
+        scenario_name=scenario.name, mode=mode, horizon=horizon,
+        weights=weights, load_fraction=frac, gen_power=pgen,
+        storage_power=psto, soc=soc, operability=0.0,
         terms=plant.objective_terms(scenario, scenario.normalized_weights(),
-                                    plan.load_fraction, plan.storage_power,
-                                    plan.soc),
+                                    frac, psto, soc),
         solve_times=times, statuses=statuses,
-        total_wall_s=time.perf_counter() - t_start)
+        total_wall_s=time.perf_counter() - t_start, **extra)
     result.operability = operability(result, scenario)
     return result
 
 
-def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
-            step_deadline_s: Optional[float] = None,
+def _window_step(scenario: ScenarioSpec, state: SystemState,
+                 weights: ObjectiveWeights, horizon: int, cfg: SolverConfig,
+                 tick: float, what: str):
+    """Build, solve and decode one window; returns (status, plan), with
+    ``plan`` None when the solve stopped with no incumbent.
+
+    ``cfg.deadline_s`` is the wall budget of the whole step, counted from
+    ``tick``: the solver gets what the build left of it, less a 10 ms
+    reserve for the decode and bookkeeping.
+    """
+    problem, layout = build_window_milp(scenario, state, weights, horizon)
+    if cfg.deadline_s is not None:
+        spent = time.perf_counter() - tick
+        cfg = replace(cfg, deadline_s=cfg.deadline_s - spent - 0.01)
+    sol = solve_milp(problem, cfg)
+    if sol.status is MilpStatus.INFEASIBLE:
+        raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")
+    plan = decode_plan(sol, layout, scenario, state) if sol.has_incumbent else None
+    return sol.status.value, plan
+
+
+def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
+            cfg: Optional[SolverConfig] = None) -> MissionResult:
+    """One MILP across the whole mission, applied open loop.
+
+    ``cfg`` defaults to ``SolverConfig(gap_tol=ENGINE_GAP)``; its
+    ``deadline_s``, when set, is the wall budget of the one step: build,
+    solve and decode.
+    """
+    if cfg is None:
+        cfg = SolverConfig(gap_tol=ENGINE_GAP)
+    t_start = time.perf_counter()
+    status, plan = _window_step(scenario, scenario.initial_state(), weights,
+                                scenario.steps, cfg, t_start,
+                                "whole-mission problem")
+    if plan is None:
+        raise InfeasibleWindow("whole-mission solve timed out with no incumbent")
+    times = np.zeros(scenario.steps)
+    times[0] = time.perf_counter() - t_start
+    return _mission_result(scenario, weights, "fho", scenario.steps,
+                           plan.load_fraction, plan.gen_power,
+                           plan.storage_power, plan.soc, times,
+                           [status] * scenario.steps, t_start)
+
+
+def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
             feedback: Optional[Callable[[SystemState], SystemState]] = None,
             cfg: Optional[SolverConfig] = None) -> MissionResult:
     """Receding-horizon mission run.
@@ -141,10 +161,15 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
     end) is built from the current state and solved; only the first
     step of the plan is applied.  ``feedback``, when given, maps the
     propagated state to the measured one between steps (defaults to
-    exact propagation).
+    exact propagation).  ``cfg`` defaults to
+    ``SolverConfig(gap_tol=ENGINE_GAP)``; its ``deadline_s``, when set,
+    is the per-step wall budget: build, solve and decode.  A step that
+    runs out of it with no incumbent takes a degraded-mode action.
     """
     if not 1 <= horizon <= scenario.steps:
         raise ValueError("need 1 <= horizon <= mission steps")
+    if cfg is None:
+        cfg = SolverConfig(gap_tol=ENGINE_GAP)
     T = scenario.steps
     nl, ng, ne = scenario.n_loads, scenario.n_generators, scenario.n_storage
 
@@ -156,44 +181,30 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
     statuses = []
     fallbacks = []
 
-    caps = np.array([s.capacity_mj for s in scenario.storage])
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
     t_start = time.perf_counter()
 
     for t in range(T):
         tick = time.perf_counter()
-        problem, layout = build_window_milp(scenario, state, weights, horizon)
-        solve_deadline = None
-        if step_deadline_s is not None:
-            # leave the solver what remains of the step budget, with a
-            # small reserve for the decode and bookkeeping
-            spent = time.perf_counter() - tick
-            solve_deadline = max(step_deadline_s - spent - 0.01, 0.02)
-        elif cfg is not None and cfg.deadline_s is not None:
-            solve_deadline = cfg.deadline_s
-        sol = solve_milp(problem, _solver_cfg(solve_deadline, cfg))
-        if sol.status is MilpStatus.INFEASIBLE:
-            raise InfeasibleWindow(
-                f"window at step {t} infeasible: inconsistent ramp/initial data")
-        if sol.has_incumbent:
-            plan = decode_plan(sol, layout, scenario, state)
+        status, plan = _window_step(scenario, state, weights, horizon, cfg,
+                                    tick, f"window at step {t}")
+        statuses.append(status)
+        if plan is not None:
             actions = (plan.load_fraction[:, 0], plan.gen_power[:, 0],
                        plan.storage_power[:, 0])
             prev_plan = plan
-            statuses.append(sol.status.value)
         else:
             actions, reason = _fallback_actions(scenario, state, prev_plan, t)
             fallbacks.append((t, reason))
-            statuses.append(sol.status.value)
 
         o_t, pg_t, pe_t = actions
         frac[:, t] = o_t
         pgen[:, t] = pg_t
         psto[:, t] = pe_t
-        new_soc = soc_step(state.soc, pe_t, scenario.dt_s, caps) if ne else state.soc
+        new_soc = plant.soc_path(scenario, state.soc, pe_t[:, None])[:, 0]
         soc[:, t] = new_soc
-        state = SystemState(soc=np.asarray(new_soc, dtype=float).copy(),
+        state = SystemState(soc=new_soc,
                             prev_storage_power=np.asarray(pe_t, dtype=float).copy(),
                             prev_generator_power=np.asarray(pg_t, dtype=float).copy(),
                             step_index=t + 1)
@@ -202,17 +213,10 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int,
             state.step_index = t + 1
         times[t] = time.perf_counter() - tick
 
-    result = MissionResult(
-        scenario_name=scenario.name, mode="rho", horizon=horizon,
-        weights=weights, load_fraction=frac, gen_power=pgen,
-        storage_power=psto, soc=soc, operability=0.0,
-        terms=plant.objective_terms(scenario, scenario.normalized_weights(),
-                                    frac, psto, soc),
-        solve_times=times, statuses=statuses, fallbacks=fallbacks,
-        total_wall_s=time.perf_counter() - t_start,
-        exact_propagation=feedback is None)
-    result.operability = operability(result, scenario)
-    return result
+    return _mission_result(scenario, weights, "rho", horizon, frac, pgen,
+                           psto, soc, times, statuses, t_start,
+                           fallbacks=fallbacks,
+                           exact_propagation=feedback is None)
 
 
 def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
@@ -224,10 +228,9 @@ def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
             cand = (prev_plan.load_fraction[:, offset],
                     prev_plan.gen_power[:, offset],
                     prev_plan.storage_power[:, offset])
-            caps = np.array([s.capacity_mj for s in scenario.storage])
-            soc = soc_step(state.soc, cand[2], scenario.dt_s, caps)
-            column = [a[:, None] for a in (*cand, soc)]
-            if not plant.violations(scenario, state, *column, tol=1e-7):
+            column = [a[:, None] for a in cand]
+            soc = plant.soc_path(scenario, state.soc, column[2])
+            if not plant.violations(scenario, state, *column, soc, tol=1e-7):
                 return cand, "shifted_previous_plan"
     return _greedy_shed(scenario, state, t), "hold_and_shed"
 
@@ -283,12 +286,8 @@ def validate_trajectory(result: MissionResult, scenario: ScenarioSpec,
                            result.load_fraction, result.gen_power,
                            result.storage_power, result.soc, tol)
     if result.exact_propagation:
-        caps = np.array([s.capacity_mj for s in scenario.storage])
-        path = np.empty_like(result.soc)
-        cur = scenario.initial_state().soc
-        for t in range(result.steps):
-            cur = soc_step(cur, result.storage_power[:, t], scenario.dt_s, caps)
-            path[:, t] = cur
+        path = plant.soc_path(scenario, scenario.initial_state().soc,
+                              result.storage_power)
         for e in np.flatnonzero(np.any(np.abs(path - result.soc) > 1e-7, axis=1)):
             bad.append(f"storage {scenario.storage[e].id}: recorded SoC "
                        f"diverges from kinematics")

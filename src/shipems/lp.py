@@ -33,6 +33,15 @@ BASIC = 2
 
 _INF = np.inf
 
+#: Feasibility/optimality tolerance: reduced costs and bound violations
+#: below it are treated as zero.
+TOL = 1e-7
+#: Length of the degenerate-pivot streak after which Bland's rule takes
+#: over until a nondegenerate pivot occurs.
+BLAND_AFTER = 50
+#: Eta-file length that forces a fresh LU factorization.
+REFACTOR_EVERY = 64
+
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
@@ -187,16 +196,11 @@ class _SimplexCore:
     bounds and a warm basis; nothing here mutates the owning problem.
     """
 
-    def __init__(self, lp: LinearProgram, tol: float = 1e-7,
-                 bland_after: int = 50, refactor_every: int = 64,
-                 max_iter: Optional[int] = None):
+    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
         lp.validate()
         self.n = lp.n_vars
         a, row_lo, row_up = _stack_rows(lp)
         self.m = a.shape[0]
-        self.tol = float(tol)
-        self.bland_after = int(bland_after)
-        self.refactor_every = int(refactor_every)
         default_cap = 10_000 + 25 * (self.n + self.m)
         self.max_iter = int(max_iter) if max_iter is not None else default_cap
         self.offset = float(lp.offset)
@@ -271,17 +275,16 @@ class _SimplexCore:
         indices[slack_pos] = basic[~struct] - n
         return sp.csc_matrix((data, indices, indptr), shape=(m, m))
 
-    def point_feasible(self, x, col_lo=None, col_up=None, tol=1e-7) -> bool:
-        """Explicit feasibility check of a candidate point (scaled rows)."""
-        lo = self.col_lo if col_lo is None else col_lo
-        up = self.col_up if col_up is None else col_up
-        if np.any(x < lo - tol) or np.any(x > up + tol):
+    def point_feasible(self, x) -> bool:
+        """Explicit feasibility check of a candidate point against the
+        problem's own boxes and (scaled) rows, within ``TOL``."""
+        if np.any(x < self.col_lo - TOL) or np.any(x > self.col_up + TOL):
             return False
         if self.m == 0:
             return True
         act = self.a_csr @ x
-        return bool(np.all(act >= self.row_lo - tol)
-                    and np.all(act <= self.row_up + tol))
+        return bool(np.all(act >= self.row_lo - TOL)
+                    and np.all(act <= self.row_up + TOL))
 
     def objective_of(self, x) -> float:
         return float(self.c @ x) + self.offset
@@ -298,7 +301,7 @@ class _SimplexCore:
         """
         n, m = self.n, self.m
         nm = n + m
-        tol = self.tol
+        tol = TOL
         lo = np.concatenate([self.col_lo if col_lo is None else col_lo, self.row_lo])
         up = np.concatenate([self.col_up if col_up is None else col_up, self.row_up])
         if np.any(lo > up):
@@ -566,13 +569,13 @@ class _SimplexCore:
 
             if step <= 1e-9:
                 degen_streak += 1
-                if degen_streak > self.bland_after:
+                if degen_streak > BLAND_AFTER:
                     bland = True
             else:
                 degen_streak = 0
                 bland = False
 
-            if (len(etas) >= self.refactor_every or abs(w[r]) < 1e-8
+            if (len(etas) >= REFACTOR_EVERY or abs(w[r]) < 1e-8
                     or eta_nnz > max(4 * m, 20_000)):
                 try:
                     refactor()
@@ -611,23 +614,17 @@ class _SimplexCore:
         return vstat, basic
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-7, *,
-             max_iter: Optional[int] = None, bland_after: int = 50,
-             refactor_every: int = 64, basis: Optional[Basis] = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
+             basis: Optional[Basis] = None) -> LpSolution:
     """Solve a box-bounded LP to optimality (maximize orientation).
 
     Parameters
     ----------
     lp : LinearProgram
         Problem with finite variable boxes; must pass ``lp.validate()``.
-    tol : float
-        Feasibility/optimality tolerance (reduced costs and bound
-        violations below ``tol`` are treated as zero).
     max_iter : int, optional
         Pivot cap; exceeding it raises :class:`NumericalBreakdown`.
-    bland_after : int
-        Length of the degenerate-pivot streak after which Bland's rule
-        takes over until a nondegenerate pivot occurs.
+        Defaults to ``10_000 + 25 * (variables + rows)``.
     basis : Basis, optional
         Warm-start basis from a previous solve of a problem with the
         same rows (bounds may differ).
@@ -636,11 +633,12 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-7, *,
     -------
     LpSolution
         ``status`` is OPTIMAL / INFEASIBLE / UNBOUNDED; on OPTIMAL,
-        ``x`` is feasible within ``tol`` and no feasible point beats
-        ``objective_value`` by more than ``tol``.
+        ``x`` is feasible within ``TOL`` and no feasible point beats
+        ``objective_value`` by more than ``TOL``.  Degenerate streaks
+        longer than ``BLAND_AFTER`` pivots switch to Bland's rule, and
+        the LU factor is rebuilt every ``REFACTOR_EVERY`` updates.
     """
-    core = _SimplexCore(lp, tol=tol, bland_after=bland_after,
-                        refactor_every=refactor_every, max_iter=max_iter)
+    core = _SimplexCore(lp, max_iter=max_iter)
     status, x, obj, iters, fin = core.solve(warm=basis)
     return LpSolution(status=status, x=x, objective_value=obj,
                       iterations=iters, basis=fin)

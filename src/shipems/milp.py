@@ -65,12 +65,16 @@ class MilpSolution:
     x: Optional[np.ndarray]
     objective_value: float
     nodes_explored: int
-    wall_time: float
     basis: Optional[Basis] = None
 
     @property
     def has_incumbent(self) -> bool:
         return self.x is not None
+
+
+#: Distance from the nearest integer within which a relaxation value
+#: counts as integral.
+INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -80,18 +84,18 @@ class SolverConfig:
     The effective bound-pruning gap is ``max(gap_tol, rel_gap * |best|)``;
     ``rel_gap`` stays zero by default so results are absolute-gap exact,
     and real-time callers can trade a relative sliver of objective for
-    large search-tree savings.
+    large search-tree savings.  ``node_limit`` caps the number of node
+    relaxations solved (the root is solved even at 0) and ``deadline_s``
+    is the wall budget of one ``solve_milp`` call; either stop returns
+    TIMED_OUT.  The engine reads ``deadline_s`` as the budget of a whole
+    step, build and decode included (see ``engine.run_rho``).  The LP
+    tolerances are the constants of :mod:`shipems.lp`.
     """
 
-    integrality_tol: float = 1e-6
     gap_tol: float = 1e-6
     rel_gap: float = 0.0
     node_limit: Optional[int] = None
     deadline_s: Optional[float] = None
-    lp_tol: float = 1e-7
-    bland_after: int = 50
-    refactor_every: int = 64
-    lp_max_iter: Optional[int] = None
 
 
 def _round_integers(x, int_idx, lower, upper):
@@ -108,21 +112,21 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
     ``max(cfg.gap_tol, cfg.rel_gap * |best|)`` of the true
     mixed-integer optimum, INFEASIBLE when no integer-feasible point
     exists, or TIMED_OUT carrying the incumbent found so far
-    (``x is None`` when the deadline hit before any incumbent).
+    (``x is None`` when the search stopped before any incumbent).
     """
     cfg = cfg or SolverConfig()
     problem.validate()
-    start = time.perf_counter()
-    deadline = None if cfg.deadline_s is None else start + cfg.deadline_s
+    deadline = None if cfg.deadline_s is None else time.perf_counter() + cfg.deadline_s
 
     lp = problem.lp
     int_idx = np.flatnonzero(problem.integrality)
-    core = _SimplexCore(lp, tol=cfg.lp_tol, bland_after=cfg.bland_after,
-                        refactor_every=cfg.refactor_every,
-                        max_iter=cfg.lp_max_iter)
+    core = _SimplexCore(lp)
 
     def timed_out():
         return deadline is not None and time.perf_counter() > deadline
+
+    def stop():
+        return timed_out() or (cfg.node_limit is not None and nodes >= cfg.node_limit)
 
     def fractional(x):
         if int_idx.size == 0:
@@ -130,7 +134,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         vals = x[int_idx]
         dist = np.abs(vals - np.round(vals))
         k = int(np.argmax(dist))  # argmax takes the lowest index on ties
-        if dist[k] <= cfg.integrality_tol:
+        if dist[k] <= INTEGRALITY_TOL:
             return None
         return int(int_idx[k])
 
@@ -149,46 +153,16 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         return core.solve(col_lo=lo, col_up=up, warm=warm,
                           deadline=deadline)
 
-    if timed_out():
-        return MilpSolution(MilpStatus.TIMED_OUT, None, -np.inf, 0,
-                            time.perf_counter() - start)
-
-    status, x, obj, _, basis = solve_node(root_lo, root_up, problem.basis_hint)
-    if status is None:
-        # deadline hit inside the root relaxation; a feasible partial
-        # iterate still yields a usable rounded incumbent
-        incumbent = None
-        inc_obj = -np.inf
-        if x is not None and int_idx.size:
-            cand = x.copy()
-            cand[int_idx] = np.floor(cand[int_idx] + cfg.integrality_tol)
-            np.clip(cand[int_idx], lp.lower[int_idx], lp.upper[int_idx],
-                    out=cand[int_idx])
-            if core.point_feasible(cand, lp.lower, lp.upper, tol=cfg.lp_tol):
-                incumbent = _round_integers(cand, int_idx, lp.lower, lp.upper)
-                inc_obj = core.objective_of(cand)
-        elif x is not None:
-            if core.point_feasible(x, lp.lower, lp.upper, tol=cfg.lp_tol):
-                incumbent, inc_obj = x, obj
-        return MilpSolution(MilpStatus.TIMED_OUT, incumbent, inc_obj, nodes,
-                            time.perf_counter() - start)
-    if status is LpStatus.INFEASIBLE:
-        return MilpSolution(MilpStatus.INFEASIBLE, None, -np.inf, nodes,
-                            time.perf_counter() - start)
-    if status is LpStatus.UNBOUNDED:
-        raise NumericalBreakdown("LP relaxation unbounded despite variable boxes")
-
     incumbent_x = None
     incumbent_obj = -np.inf
     incumbent_basis = None
-    root_bound = obj
+    # root relaxation data for reduced-cost fixing, set once it is solved
+    root_bound = root_d = root_vs = None
 
     def prune_gap():
         if incumbent_obj == -np.inf:
             return cfg.gap_tol
         return max(cfg.gap_tol, cfg.rel_gap * abs(incumbent_obj))
-    root_d = core.last_reduced_costs
-    root_vs = np.asarray(basis.vstat) if basis is not None else None
 
     def refix():
         """Reduced-cost bound fixing against the current incumbent: an
@@ -210,21 +184,49 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         """Floor the integer entries of a relaxation point; if the result
         is verifiably feasible it seeds/improves the incumbent.  For
         monotone shedding models flooring is almost always feasible, so
-        this gives branch-and-bound a strong bound immediately."""
+        this gives branch-and-bound a strong bound immediately.  With no
+        integer columns a feasible point is taken as it is."""
         nonlocal incumbent_x, incumbent_obj
-        if int_idx.size == 0:
-            return
         cand = x.copy()
-        cand[int_idx] = np.floor(cand[int_idx] + cfg.integrality_tol)
+        cand[int_idx] = np.floor(cand[int_idx] + INTEGRALITY_TOL)
         np.clip(cand[int_idx], lp.lower[int_idx], lp.upper[int_idx],
                 out=cand[int_idx])
         obj = core.objective_of(cand)
-        if obj > incumbent_obj and core.point_feasible(cand, lp.lower, lp.upper,
-                                                       tol=cfg.lp_tol):
+        if obj > incumbent_obj and core.point_feasible(cand):
             incumbent_x, incumbent_obj = cand, obj
             refix()
 
-    try_round_down(x)
+    def result(status_):
+        if incumbent_x is None:
+            return MilpSolution(status_, None, -np.inf, nodes)
+        # snap against the original problem bounds: the search bounds may
+        # have been tightened past an older (still optimal) incumbent
+        xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
+        return MilpSolution(status_, xr, incumbent_obj, nodes, incumbent_basis)
+
+    def cut_short(x):
+        """The one exit for a relaxation stopped by the deadline: a
+        feasible partial iterate may still yield a rounded incumbent."""
+        if x is not None:
+            try_round_down(x)
+        return result(MilpStatus.TIMED_OUT)
+
+    if timed_out():
+        return result(MilpStatus.TIMED_OUT)
+
+    status, x, obj, _, basis = solve_node(root_lo, root_up, problem.basis_hint)
+    if status is None:
+        return cut_short(x)
+    if status is LpStatus.INFEASIBLE:
+        return result(MilpStatus.INFEASIBLE)
+    if status is LpStatus.UNBOUNDED:
+        raise NumericalBreakdown("LP relaxation unbounded despite variable boxes")
+
+    root_bound = obj
+    root_d = core.last_reduced_costs
+    root_vs = np.asarray(basis.vstat) if basis is not None else None
+    if int_idx.size:
+        try_round_down(x)
 
     # heap of open nodes: (-bound, tiebreak, lo, up, warm_basis)
     heap: list = []
@@ -234,15 +236,6 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         nonlocal counter
         counter += 1
         heapq.heappush(heap, (-bound, counter, lo, up, warm))
-
-    def result(status_):
-        wall = time.perf_counter() - start
-        if incumbent_x is None:
-            return MilpSolution(status_, None, -np.inf, nodes, wall)
-        # snap against the original problem bounds: the search bounds may
-        # have been tightened past an older (still optimal) incumbent
-        xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
-        return MilpSolution(status_, xr, incumbent_obj, nodes, wall, incumbent_basis)
 
     # dive entry point: current node LP already solved
     current = (x, obj, basis, root_lo, root_up)
@@ -272,33 +265,25 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
                         dive = (up_lo, up)
                         sibling = (lo, down_up)
                     push(obj, sibling[0], sibling[1], basis)
-                    if timed_out():
-                        return result(MilpStatus.TIMED_OUT)
-                    if cfg.node_limit is not None and nodes >= cfg.node_limit:
+                    if stop():
                         return result(MilpStatus.TIMED_OUT)
                     st, xx, oo, _, bb = solve_node(dive[0], dive[1], basis)
                     if st is None:
-                        if xx is not None:
-                            try_round_down(xx)
-                        return result(MilpStatus.TIMED_OUT)
+                        return cut_short(xx)
                     if st is LpStatus.OPTIMAL:
                         current = (xx, oo, bb, dive[0], dive[1])
                     continue
 
         if not heap:
             break
-        if timed_out():
-            return result(MilpStatus.TIMED_OUT)
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
+        if stop():
             return result(MilpStatus.TIMED_OUT)
         neg_bound, _, lo, up, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + prune_gap():
             continue  # pruned by bound
         st, xx, oo, _, bb = solve_node(lo, up, warm)
         if st is None:
-            if xx is not None:
-                try_round_down(xx)
-            return result(MilpStatus.TIMED_OUT)
+            return cut_short(xx)
         if st is LpStatus.OPTIMAL:
             current = (xx, oo, bb, lo, up)
 

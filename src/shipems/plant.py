@@ -1,5 +1,5 @@
-"""The plant rules, written once: limits, terminal unwind guards and the
-objective terms.
+"""The plant rules, written once: limits, the SoC kinematics, terminal
+unwind guards and the objective terms.
 
 The window builder turns these rules into rows and bounds, the engine's
 degraded mode checks a candidate step against them, and the trajectory
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .model import ObjectiveTerms, ScenarioSpec, StorageSpec, SystemState
+from .model import (ObjectiveTerms, ScenarioSpec, StorageSpec, SystemState,
+                    soc_step)
 
 
 def ramp_linked(scenario: ScenarioSpec, t0: int, h: int) -> np.ndarray:
@@ -33,6 +34,18 @@ def ramp_linked(scenario: ScenarioSpec, t0: int, h: int) -> np.ndarray:
               else np.ones((scenario.n_generators, 1), dtype=bool))
     return avail[:, t0:t0 + h] & np.concatenate(
         [before, avail[:, t0:t0 + h - 1]], axis=1)
+
+
+def soc_path(scenario: ScenarioSpec, soc0, storage_power) -> np.ndarray:
+    """(n_storage, h) SoC after each step of ``storage_power`` (n_storage,
+    h), starting from ``soc0``: ``soc_step`` applied column by column."""
+    caps = np.array([s.capacity_mj for s in scenario.storage])
+    soc = np.empty_like(storage_power, dtype=float)
+    cur = np.asarray(soc0, dtype=float)
+    for k in range(soc.shape[1]):
+        cur = soc_step(cur, storage_power[:, k], scenario.dt_s, caps)
+        soc[:, k] = cur
+    return soc
 
 
 def _per_unit(units, attr) -> np.ndarray:

@@ -26,6 +26,10 @@ from .errors import NonFiniteMerit, ZeroNorm
 from .model import ObjectiveTerms, ObjectiveWeights, ScenarioSpec
 
 
+#: Smallest step size the line search tries before it gives up.
+MIN_GAMMA = 1e-7
+
+
 @dataclass
 class TunerConfig:
     initial: Sequence[float] = (0.02, 0.02, 0.02)
@@ -33,8 +37,6 @@ class TunerConfig:
     eps: float = 1e-4
     max_iters: int = 200
     probe: float = 1e-3
-    min_gamma: float = 1e-7
-    norms: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -122,7 +124,7 @@ def tune_weights(cfg: TunerConfig,
 
         new_w, new_m = None, None
         gamma = cfg.gamma
-        while gamma >= cfg.min_gamma:
+        while gamma >= MIN_GAMMA:
             cand = np.clip(w - gamma * grad, 0.0, None)
             cand_m = ev(cand)
             evals += 1

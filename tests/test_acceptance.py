@@ -44,8 +44,7 @@ def hrrl_mission():
 @pytest.fixture(scope="module")
 def hrrl_rho(hrrl_mission):
     cfg = SolverConfig(gap_tol=1e-6, rel_gap=1e-4, deadline_s=0.45)
-    return run_rho(hrrl_mission, REFERENCE_WEIGHTS, horizon=60,
-                   step_deadline_s=0.45, cfg=cfg)
+    return run_rho(hrrl_mission, REFERENCE_WEIGHTS, horizon=60, cfg=cfg)
 
 
 @pytest.fixture(scope="module")

@@ -294,6 +294,27 @@ def test_rho_deadline_fallback_bookkeeping():
     assert validate_trajectory(res, sc) == []
 
 
+def test_rho_step_deadline_counts_the_build(monkeypatch):
+    # the build alone overruns the 20 ms step budget, so the solver gets
+    # nothing left and every step takes a degraded-mode action
+    import time
+    from shipems import engine
+    build = engine.build_window_milp
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.03)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_window_milp", slow_build)
+    sc = scenario([load(0), load(1, weight=0.2)], [gen(0, p_max=10, initial=4.0)],
+                  [battery(0)], np.full((2, 5), 2.0))
+    res = run_rho(sc, ObjectiveWeights(), horizon=4,
+                  cfg=SolverConfig(deadline_s=0.02))
+    assert [t for t, _ in res.fallbacks] == list(range(5))
+    assert all(s == "timed_out" for s in res.statuses)
+    assert validate_trajectory(res, sc) == []
+
+
 def test_inconsistent_state_is_a_hard_error():
     # a measured previous power far outside the generator box makes the
     # ramp seam unsatisfiable; that is bad data, not a shedding problem

@@ -180,6 +180,37 @@ def test_expired_deadline_returns_timed_out():
     assert sol.objective_value == -np.inf
 
 
+def test_root_deadline_rounds_the_partial_iterate(monkeypatch):
+    # the deadline stops the root relaxation at a feasible fractional
+    # iterate; the one deadline exit floors it into an incumbent if the
+    # floored point is feasible, and takes it as it is with no integers
+    from shipems.lp import _SimplexCore
+
+    def stopped(self, col_lo=None, col_up=None, warm=None, deadline=None):
+        x = np.array([0.5, 1.75])
+        return None, x, self.objective_of(x), 3, None
+
+    monkeypatch.setattr(_SimplexCore, "solve", stopped)
+    c, lo, up = [5.0, 4.0], [0, 0], [2, 2]
+
+    sol = solve_milp(make_milp(c, [[6.0, 4.0]], [10.0], lo, up, [True, True]))
+    assert sol.status is MilpStatus.TIMED_OUT
+    assert np.array_equal(sol.x, [0.0, 1.0])
+    assert sol.objective_value == 4.0
+    assert sol.nodes_explored == 1
+
+    # x + y >= 1.5 holds at the iterate but not at its floor [0, 1]
+    sol = solve_milp(make_milp(c, [[6.0, 4.0], [-1.0, -1.0]], [10.0, -1.5],
+                               lo, up, [True, True]))
+    assert sol.status is MilpStatus.TIMED_OUT
+    assert not sol.has_incumbent
+
+    sol = solve_milp(make_milp(c, [[6.0, 4.0]], [10.0], lo, up, [False, False]))
+    assert sol.status is MilpStatus.TIMED_OUT
+    assert np.array_equal(sol.x, [0.5, 1.75])
+    assert sol.objective_value == 9.5
+
+
 def test_node_limit_keeps_incumbent_flagged():
     rng = np.random.default_rng(77)
     hit = False
