@@ -41,6 +41,13 @@ def _parse_weights(text):
     return ObjectiveWeights(*(float(p) for p in parts))
 
 
+def _positive_float(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _resolve_weights(args):
     if args.weights is not None:
         return args.weights
@@ -50,7 +57,7 @@ def _resolve_weights(args):
 def _rho_config(args):
     """The engine's default solver settings, with ``--deadline-ms`` as the
     per-step wall budget."""
-    deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
+    deadline = None if args.deadline_ms is None else args.deadline_ms / 1e3
     return SolverConfig(gap_tol=ENGINE_GAP, deadline_s=deadline)
 
 
@@ -161,7 +168,7 @@ def build_parser():
                        help="window length in steps (default from file)")
     p_run.add_argument("--weights", type=_parse_weights, default=None,
                        help="w1,w2,w3 scalarization weights")
-    p_run.add_argument("--deadline-ms", type=float, default=None,
+    p_run.add_argument("--deadline-ms", type=_positive_float, default=None,
                        help="per-step wall budget: build, solve and decode")
     p_run.set_defaults(func=cmd_run)
 
@@ -169,7 +176,7 @@ def build_parser():
     add_common(p_cmp)
     p_cmp.add_argument("--np", type=int, default=None)
     p_cmp.add_argument("--weights", type=_parse_weights, default=None)
-    p_cmp.add_argument("--deadline-ms", type=float, default=None,
+    p_cmp.add_argument("--deadline-ms", type=_positive_float, default=None,
                        help="per-step wall budget of the RHO run: build, "
                             "solve and decode")
     p_cmp.set_defaults(func=cmd_compare)

@@ -245,16 +245,20 @@ def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
             pg[g] = np.clip(state.prev_generator_power[g], gen.p_min_mw, gen.p_max_mw)
     pe = np.zeros(scenario.n_storage)
     for e, sto in enumerate(scenario.storage):
-        v = np.clip(state.prev_storage_power[e], sto.p_min_mw, sto.p_max_mw)
-        # clamp into the unwind-safe envelope: after applying v the unit
-        # must still be able to ramp to zero inside the SoC box, or the
-        # next window wakes up in a dead end
-        v = min(v, plant.unwind_limit(
+        prev = state.prev_storage_power[e]
+        # one ramp step from the previous power, inside the box
+        lo = max(sto.p_min_mw, prev + sto.ramp_down_mw_s * dt)
+        hi = min(sto.p_max_mw, prev + sto.ramp_up_mw_s * dt)
+        v = min(max(prev, lo), hi)
+        # clamp into the unwind-safe envelope as far as the ramp allows:
+        # after applying v the unit must still be able to ramp to zero
+        # inside the SoC box, or the next window wakes up in a dead end
+        v = max(lo, min(v, plant.unwind_limit(
             (state.soc[e] - sto.soc_min) * sto.capacity_mj, dt,
-            -sto.ramp_down_mw_s * dt, sto.p_max_mw))
-        v = max(v, -plant.unwind_limit(
+            -sto.ramp_down_mw_s * dt, sto.p_max_mw)))
+        v = min(hi, max(v, -plant.unwind_limit(
             (sto.soc_max - state.soc[e]) * sto.capacity_mj, dt,
-            sto.ramp_up_mw_s * dt, -sto.p_min_mw))
+            sto.ramp_up_mw_s * dt, -sto.p_min_mw)))
         pe[e] = v
     supply = pg.sum() + pe.sum()
     demand = scenario.demand_mw[:, t]

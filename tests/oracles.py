@@ -1,13 +1,16 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent oracles used to pin expected values.
 
 Nothing here shares code with the solvers under test: LP optima come
 from vertex enumeration, MILP optima from exhaustive integer
-enumeration (with interval-arithmetic pruning so suites stay fast).
+enumeration (with interval-arithmetic pruning so suites stay fast),
+and window-scale MILP optima from HiGHS (``scipy.optimize.milp``).
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 def lp_vertex_oracle(c, a_ub, b_ub, lower, upper, tol=1e-9):
@@ -129,3 +132,24 @@ def milp_vertex_lp(c, a_ub, b_ub, lower, upper):
         return ("optimal", np.zeros(0), 0.0) if feasible else ("infeasible", None, -np.inf)
     status, x, obj = lp_vertex_oracle(c, a_ub, b_ub, lower, upper)
     return status, x, obj
+
+
+def highs_milp(problem):
+    """Optimal objective of a ``MilpProblem`` (maximize orientation, with
+    its offset) from HiGHS at zero relative gap; raises if HiGHS fails."""
+    lp = problem.lp
+    blocks, lows, ups = [], [], []
+    for a, lo, up in ((lp.a_ub, None, lp.b_ub), (lp.a_eq, lp.b_eq, lp.b_eq),
+                      (lp.a_rg, lp.rg_lower, lp.rg_upper)):
+        if a is not None:
+            blocks.append(a)
+            lows.append(np.full(a.shape[0], -np.inf) if lo is None else lo)
+            ups.append(up)
+    rows = LinearConstraint(sp.vstack(blocks, format="csr"),
+                            np.concatenate(lows), np.concatenate(ups))
+    res = milp(-lp.objective, integrality=problem.integrality.astype(int),
+               bounds=Bounds(lp.lower, lp.upper), constraints=rows,
+               options={"mip_rel_gap": 0.0})
+    if not res.success:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return -res.fun + lp.offset

@@ -100,6 +100,16 @@ def test_tune_writes_trace(small_scenario, tmp_path, capsys):
     assert "tuned weights" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_deadline_must_be_positive(small_scenario, tmp_path, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(small_scenario), "--deadline-ms", value,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--deadline-ms" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_is_scenario_error(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--mode", "fho",
                "--out", str(tmp_path)])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from shipems.builder import build_window_milp
-from shipems.engine import _fallback_actions, run_rho, validate_trajectory
+from shipems.engine import (_fallback_actions, _greedy_shed, run_rho,
+                            validate_trajectory)
 from shipems.model import (DispatchPlan, GeneratorSpec, LoadSpec,
                            ObjectiveTerms, ObjectiveWeights, ScenarioSpec,
                            StorageClass, StorageSpec, SystemState)
-from shipems.plant import unwind_breakpoints, unwind_limit
+from shipems.plant import soc_path, unwind_breakpoints, unwind_limit, violations
 
 
 def guarded_power_range(unit, dt):
@@ -163,3 +164,23 @@ def test_audit_and_fallback_check_agree_on_each_fault():
             == "shifted_previous_plan", label
         assert _fallback_actions(sc, state, shifted_plan(cols, t), t)[1] \
             == "hold_and_shed", label
+
+
+def test_hold_and_shed_ramps_storage_toward_the_unwind_envelope():
+    # battery B0 (ramp 0.5 MW per step) at soc_min + 3e-4 discharging
+    # 3 MW: its unwind envelope is 1.5 MW, one ramp step reaches 2.5 MW
+    sc = fault_scenario()
+    b0 = sc.storage[0]
+    t = 2
+    state = SystemState(np.array([b0.soc_min + 3e-4, 0.5]), np.array([3.0, 0.0]),
+                        np.array([6.0, 4.0]), t)
+    frac, pg, pe = _greedy_shed(sc, state, t)
+    assert pe[0] == pytest.approx(3.0 + b0.ramp_down_mw_s * sc.dt_s)
+    soc = soc_path(sc, state.soc, pe[:, None])
+    bad = violations(sc, state, frac[:, None], pg[:, None], pe[:, None], soc)
+    assert not [v for v in bad if "ramp" in v], bad
+    # from a state the envelope can reach in one step, the clamp is exact
+    state.prev_storage_power[0] = 2.0
+    assert _greedy_shed(sc, state, t)[2][0] == pytest.approx(
+        unwind_limit(3e-4 * b0.capacity_mj, sc.dt_s, -b0.ramp_down_mw_s * sc.dt_s,
+                     b0.p_max_mw))
