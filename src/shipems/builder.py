@@ -406,11 +406,8 @@ def decode_plan(solution: MilpSolution, layout: WindowLayout,
     x = solution.x
     h = layout.horizon
 
-    frac = x[layout.load_cols] * layout.step_sizes[:, None]
-    stepped = layout.step_sizes < 1.0
-    frac[stepped] = (np.round(x[layout.load_cols[stepped]])
-                     * layout.step_sizes[stepped, None])
-    frac = np.clip(frac, 0.0, 1.0)
+    # solve_milp hands back every integer column already snapped
+    frac = np.clip(x[layout.load_cols] * layout.step_sizes[:, None], 0.0, 1.0)
 
     gen_power = x[layout.gen_cols] if layout.gen_cols.size else np.zeros((0, h))
     if layout.discharge_cols.size:

@@ -218,7 +218,8 @@ class _SimplexCore:
     """Prepared simplex state reusable across bound overrides.
 
     Branch-and-bound creates one core per MILP and re-solves with node
-    bounds and a warm basis; nothing here mutates the owning problem.
+    bounds and a warm basis; every solve factors its starting basis
+    afresh, and nothing here mutates the owning problem.
     """
 
     def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
@@ -244,7 +245,7 @@ class _SimplexCore:
             a = sp.diags(scale) @ a
         self.a_csr = a.tocsr()
         self.a_csc = a.tocsc()
-        self.a_t_csr = self.a_csr.transpose().tocsr()   # for pricing
+        self.a_t_csr = self.a_csc.T   # CSR view sharing a_csc's arrays
         self.row_lo = row_lo * scale
         self.row_up = row_up * scale
 
@@ -256,10 +257,6 @@ class _SimplexCore:
         self._ci = self.a_csc.indices
         self._cp = self.a_csc.indptr
         self._cd = self.a_csc.data
-        # live factor state (basic, lu, etas, eta_nnz) from the last
-        # solve; adopted wholesale when a warm start resumes from it,
-        # which skips the entry refactorization entirely
-        self._live = None
         # structural reduced costs of the last optimal solve (for
         # reduced-cost bound fixing in branch and bound)
         self.last_reduced_costs = None
@@ -343,13 +340,6 @@ class _SimplexCore:
         eta_nnz = 0
         lu = None
         gbuf = np.empty(m)
-        adopted = False
-        if (warm is not None and self._live is not None
-                and np.array_equal(self._live[0], basic)):
-            lu = self._live[1]
-            etas = list(self._live[2])
-            eta_nnz = self._live[3]
-            adopted = True
 
         def refactor():
             nonlocal lu, eta_nnz
@@ -386,17 +376,13 @@ class _SimplexCore:
             if m:
                 xb = ftran(z[n:] - self.a_csr @ z[:n])
 
-        def save_live():
-            self._live = (basic.copy(), lu, list(etas), eta_nnz)
-
-        if not adopted:
-            try:
-                refactor()
-            except RuntimeError:
-                if warm is None:
-                    raise NumericalBreakdown("singular initial basis")
-                vstat, basic = self._initial_basis(lo, up, None)
-                refactor()
+        try:
+            refactor()
+        except RuntimeError:
+            if warm is None:
+                raise NumericalBreakdown("singular initial basis")
+            vstat, basic = self._initial_basis(lo, up, None)
+            refactor()
         # nonbasic values sit in z (0 at the basics); the basic values
         # and their bounds are kept in basis order, so a pivot patches
         # one position instead of gathering them through ``basic``
@@ -424,11 +410,12 @@ class _SimplexCore:
         z_stale = False
         gamma = np.ones(nm)
 
-        def price_phase2():
-            cb = cobj[basic]
+        def price(cb, cn):
+            """Reduced costs ``cn - A^T y`` of the structurals and ``y``
+            of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
             y = btran(cb) if m else cb
             dd = np.empty(nm)
-            dd[:n] = cobj[:n] - (self.a_t_csr @ y if m else 0.0)
+            dd[:n] = cn - (self.a_t_csr @ y if m else 0.0)
             dd[n:] = y
             return dd
 
@@ -440,7 +427,6 @@ class _SimplexCore:
                     and time.perf_counter() > deadline:
                 # hand back the current iterate: a phase-2 point is
                 # primal feasible, which lets callers build an incumbent
-                save_live()
                 feas = not (np.any(xb < lob - tol) or np.any(xb > upb + tol))
                 x_part = point() if feas else None
                 obj_part = float(cobj[:n] @ x_part) + self.offset if feas else -_INF
@@ -451,15 +437,12 @@ class _SimplexCore:
             infeasible = bool(below.any() or above.any())
 
             if infeasible:
-                cb = below.astype(np.float64) - above.astype(np.float64)
-                y = btran(cb) if m else cb
-                d = np.empty(nm)
-                d[:n] = -(self.a_t_csr @ y) if m else 0.0
-                d[n:] = y
+                # phase 1: the cost is the total bound violation
+                d = price(below.astype(np.float64) - above, 0.0)
                 d_cache = None
             else:
                 if d_cache is None:
-                    d_cache = price_phase2()
+                    d_cache = price(cobj[basic], cobj[:n])
                     d_stale = False
                 d = d_cache
 
@@ -475,7 +458,6 @@ class _SimplexCore:
                     recompute_basics()
                     z_stale = False
                     continue
-                save_live()
                 if infeasible:
                     return LpStatus.INFEASIBLE, None, -_INF, iters, Basis(vstat.copy(), basic.copy())
                 x = point()
@@ -521,7 +503,6 @@ class _SimplexCore:
                     if infeasible:
                         raise NumericalBreakdown(
                             "unbounded infeasibility direction; inconsistent rows")
-                    save_live()
                     return LpStatus.UNBOUNDED, None, _INF, iters, Basis(vstat.copy(), basic.copy())
                 # bound flip: j runs to its opposite bound, basis (and
                 # with it every reduced cost) unchanged
@@ -539,7 +520,6 @@ class _SimplexCore:
                 if infeasible:
                     raise NumericalBreakdown(
                         "unblocked infeasibility direction; inconsistent rows")
-                save_live()
                 return LpStatus.UNBOUNDED, None, _INF, iters, Basis(vstat.copy(), basic.copy())
 
             # leaving choice: among near-minimal ratios take the largest |w|

@@ -1,10 +1,15 @@
 """Branch-and-bound over bounded integer variables with LP relaxations.
 
-Node selection is best-bound with depth-first dives so a usable
-incumbent exists early (the dispatch engine runs against a per-step
-deadline).  Branching picks the most-fractional relaxation value, ties
-broken by lowest variable index, which keeps replays deterministic.
-Child nodes warm-start the simplex from the parent basis.
+One loop serves every node, the root included: it pops the open node
+with the best bound, prunes it against the incumbent, solves its
+relaxation, and either takes an integral point as the incumbent or
+floors the point into a candidate incumbent and pushes both children.
+Node selection is best-bound only; the floor rounding of the root's
+relaxation supplies the early incumbent that the per-step deadline
+needs (for the shedding models it is almost always feasible).
+Branching picks the most-fractional relaxation value, ties broken by
+lowest variable index, which keeps replays deterministic.  Children
+warm-start the simplex from their parent's optimal basis.
 
 A timed-out search returns the best incumbent found, flagged TIMED_OUT;
 it is never passed off as OPTIMAL.
@@ -126,7 +131,9 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         return deadline is not None and time.perf_counter() > deadline
 
     def stop():
-        return timed_out() or (cfg.node_limit is not None and nodes >= cfg.node_limit)
+        # the root is solved unless the deadline has already passed
+        return timed_out() or (cfg.node_limit is not None
+                               and nodes >= max(cfg.node_limit, 1))
 
     def fractional(x):
         if int_idx.size == 0:
@@ -156,7 +163,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
     incumbent_x = None
     incumbent_obj = -np.inf
     incumbent_basis = None
-    # root relaxation data for reduced-cost fixing, set once it is solved
+    # root relaxation data for reduced-cost fixing, set by the first solve
     root_bound = root_d = root_vs = None
 
     def prune_gap():
@@ -169,8 +176,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         integer move of one unit against a root reduced cost larger
         than the remaining bound slack can never beat the incumbent.
         Tightens the global bounds, which every node folds in."""
-        if int_idx.size == 0 or root_d is None or root_vs is None \
-                or incumbent_obj == -np.inf:
+        if root_bound is None:
             return
         slack = root_bound - (incumbent_obj + prune_gap())
         d = root_d[int_idx]
@@ -211,81 +217,43 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             try_round_down(x)
         return result(MilpStatus.TIMED_OUT)
 
-    if timed_out():
-        return result(MilpStatus.TIMED_OUT)
-
-    status, x, obj, _, basis = solve_node(root_lo, root_up, problem.basis_hint)
-    if status is None:
-        return cut_short(x)
-    if status is LpStatus.INFEASIBLE:
-        return result(MilpStatus.INFEASIBLE)
-    if status is LpStatus.UNBOUNDED:
-        raise NumericalBreakdown("LP relaxation unbounded despite variable boxes")
-
-    root_bound = obj
-    root_d = core.last_reduced_costs
-    root_vs = np.asarray(basis.vstat) if basis is not None else None
-    if int_idx.size:
-        try_round_down(x)
-
-    # heap of open nodes: (-bound, tiebreak, lo, up, warm_basis)
-    heap: list = []
+    # open nodes, best bound first: (-bound, tiebreak, lo, up, warm
+    # basis); the root enters with an infinite bound
+    heap = [(-np.inf, 0, root_lo, root_up, problem.basis_hint)]
     counter = 0
-
-    def push(bound, lo, up, warm):
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (-bound, counter, lo, up, warm))
-
-    # dive entry point: current node LP already solved
-    current = (x, obj, basis, root_lo, root_up)
-    while True:
-        if current is not None:
-            x, obj, basis, lo, up = current
-            current = None
-            if obj > incumbent_obj + prune_gap():
-                j = fractional(x)
-                if j is None:
-                    incumbent_x, incumbent_obj, incumbent_basis = x, obj, basis
-                    refix()
-                else:
-                    try_round_down(x)
-                    if obj <= incumbent_obj + prune_gap():
-                        continue  # the rounded incumbent closed this node
-                    down_up = up.copy()
-                    down_up[j] = np.floor(x[j])
-                    up_lo = lo.copy()
-                    up_lo[j] = np.ceil(x[j])
-                    frac = x[j] - np.floor(x[j])
-                    # dive toward the nearer integer, queue the sibling
-                    if frac < 0.5:
-                        dive = (lo, down_up)
-                        sibling = (up_lo, up)
-                    else:
-                        dive = (up_lo, up)
-                        sibling = (lo, down_up)
-                    push(obj, sibling[0], sibling[1], basis)
-                    if stop():
-                        return result(MilpStatus.TIMED_OUT)
-                    st, xx, oo, _, bb = solve_node(dive[0], dive[1], basis)
-                    if st is None:
-                        return cut_short(xx)
-                    if st is LpStatus.OPTIMAL:
-                        current = (xx, oo, bb, dive[0], dive[1])
-                    continue
-
-        if not heap:
-            break
-        if stop():
-            return result(MilpStatus.TIMED_OUT)
+    while heap:
         neg_bound, _, lo, up, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + prune_gap():
             continue  # pruned by bound
-        st, xx, oo, _, bb = solve_node(lo, up, warm)
-        if st is None:
-            return cut_short(xx)
-        if st is LpStatus.OPTIMAL:
-            current = (xx, oo, bb, lo, up)
+        if stop():
+            return result(MilpStatus.TIMED_OUT)
+        status, x, obj, _, basis = solve_node(lo, up, warm)
+        if status is None:
+            return cut_short(x)
+        if status is LpStatus.UNBOUNDED:
+            raise NumericalBreakdown("LP relaxation unbounded despite variable boxes")
+        if status is not LpStatus.OPTIMAL:
+            continue
+        if root_bound is None:
+            root_bound, root_d = obj, core.last_reduced_costs
+            root_vs = np.asarray(basis.vstat)
+        if obj <= incumbent_obj + prune_gap():
+            continue
+        j = fractional(x)
+        if j is None:
+            incumbent_x, incumbent_obj, incumbent_basis = x, obj, basis
+            refix()
+            continue
+        try_round_down(x)
+        if obj <= incumbent_obj + prune_gap():
+            continue  # the rounded incumbent closed this node
+        down_up = up.copy()
+        down_up[j] = np.floor(x[j])
+        up_lo = lo.copy()
+        up_lo[j] = np.ceil(x[j])
+        for child_lo, child_up in ((lo, down_up), (up_lo, up)):
+            counter += 1
+            heapq.heappush(heap, (-obj, counter, child_lo, child_up, basis))
 
     if incumbent_x is None:
         return result(MilpStatus.INFEASIBLE)

@@ -230,25 +230,52 @@ def test_node_limit_keeps_incumbent_flagged():
     assert hit, "node limit never triggered on fractional instances"
 
 
+@pytest.mark.parametrize("node_limit", [0, 1, None])
+def test_node_limit_counts_the_root(node_limit):
+    # maximize 5x + 4y, 6x + 4y <= 10, x, y in {0, 1, 2}: the root
+    # relaxation (1/3, 2) floors to the incumbent (0, 2); limits 0 and 1
+    # both stop right after the root, no limit branches to (1, 1)
+    sol = solve_milp(make_milp([5.0, 4.0], [[6.0, 4.0]], [10.0], [0, 0], [2, 2],
+                               [True, True]), SolverConfig(node_limit=node_limit))
+    if node_limit is None:
+        assert sol.status is MilpStatus.OPTIMAL
+        assert np.array_equal(sol.x, [1.0, 1.0])
+        assert sol.objective_value == pytest.approx(9.0, abs=1e-9)
+    else:
+        assert sol.status is MilpStatus.TIMED_OUT
+        assert np.array_equal(sol.x, [0.0, 2.0])
+        assert sol.objective_value == pytest.approx(8.0, abs=1e-9)
+        assert sol.nodes_explored == 1
+
+
+#: horizon-8 starts, from the initial state, whose windows branch (about
+#: 10 to 90 nodes each); the other windows of the test close at the root or
+#: within 3 nodes
+BRANCHING_STARTS = {44: (104, 106, 108, 110, 114)}
+
+
 @pytest.mark.parametrize("seed", [42, 5, 44])
 def test_windows_match_highs(seed):
     # window-scale differential check: synth windows from the start,
     # across the generator trip, at the trip step and at the recovery
-    # step, each from the initial powers and SoC
+    # step, plus the branching windows above, each from the initial
+    # powers and SoC
     sc, _ = sio.parse_scenario(sio.synth_scenario(seed))
     tripped = np.flatnonzero(~sc.availability().all(axis=0))
     trip, back = int(tripped[0]), int(tripped[-1]) + 1
     s0 = sc.initial_state()
     weights = ObjectiveWeights(0.005, 0.03, 0.05)
-    for horizon in (8, 60):
-        for t in (0, trip - horizon // 2, trip, back):
-            state = SystemState(s0.soc.copy(), s0.prev_storage_power.copy(),
-                                s0.prev_generator_power.copy(), t)
-            problem, layout = build_window_milp(sc, state, weights, horizon)
-            sol = solve_milp(problem, SolverConfig(gap_tol=1e-7, rel_gap=0.0))
-            assert sol.status is MilpStatus.OPTIMAL
-            assert sol.objective_value == pytest.approx(highs_milp(problem), abs=1e-6), \
-                (horizon, t)
-            plan = decode_plan(sol, layout, sc, state)
-            assert violations(sc, state, plan.load_fraction, plan.gen_power,
-                              plan.storage_power, plan.soc) == [], (horizon, t)
+    windows = [(horizon, t) for horizon in (8, 60)
+               for t in (0, trip - horizon // 2, trip, back)]
+    windows += [(8, t) for t in BRANCHING_STARTS.get(seed, ())]
+    for horizon, t in windows:
+        state = SystemState(s0.soc.copy(), s0.prev_storage_power.copy(),
+                            s0.prev_generator_power.copy(), t)
+        problem, layout = build_window_milp(sc, state, weights, horizon)
+        sol = solve_milp(problem, SolverConfig(gap_tol=1e-7, rel_gap=0.0))
+        assert sol.status is MilpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(highs_milp(problem), abs=1e-6), \
+            (horizon, t)
+        plan = decode_plan(sol, layout, sc, state)
+        assert violations(sc, state, plan.load_fraction, plan.gen_power,
+                          plan.storage_power, plan.soc) == [], (horizon, t)
