@@ -1,9 +1,10 @@
 """Translate a scenario window into the linearized dispatch MILP.
 
 Decision columns per window step: one service level per load (integer
-for stepped loads), one power per generator, one power and one state of
-charge per storage unit, one absolute-power auxiliary per storage unit,
-and one SoC-difference auxiliary per unordered storage pair.  The SoC
+for stepped loads), one power per generator, a discharge power, a
+charge power and a state of charge per storage unit (the objective
+penalizes the sum of the two powers, the absolute power), and one
+SoC-difference auxiliary per unordered storage pair.  The SoC
 columns follow the one-step kinematics through banded recurrence
 equalities (soc_k - soc_{k-1} + (dt/E) P_k = 0), which keeps every row
 a handful of nonzeros; the spec's derived-expression formulation (SoC
@@ -11,11 +12,12 @@ as cumulative sums of powers) was tried first and abandoned because the
 dense cumulative columns destroy basis-LU sparsity and with it the
 real-time per-step budget.
 
-Single-variable constraints (the first-step ramp seams and first-step
-SoC reachability) are folded into column bounds instead of rows; when
-inconsistent input data would make such a fold empty, the constraint is
-emitted as an explicit row so that infeasibility surfaces from the
-solver rather than from the builder.
+A generator's ramp seam against the previous applied power involves
+one column, so it is folded into that column's bounds instead of a
+row, and the reach it implies tightens the bounds along the rest of
+the ramp-linked run.  When inconsistent input data would make the fold
+empty, the seam is emitted as an explicit row so that infeasibility
+surfaces from the solver rather than from the builder.
 
 Each window also carries terminal unwind guards: piecewise-linear rows
 bounding the final-step storage power by the energy needed to ramp it
@@ -27,18 +29,43 @@ generator trip/ramp rule and the objective terms come from `plant`,
 which the engine's fallback and trajectory audit share.
 
 The builder also produces a crash basis for the simplex: loads served
-greedily by weight wherever the generator ceiling affords them,
-generators at their reachability-tightened maxima, storage powers
-basic and pinned to zero through their absolute-value rows, SoC columns
-basic on their recurrence rows, and SoC-difference auxiliaries basic at
-the current spread.  That starting point is primal feasible up to a
+greedily by weight wherever the supply affords them, generators at
+their reachability-tightened maxima, storage idle unless the generators
+fall short (then one swing unit follows the deficit and the others
+discharge flat out), SoC columns basic on their recurrence rows, and
+SoC-difference auxiliaries basic on the side the predicted spread
+makes tight.  That starting point is primal feasible up to a
 handful of ramp seams, which is what keeps per-step solves inside the
 real-time budget.
+
+Windows of one length differ in little, so a window is a template plus
+a per-step patch.  ``window_template`` builds, once per scenario,
+weights and window length, the column maps, the static column bounds,
+objective and integrality, and every row no step changes: the storage
+seam, ramp, SoC-recurrence and unwind-guard rows, the balance rows'
+columns and signs, and the SoC-gap pair rows, kept ready in CSR order.
+Each step then patches in the generator bounds and rows (trips pin a
+column to zero, the seam and reachability fold into the bounds, and the
+ramp rows and any inconsistent-seam row come and go with the trips, so
+the fixed rows move down by their count), the storage seam bounds and
+the first recurrence's right-hand side (the state's powers and SoC),
+the demand on the balance rows, and the crash basis.  A run of
+receding-horizon steps keeps one template per window length; a lone
+window builds a throwaway one.
+
+The rows keep the order of a window built from scratch: generator rows
+unit by unit, then each storage unit's rows, the balance rows and the
+pair rows.  Every window is therefore array-equal to that build, and
+the simplex takes the same pivots.  A step-major layout with a fixed
+row set, where trips and seams only patch bounds, would let one simplex
+core and a shifted basis serve every step, but it changes the LP that
+the solver sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,71 +118,98 @@ def window_variable_count(n_loads: int, n_generators: int, n_storage: int,
     return horizon * (n_loads + n_generators + 3 * n_storage + pairs)
 
 
-class _RowBuffer:
-    """Accumulates sparse ranged rows as triplets."""
-
-    def __init__(self):
-        self.cols = []
-        self.vals = []
-        self.rows = []
-        self.lo = []
-        self.up = []
-        self.count = 0
-
-    def add(self, cols, vals, lo, up):
-        cols = np.asarray(cols, dtype=np.int64)
-        self.cols.append(cols)
-        self.vals.append(np.asarray(vals, dtype=np.float64))
-        self.rows.append(np.full(cols.size, self.count, dtype=np.int64))
-        self.lo.append(lo)
-        self.up.append(up)
-        self.count += 1
-        return self.count - 1
-
-    def matrix(self, n_cols):
-        if not self.count:
-            return (sp.csr_matrix((0, n_cols)), np.empty(0), np.empty(0))
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        mat = sp.coo_matrix((vals, (rows, cols)),
-                            shape=(self.count, n_cols)).tocsr()
-        return mat, np.asarray(self.lo, dtype=np.float64), np.asarray(self.up, dtype=np.float64)
+def _unit_values(units, attr) -> np.ndarray:
+    return np.array([getattr(u, attr) for u in units], dtype=float)
 
 
-def build_window_milp(scenario: ScenarioSpec, state: SystemState,
-                      weights: ObjectiveWeights, horizon: int):
-    """Build the dispatch MILP for the window starting at state.step_index.
+def _triplets(rows, cols, vals):
+    """COO triplets of the rows ``rows``: row ``rows[i]`` holds the
+    columns ``cols[i]`` (last axis), coefficients ``vals`` broadcast."""
+    cols = np.asarray(cols, dtype=np.int64)
+    width = cols.shape[-1]
+    return (np.repeat(np.ravel(rows), width), cols.ravel(),
+            np.broadcast_to(vals, cols.shape).ravel())
 
-    The window shrinks at mission end.  Returns (MilpProblem, WindowLayout);
-    the problem carries a crash-basis hint for the root relaxation.
+
+@dataclass(frozen=True, eq=False)
+class WindowTemplate:
+    """Everything a window shares with the other windows of its length
+    in the same mission (see the module docstring).
+
+    The fixed rows (storage, balance and SoC-gap pair blocks) are kept
+    as CSR arrays whose row pointers start at the storage block; a
+    window appends them to its generator rows.  ``demand_at`` locates
+    the balance rows' load entries, whose values (the demand) each
+    window supplies.  The arrays are read-only: a window copies what it
+    patches.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    t0 = int(state.step_index)
-    if not 0 <= t0 < scenario.steps:
-        raise ValueError(f"step_index {t0} outside mission of {scenario.steps} steps")
-    h = min(horizon, scenario.steps - t0)
 
-    nl, ng, ne = scenario.n_loads, scenario.n_generators, scenario.n_storage
-    pairs = scenario.storage_pairs()
-    npairs = len(pairs)
+    scenario: ScenarioSpec
+    weights: ObjectiveWeights
+    horizon: int
+    load_cols: np.ndarray      # (n_loads, h)
+    gen_cols: np.ndarray       # (n_generators, h)
+    dis_cols: np.ndarray       # (n_storage, h)
+    chg_cols: np.ndarray       # (n_storage, h)
+    soc_cols: np.ndarray       # (n_storage, h)
+    us_cols: np.ndarray        # (n_pairs, h)
+    w_hat: np.ndarray
+    step_sizes: np.ndarray
+    lower: np.ndarray          # generator columns hold their boxes
+    upper: np.ndarray
+    objective: np.ndarray
+    integrality: np.ndarray
+    indptr: np.ndarray         # fixed rows, CSR
+    indices: np.ndarray
+    data: np.ndarray
+    demand_at: np.ndarray      # (n_loads, h) positions in data
+    row_lo: np.ndarray         # storage seams and first recurrences patched
+    row_up: np.ndarray
+    seam_rows: np.ndarray      # (n_storage,) storage ramp seam
+    rec_rows: np.ndarray       # (n_storage, h) SoC recurrence
+    balance_rows: np.ndarray   # (h,)
+    gap_rows: np.ndarray       # (2, n_pairs, h) u >= soc_l - soc_m, u >= soc_m - soc_l
+    pair_units: np.ndarray     # (2, n_pairs) storage indices l, m
+    gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
+    sto_ramp: np.ndarray       # (2, n_storage)
+    soc_rate: np.ndarray       # (n_storage,) dt / capacity
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
+                    horizon: int) -> WindowTemplate:
+    """The template of every ``horizon``-step window of ``scenario``
+    under ``weights``; ``build_window_milp`` patches it per step."""
+    h = horizon
+    loads, gens, stos = scenario.loads, scenario.generators, scenario.storage
+    nl, ng, ne = len(loads), len(gens), len(stos)
+    pair_units = np.array(scenario.storage_pairs(), dtype=np.int64).reshape(-1, 2).T
+    npairs = pair_units.shape[1]
     stride = nl + ng + 3 * ne + npairs
     n = h * stride
     dt = scenario.dt_s
 
     base = np.arange(h, dtype=np.int64) * stride
-    load_cols = base[None, :] + np.arange(nl)[:, None]
-    gen_cols = base[None, :] + nl + np.arange(ng)[:, None]
-    dis_cols = base[None, :] + nl + ng + np.arange(ne)[:, None]
-    chg_cols = base[None, :] + nl + ng + ne + np.arange(ne)[:, None]
-    soc_cols = base[None, :] + nl + ng + 2 * ne + np.arange(ne)[:, None]
-    us_cols = base[None, :] + nl + ng + 3 * ne + np.arange(npairs)[:, None]
+
+    def cols_of(first, count):
+        return base[None, :] + first + np.arange(count)[:, None]
+
+    load_cols = cols_of(0, nl)
+    gen_cols = cols_of(nl, ng)
+    dis_cols = cols_of(nl + ng, ne)
+    chg_cols = cols_of(nl + ng + ne, ne)
+    soc_cols = cols_of(nl + ng + 2 * ne, ne)
+    us_cols = cols_of(nl + ng + 3 * ne, npairs)
 
     w_hat = scenario.normalized_weights()
-    step_sizes = np.array([ld.step_size for ld in scenario.loads])
-    demand = scenario.demand_mw[:, t0:t0 + h].copy()
-    avail = scenario.availability()[:, t0:t0 + h]
+    step_sizes = np.array([ld.step_size for ld in loads], dtype=float)
+    stepped = np.array([ld.is_stepped for ld in loads], dtype=bool)
+    soc_max = _unit_values(stos, "soc_max")
+    soc_rate = dt / _unit_values(stos, "capacity_mj")
 
     lower = np.zeros(n)
     upper = np.zeros(n)
@@ -163,138 +217,250 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     integrality = np.zeros(n, dtype=bool)
 
     # loads: a stepped load's service runs over the integers 0..steps,
-    # so its weight and demand are scaled by the step size
-    scaled_demand = demand.copy()
-    for i, ld in enumerate(scenario.loads):
-        cols = load_cols[i]
-        if ld.is_stepped:
-            scaled_demand[i] = demand[i] * ld.step_size
-            upper[cols] = ld.steps
-            integrality[cols] = True
-            objective[cols] = w_hat[i] * ld.step_size
-        else:
-            upper[cols] = 1.0
-            objective[cols] = w_hat[i]
-
-    rows = _RowBuffer()
-    soc0 = np.asarray(state.soc, dtype=float)
-    caps = np.array([s.capacity_mj for s in scenario.storage])
-    alphas = np.array([s.terminal_priority for s in scenario.storage])
-    soc_rate = dt / caps if ne else np.empty(0)
-    rec_rows = np.empty((ne, h), dtype=np.int64)
-
-    # generators: boxes with trips forced to zero; ramp seam and
-    # reachability folded into bounds along each available run.  Where
-    # the ramp applies (plant.ramp_linked) must be the same inside a
-    # window and on a window seam, or receding-horizon runs diverge from
-    # the baseline.
-    linked = plant.ramp_linked(scenario, t0, h)
-    for g, gen in enumerate(scenario.generators):
-        rdn, rup = gen.ramp_down_mw_s * dt, gen.ramp_up_mw_s * dt
-        for k in range(h):
-            col = gen_cols[g, k]
-            if not avail[g, k]:
-                lower[col] = upper[col] = 0.0
-                continue
-            lo_k, up_k = gen.p_min_mw, gen.p_max_mw
-            if linked[g, k] and k == 0:
-                seam_lo = state.prev_generator_power[g] + rdn
-                seam_up = state.prev_generator_power[g] + rup
-                if max(lo_k, seam_lo) <= min(up_k, seam_up) + 1e-12:
-                    lo_k = max(lo_k, seam_lo)
-                    up_k = min(up_k, seam_up)
-                else:
-                    # inconsistent prev power: keep the box, emit the
-                    # seam row so the solver reports infeasibility
-                    rows.add([col], [1.0], seam_lo, seam_up)
-            elif linked[g, k]:
-                prev = gen_cols[g, k - 1]
-                lo_k = max(lo_k, lower[prev] + rdn)
-                up_k = min(up_k, upper[prev] + rup)
-                rows.add([prev, col], [-1.0, 1.0], rdn, rup)
-            lower[col], upper[col] = lo_k, up_k
+    # so its weight (and, per window, its demand) is scaled by the step
+    # size, which is 1 for the other loads
+    upper[load_cols] = np.array([ld.steps if ld.is_stepped else 1.0
+                                 for ld in loads], dtype=float)[:, None]
+    integrality[load_cols[stepped]] = True
+    objective[load_cols] = (w_hat * step_sizes)[:, None]
+    lower[gen_cols] = _unit_values(gens, "p_min_mw")[:, None]
+    upper[gen_cols] = _unit_values(gens, "p_max_mw")[:, None]
 
     # storage: net power split into discharge (>= 0) and charge (>= 0)
     # columns; the linearized objective penalizes their sum, which
     # equals |P| at any optimum with a positive throughput weight.  SoC
     # columns are boxed directly and tied to the net power through one
     # recurrence equality per step; ramp limits couple the net powers.
-    for e, sto in enumerate(scenario.storage):
-        rdn, rup = sto.ramp_down_mw_s * dt, sto.ramp_up_mw_s * dt
-        upper[dis_cols[e]] = sto.p_max_mw
-        upper[chg_cols[e]] = -sto.p_min_mw
-        objective[dis_cols[e]] = -weights.throughput
-        objective[chg_cols[e]] = -weights.throughput
-        # ramp seam against the previous applied power
-        rows.add([dis_cols[e, 0], chg_cols[e, 0]], [1.0, -1.0],
-                 state.prev_storage_power[e] + rdn,
-                 state.prev_storage_power[e] + rup)
-        for k in range(1, h):
-            cols = [dis_cols[e, k], chg_cols[e, k],
-                    dis_cols[e, k - 1], chg_cols[e, k - 1]]
-            rows.add(cols, [1.0, -1.0, -1.0, 1.0], rdn, rup)
+    upper[dis_cols] = _unit_values(stos, "p_max_mw")[:, None]
+    upper[chg_cols] = -_unit_values(stos, "p_min_mw")[:, None]
+    objective[dis_cols] = -weights.throughput
+    objective[chg_cols] = -weights.throughput
+    lower[soc_cols] = _unit_values(stos, "soc_min")[:, None]
+    upper[soc_cols] = soc_max[:, None]
+    # terminal SoC reward lands directly on the final SoC column
+    objective[soc_cols[:, h - 1]] += weights.terminal * _unit_values(
+        stos, "terminal_priority")
+    upper[us_cols] = np.maximum(soc_max[pair_units[0]], soc_max[pair_units[1]])[:, None]
+    objective[us_cols] = -weights.imbalance
 
-        lower[soc_cols[e]] = sto.soc_min
-        upper[soc_cols[e]] = sto.soc_max
-        # kinematics: soc_k - soc_{k-1} + (dt/E)(dis_k - chg_k) = 0
-        rate = soc_rate[e]
-        rec0 = [soc_cols[e, 0], dis_cols[e, 0], chg_cols[e, 0]]
-        rec_rows[e, 0] = rows.add(rec0, [1.0, rate, -rate], soc0[e], soc0[e])
-        for k in range(1, h):
-            cols = [soc_cols[e, k], soc_cols[e, k - 1],
-                    dis_cols[e, k], chg_cols[e, k]]
-            rec_rows[e, k] = rows.add(cols, [1.0, -1.0, rate, -rate], 0.0, 0.0)
-
-        # terminal SoC reward lands directly on the final SoC column
-        objective[soc_cols[e, h - 1]] += weights.terminal * alphas[e]
-
-        last = [dis_cols[e, h - 1], chg_cols[e, h - 1], soc_cols[e, h - 1]]
-        for a, b, rhs in plant.unwind_guards(sto, dt):
-            rows.add(last, [a, -a, -b], -np.inf, rhs)
-
-    # balance rows: served demand <= storage + generation supply
+    # storage rows, unit by unit: the ramp seam against the previous
+    # applied power, ramps, the kinematics
+    # soc_k - soc_{k-1} + (dt/E)(dis_k - chg_k) = 0, terminal guards
+    guards = [plant.unwind_guards(sto, dt) for sto in stos]
+    n_guards = np.array([len(g) for g in guards], dtype=np.int64)
+    size = 2 * h + n_guards
+    seam_rows = np.cumsum(size) - size
+    ramp_rows = seam_rows[:, None] + np.arange(1, h)
+    rec_rows = seam_rows[:, None] + h + np.arange(h)
+    guard_rows = np.arange(n_guards.sum()) + np.repeat(
+        seam_rows + 2 * h - (np.cumsum(n_guards) - n_guards), n_guards)
+    guard_abc = np.array([g for unit in guards for g in unit]).reshape(-1, 3)
+    last = np.stack([dis_cols[:, h - 1], chg_cols[:, h - 1], soc_cols[:, h - 1]], -1)
+    rate = soc_rate[:, None]
+    n_sto = int(size.sum())
+    balance_rows = n_sto + np.arange(h)
+    gap_rows = (n_sto + h + 2 * np.arange(npairs * h).reshape(npairs, h)
+                + np.array([0, 1])[:, None, None])
+    pair_cols = np.stack([soc_cols[pair_units[0]], soc_cols[pair_units[1]], us_cols], -1)
+    bal_cols = np.concatenate([dis_cols, chg_cols, gen_cols]).T
     bal_sign = np.concatenate([-np.ones(ne), np.ones(ne), -np.ones(ng)])
-    balance_rows = np.empty(h, dtype=np.int64)
-    for k in range(h):
-        cols = np.concatenate([load_cols[:, k], dis_cols[:, k],
-                               chg_cols[:, k], gen_cols[:, k]])
-        vals = np.concatenate([scaled_demand[:, k], bal_sign])
-        balance_rows[k] = rows.add(cols, vals, -np.inf, 0.0)
+    blocks = [
+        _triplets(seam_rows, np.stack([dis_cols[:, 0], chg_cols[:, 0]], -1),
+                  [1.0, -1.0]),
+        _triplets(ramp_rows,
+                  np.stack([dis_cols[:, 1:], chg_cols[:, 1:],
+                            dis_cols[:, :-1], chg_cols[:, :-1]], -1),
+                  [1.0, -1.0, -1.0, 1.0]),
+        _triplets(rec_rows[:, 0],
+                  np.stack([soc_cols[:, 0], dis_cols[:, 0], chg_cols[:, 0]], -1),
+                  np.stack([np.ones(ne), soc_rate, -soc_rate], -1)),
+        _triplets(rec_rows[:, 1:],
+                  np.stack([soc_cols[:, 1:], soc_cols[:, :-1],
+                            dis_cols[:, 1:], chg_cols[:, 1:]], -1),
+                  np.stack(np.broadcast_arrays(1.0, -1.0, rate, -rate), -1)),
+        _triplets(guard_rows, last[np.repeat(np.arange(ne), n_guards)],
+                  np.stack([guard_abc[:, 0], -guard_abc[:, 0], -guard_abc[:, 1]], -1)),
+        # balance rows: served demand <= storage + generation supply
+        _triplets(balance_rows, bal_cols, bal_sign),
+        # SoC-gap rows per unordered pair: u >= |SoC_l - SoC_m|
+        _triplets(gap_rows[0], pair_cols, [1.0, -1.0, -1.0]),
+        _triplets(gap_rows[1], pair_cols, [-1.0, 1.0, -1.0]),
+        # the balance rows' load entries go last: each window sets their
+        # values, found through demand_at
+        _triplets(np.broadcast_to(balance_rows, (nl, h)), load_cols[..., None], 0.0),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    m = n_sto + h + 2 * npairs * h
+    order = np.lexsort((cols, rows))       # CSR order: by row, then column
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    sto_ramp = np.stack([_unit_values(stos, "ramp_down_mw_s") * dt,
+                         _unit_values(stos, "ramp_up_mw_s") * dt])
+    # recurrences are equalities and seams are patched; balance and
+    # pair rows are <= 0
+    row_lo = np.full(m, -np.inf)
+    row_up = np.zeros(m)
+    row_lo[:n_sto] = 0.0
+    row_lo[ramp_rows] = sto_ramp[0][:, None]
+    row_up[ramp_rows] = sto_ramp[1][:, None]
+    row_lo[guard_rows] = -np.inf
+    row_up[guard_rows] = guard_abc[:, 2]
+    return WindowTemplate(
+        scenario=scenario, weights=weights, horizon=h, load_cols=load_cols,
+        gen_cols=gen_cols, dis_cols=dis_cols, chg_cols=chg_cols,
+        soc_cols=soc_cols, us_cols=us_cols, w_hat=w_hat, step_sizes=step_sizes,
+        lower=lower, upper=upper, objective=objective, integrality=integrality,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]),
+        indices=cols[order], data=vals[order],
+        demand_at=position[order.size - nl * h:].reshape(nl, h),
+        row_lo=row_lo, row_up=row_up,
+        seam_rows=seam_rows, rec_rows=rec_rows, balance_rows=balance_rows,
+        gap_rows=gap_rows, pair_units=pair_units,
+        gen_ramp=np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
+                           _unit_values(gens, "ramp_up_mw_s") * dt]),
+        sto_ramp=sto_ramp, soc_rate=soc_rate)
 
-    # SoC-gap rows per unordered pair: u >= |SoC_l - SoC_m|
-    us_plus_rows = np.empty((npairs, h), dtype=np.int64)
-    us_minus_rows = np.empty((npairs, h), dtype=np.int64)
-    for p, (l, m) in enumerate(pairs):
-        cap = max(scenario.storage[l].soc_max, scenario.storage[m].soc_max)
-        upper[us_cols[p]] = cap
-        objective[us_cols[p]] = -weights.imbalance
-        for k in range(h):
-            cols = [soc_cols[l, k], soc_cols[m, k], us_cols[p, k]]
-            us_plus_rows[p, k] = rows.add(cols, [1.0, -1.0, -1.0], -np.inf, 0.0)
-            us_minus_rows[p, k] = rows.add(cols, [-1.0, 1.0, -1.0], -np.inf, 0.0)
 
-    a_rg, rg_lo, rg_up = rows.matrix(n)
-    lp = LinearProgram(objective=objective, lower=lower, upper=upper,
-                       a_rg=a_rg, rg_lower=rg_lo, rg_upper=rg_up)
+def build_window_milp(scenario: ScenarioSpec, state: SystemState,
+                      weights: ObjectiveWeights, horizon: int, *,
+                      templates: Optional[dict] = None):
+    """Build the dispatch MILP for the window starting at state.step_index.
 
-    # crash dispatch: generators at their reachable maxima always.  When
-    # the generator ceiling cannot cover serve-everything somewhere in
-    # the window, storage steps in: the highest-headroom unit becomes
-    # the swing unit, following the residual deficit step by step (its
-    # discharge columns sit basic on the tight balance rows), while the
-    # remaining units discharge flat out for as many steps as their SoC
-    # headroom affords.  Loads are served greedily by weight against the
-    # resulting supply, so the crash point is a feasible vertex close to
-    # the shedding optimum.
-    gen_ceiling = upper[gen_cols].sum(axis=0) if ng else np.zeros(h)
-    total_demand = demand.sum(axis=0)
+    The window shrinks at mission end.  ``templates`` maps a window
+    length to its template; a mission passes one dict, for one scenario
+    and one set of weights, to every step, and templates missing from
+    it are built and added.  Without it a template is built for this
+    window alone.  Returns (MilpProblem, WindowLayout); the problem
+    carries a crash-basis hint for the root relaxation.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    t0 = int(state.step_index)
+    if not 0 <= t0 < scenario.steps:
+        raise ValueError(f"step_index {t0} outside mission of {scenario.steps} steps")
+    h = min(horizon, scenario.steps - t0)
+    tpl = None if templates is None else templates.get(h)
+    if tpl is None:
+        tpl = window_template(scenario, weights, h)
+        if templates is not None:
+            templates[h] = tpl
+    elif tpl.scenario is not scenario or tpl.weights != weights:
+        raise ValueError("templates were built for another scenario or weights")
+
+    demand = scenario.demand_mw[:, t0:t0 + h].copy()
+    soc0 = np.asarray(state.soc, dtype=float)
+    lower, upper = tpl.lower.copy(), tpl.upper.copy()
+    g_ptr, g_idx, g_data, g_lo, g_up = _generator_rows(tpl, state, t0, lower, upper)
+    n_gen = g_lo.size
+    data = tpl.data.copy()
+    data[tpl.demand_at] = demand * tpl.step_sizes[:, None]
+    row_lo, row_up = tpl.row_lo.copy(), tpl.row_up.copy()
+    prev_sto = np.asarray(state.prev_storage_power, dtype=float)
+    row_lo[tpl.seam_rows] = prev_sto + tpl.sto_ramp[0]
+    row_up[tpl.seam_rows] = prev_sto + tpl.sto_ramp[1]
+    row_lo[tpl.rec_rows[:, 0]] = soc0
+    row_up[tpl.rec_rows[:, 0]] = soc0
+
+    n, m = tpl.lower.size, n_gen + tpl.row_lo.size
+    a_rg = sp.csr_matrix((np.concatenate([g_data, data]),
+                          np.concatenate([g_idx, tpl.indices]),
+                          np.concatenate([g_ptr, tpl.indptr[1:] + g_ptr[-1]])),
+                         shape=(m, n))
+    lp = LinearProgram(objective=tpl.objective.copy(), lower=lower, upper=upper,
+                       a_rg=a_rg, rg_lower=np.concatenate([g_lo, row_lo]),
+                       rg_upper=np.concatenate([g_up, row_up]))
+    basis = _crash_basis(tpl, n_gen, m, upper, demand, soc0)
+    layout = WindowLayout(start_step=t0, horizon=h, load_cols=tpl.load_cols,
+                          gen_cols=tpl.gen_cols, discharge_cols=tpl.dis_cols,
+                          charge_cols=tpl.chg_cols, soc_cols=tpl.soc_cols,
+                          soc_gap_cols=tpl.us_cols, weights=weights,
+                          w_hat=tpl.w_hat, step_sizes=tpl.step_sizes,
+                          demand=demand)
+    problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
+                          basis_hint=basis)
+    return problem, layout
+
+
+def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
+                    lower: np.ndarray, upper: np.ndarray):
+    """Fold trips and ramp seams into the generator bounds (in place) and
+    return the generator rows: CSR arrays, then row bounds.
+
+    A tripped step is pinned to zero.  Where the ramp applies
+    (``plant.ramp_linked``, which must be the same inside a window and
+    on a window seam, or receding-horizon runs diverge from the
+    baseline) the bounds shrink to what the ramp reaches from the step
+    before, and a ramp row links the two columns.  The first column
+    folds its seam against the state's power; when inconsistent input
+    data would make that fold empty, the box stays and the seam becomes
+    an explicit row, so that the solver reports the infeasibility.
+    """
+    scenario, h, gc = tpl.scenario, tpl.horizon, tpl.gen_cols
+    avail = scenario.availability()[:, t0:t0 + h]
+    linked = plant.ramp_linked(scenario, t0, h)
+    seam = np.asarray(state.prev_generator_power, dtype=float) + tpl.gen_ramp
+    rdn, rup = tpl.gen_ramp.tolist()
+    seam_lo, seam_up = seam.tolist()
+    has_row = linked.copy()
+    # a run of linked steps folds left to right: plain floats, one (g, k)
+    # at a time, in the same operations as the rows they stand for
+    lo = np.where(avail, tpl.lower[gc], 0.0).tolist()
+    up = np.where(avail, tpl.upper[gc], 0.0).tolist()
+    for g, k in zip(*(idx.tolist() for idx in np.nonzero(linked))):
+        lo_g, up_g = lo[g], up[g]
+        if k:
+            lo_g[k] = max(lo_g[k], lo_g[k - 1] + rdn[g])
+            up_g[k] = min(up_g[k], up_g[k - 1] + rup[g])
+        elif max(lo_g[0], seam_lo[g]) <= min(up_g[0], seam_up[g]) + 1e-12:
+            lo_g[0] = max(lo_g[0], seam_lo[g])
+            up_g[0] = min(up_g[0], seam_up[g])
+            has_row[g, 0] = False
+    lower[gc] = np.reshape(lo, gc.shape)
+    upper[gc] = np.reshape(up, gc.shape)
+    # a ramp row is [-1, 1] on the columns (k-1, k), a seam row [1] on k
+    g, k = np.nonzero(has_row)
+    ramp = k > 0
+    indptr = np.concatenate([[0], np.cumsum(1 + ramp)])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.ones(indptr[-1])
+    indices[indptr[1:] - 1] = gc[g, k]
+    before = indptr[:-1][ramp]
+    indices[before] = gc[g[ramp], k[ramp] - 1]
+    data[before] = -1.0
+    row_lo, row_up = np.where(ramp, tpl.gen_ramp[:, g], seam[:, g])
+    return indptr, indices, data, row_lo, row_up
+
+
+def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
+                 demand: np.ndarray, soc0: np.ndarray) -> Basis:
+    """Primal-feasible starting basis for the window LP (see module doc).
+
+    Crash dispatch: generators at their reachable maxima always.  When
+    the generator ceiling cannot cover serve-everything somewhere in
+    the window, storage steps in: the highest-headroom unit becomes the
+    swing unit, following the residual deficit step by step (its
+    discharge columns sit basic on the tight balance rows), while the
+    remaining units discharge flat out for as many steps as their SoC
+    headroom affords.  Loads are served greedily by weight against the
+    resulting supply, so the crash point is a feasible vertex close to
+    the shedding optimum.
+
+    Basis: loads start fully served where the greedy pattern says so;
+    SoC columns sit basic on their recurrence rows; gap auxiliaries sit
+    basic on whichever side the predicted spread makes tight.  A few
+    ramp seams may start violated and are repaired by phase 1 in a
+    handful of pivots.
+    """
+    scenario, h = tpl.scenario, tpl.horizon
+    dt = scenario.dt_s
+    ne = scenario.n_storage
+    gen_ceiling = upper[tpl.gen_cols].sum(axis=0) if scenario.n_generators else np.zeros(h)
     crash_dis = np.zeros((ne, h))
-    swing = -1
-    swing_active = np.zeros(h, dtype=bool)
-    serve = np.zeros((nl, h), dtype=bool)
-    order = np.argsort(-w_hat, kind="stable")
-    if ne and np.any(total_demand > gen_ceiling + 1e-12):
-        headrooms = (soc0 - np.array([s.soc_min for s in scenario.storage])) * caps
+    swing_on = np.zeros((ne, h), dtype=bool)
+    swing, p_swing, budget = -1, 0.0, 0.0
+    if ne and np.any(demand.sum(axis=0) > gen_ceiling + 1e-12):
+        caps = _unit_values(scenario.storage, "capacity_mj")
+        headrooms = (soc0 - _unit_values(scenario.storage, "soc_min")) * caps
         swing = int(np.argmax(headrooms))
         for e, sto in enumerate(scenario.storage):
             if e == swing:
@@ -302,92 +468,51 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
             lead = int(headrooms[e] / (sto.p_max_mw * dt) - 1e-9)
             crash_dis[e, :max(min(lead, h), 0)] = sto.p_max_mw
         p_swing = scenario.storage[swing].p_max_mw
-        budget = headrooms[swing]
-        others = gen_ceiling + crash_dis.sum(axis=0)
-        for k in range(h):
-            cap_k = others[k] + min(p_swing, budget / dt)
-            used = 0.0
-            for i in order:
-                if used + demand[i, k] <= cap_k + 1e-12:
-                    serve[i, k] = True
-                    used += demand[i, k]
-            need = max(0.0, used - others[k])
-            if need > 1e-12:
-                crash_dis[swing, k] = need
-                swing_active[k] = True
-                budget -= need * dt
-    else:
-        running = np.zeros(h)
+        budget = float(headrooms[swing])
+    # serve greedily by weight, step by step, against the generators,
+    # the flat-out units and what the swing unit can still add
+    others = (gen_ceiling + crash_dis.sum(axis=0)).tolist()
+    by_step = demand.T.tolist()
+    order = np.argsort(-tpl.w_hat, kind="stable").tolist()
+    serve = np.zeros(demand.shape, dtype=bool)
+    for k in range(h):
+        cap_k = others[k] + min(p_swing, budget / dt)
+        used = 0.0
         for i in order:
-            fits = running + demand[i] <= gen_ceiling + 1e-12
-            serve[i, fits] = True
-            running[fits] += demand[i, fits]
+            if used + by_step[k][i] <= cap_k + 1e-12:
+                serve[i, k] = True
+                used += by_step[k][i]
+        need = used - others[k]
+        if swing >= 0 and need > 1e-12:
+            crash_dis[swing, k] = need
+            swing_on[swing, k] = True
+            budget -= need * dt
     # predicted SoC path under the crash dispatch drives the choice of
     # which gap row carries each pair auxiliary
-    crash_soc = soc0[:, None] - np.cumsum(crash_dis * soc_rate[:, None], axis=1) \
-        if ne else np.zeros((0, h))
-    basis = _crash_basis(n, rows.count, load_cols, gen_cols, serve,
-                         dis_cols, crash_dis, swing, swing_active,
-                         balance_rows, soc_cols, rec_rows, us_cols,
-                         us_plus_rows, us_minus_rows, crash_soc, pairs)
-    layout = WindowLayout(start_step=t0, horizon=h, load_cols=load_cols,
-                          gen_cols=gen_cols, discharge_cols=dis_cols,
-                          charge_cols=chg_cols, soc_cols=soc_cols,
-                          soc_gap_cols=us_cols,
-                          weights=weights, w_hat=w_hat,
-                          step_sizes=step_sizes, demand=demand)
-    problem = MilpProblem(lp=lp, integrality=integrality, basis_hint=basis)
-    return problem, layout
+    crash_soc = soc0[:, None] - np.cumsum(crash_dis * tpl.soc_rate[:, None], axis=1)
+    gap = crash_soc[tpl.pair_units[0]] - crash_soc[tpl.pair_units[1]]
+    spread = np.abs(gap) > 1e-12
 
-
-def _crash_basis(n, m, load_cols, gen_cols, serve, dis_cols, crash_dis,
-                 swing, swing_active, balance_rows, soc_cols, rec_rows,
-                 us_cols, us_plus_rows, us_minus_rows, crash_soc, pairs):
-    """Primal-feasible starting basis for the window LP (see module doc).
-
-    Generators start at their reachability-tightened maxima (a
-    ramp-feasible profile by construction); loads start fully served
-    where the weight-greedy pattern says the supply ceiling affords
-    them; non-swing discharge columns start at full power for the
-    SoC-affordable lead; the swing unit's discharge columns sit basic
-    on the balance rows they make tight; SoC columns sit basic on their
-    recurrence rows; gap auxiliaries sit basic on whichever side the
-    predicted spread makes tight.  A few ramp seams may start violated
-    and are repaired by phase 1 in a handful of pivots.
-    """
+    n = tpl.lower.size
     vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
     vstat[n:] = BASIC
-    basic = list(range(n, n + m))
-    vstat[gen_cols] = AT_UPPER
-    if serve.any():
-        vstat[load_cols[serve]] = AT_UPPER
-    ne, h = soc_cols.shape if soc_cols.size else (0, 0)
-
-    def swap_in(col, row, park):
-        vstat[n + row] = park
-        vstat[col] = BASIC
-        basic[row] = col
-
-    for e in range(ne):
-        if e == swing:
-            continue
-        vstat[dis_cols[e][crash_dis[e] > 0]] = AT_UPPER
-    if swing >= 0:
-        for k in range(h):
-            if swing_active[k]:
-                swap_in(dis_cols[swing, k], balance_rows[k], AT_UPPER)
-    for e in range(ne):
-        for k in range(h):
-            # recurrence slack is fixed (lo == up); either park is exact
-            swap_in(soc_cols[e, k], rec_rows[e, k], AT_LOWER)
-    for p, (l, mm) in enumerate(pairs):
-        for k in range(h):
-            gap = crash_soc[l, k] - crash_soc[mm, k]
-            if abs(gap) <= 1e-12:
-                continue
-            row = us_plus_rows[p, k] if gap > 0 else us_minus_rows[p, k]
-            swap_in(us_cols[p, k], row, AT_UPPER)
-    return Basis(vstat=vstat, basic=np.asarray(basic, dtype=np.int64))
+    basic = np.arange(n, n + m, dtype=np.int64)
+    vstat[tpl.gen_cols] = AT_UPPER
+    vstat[tpl.load_cols[serve]] = AT_UPPER
+    vstat[tpl.dis_cols[(crash_dis > 0) & ~swing_on]] = AT_UPPER
+    # each crash basic replaces the slack of the row it makes tight;
+    # a recurrence slack is fixed (lo == up), so either park is exact
+    swaps = ((tpl.dis_cols[swing_on], tpl.balance_rows[np.nonzero(swing_on)[1]],
+              AT_UPPER),
+             (tpl.soc_cols, tpl.rec_rows, AT_LOWER),
+             (tpl.us_cols[spread],
+              np.where(gap > 0, tpl.gap_rows[0], tpl.gap_rows[1])[spread], AT_UPPER))
+    for cols, rows, park in swaps:
+        rows = rows + n_gen
+        vstat[n + rows] = park
+        vstat[cols] = BASIC
+        basic[rows] = cols
+    return Basis(vstat=vstat, basic=basic)
 
 
 def decode_plan(solution: MilpSolution, layout: WindowLayout,

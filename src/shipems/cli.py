@@ -48,6 +48,13 @@ def _positive_float(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _resolve_weights(args):
     if args.weights is not None:
         return args.weights
@@ -76,7 +83,7 @@ def _print_timing(label, result):
 def cmd_run(args):
     scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
     weights = _resolve_weights(args)
-    horizon = args.np or file_horizon
+    horizon = file_horizon if args.np is None else args.np
     if args.mode == "rho":
         result = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
     else:
@@ -92,7 +99,7 @@ def cmd_run(args):
 def cmd_compare(args):
     scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
     weights = _resolve_weights(args)
-    horizon = args.np or file_horizon
+    horizon = file_horizon if args.np is None else args.np
     fho = run_fho(scenario, weights)
     rho = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
     delta = compare_f1(fho, rho)
@@ -164,7 +171,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one dispatch mission")
     add_common(p_run)
     p_run.add_argument("--mode", choices=("rho", "fho"), default="rho")
-    p_run.add_argument("--np", type=int, default=None,
+    p_run.add_argument("--np", type=_positive_int, default=None,
                        help="window length in steps (default from file)")
     p_run.add_argument("--weights", type=_parse_weights, default=None,
                        help="w1,w2,w3 scalarization weights")
@@ -174,7 +181,7 @@ def build_parser():
 
     p_cmp = sub.add_parser("compare", help="run both modes and report delta_f1")
     add_common(p_cmp)
-    p_cmp.add_argument("--np", type=int, default=None)
+    p_cmp.add_argument("--np", type=_positive_int, default=None)
     p_cmp.add_argument("--weights", type=_parse_weights, default=None)
     p_cmp.add_argument("--deadline-ms", type=_positive_float, default=None,
                        help="per-step wall budget of the RHO run: build, "
@@ -188,7 +195,7 @@ def build_parser():
     p_tune.add_argument("--max-iters", type=int, default=50)
     p_tune.add_argument("--initial", default="0.02,0.02,0.02")
     p_tune.add_argument("--mode", choices=("fho", "rho"), default="fho")
-    p_tune.add_argument("--np", type=int, default=None)
+    p_tune.add_argument("--np", type=_positive_int, default=None)
     p_tune.set_defaults(func=cmd_tune)
 
     p_val = sub.add_parser("validate", help="schema and invariant report")

@@ -109,15 +109,17 @@ def _mission_result(scenario: ScenarioSpec, weights: ObjectiveWeights,
 
 def _window_step(scenario: ScenarioSpec, state: SystemState,
                  weights: ObjectiveWeights, horizon: int, cfg: SolverConfig,
-                 tick: float, what: str):
+                 tick: float, what: str, templates: Optional[dict] = None):
     """Build, solve and decode one window; returns (status, plan), with
     ``plan`` None when the solve stopped with no incumbent.
 
     ``cfg.deadline_s`` is the wall budget of the whole step, counted from
     ``tick``: the solver gets what the build left of it, less a 10 ms
-    reserve for the decode and bookkeeping.
+    reserve for the decode and bookkeeping.  ``templates`` is the
+    mission's window-template dict (see ``build_window_milp``).
     """
-    problem, layout = build_window_milp(scenario, state, weights, horizon)
+    problem, layout = build_window_milp(scenario, state, weights, horizon,
+                                        templates=templates)
     if cfg.deadline_s is not None:
         spent = time.perf_counter() - tick
         cfg = replace(cfg, deadline_s=cfg.deadline_s - spent - 0.01)
@@ -183,12 +185,15 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
 
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
+    # one template per window length: the full horizon, then each of
+    # the shorter windows of the mission's last horizon - 1 steps
+    templates: dict = {}
     t_start = time.perf_counter()
 
     for t in range(T):
         tick = time.perf_counter()
         status, plan = _window_step(scenario, state, weights, horizon, cfg,
-                                    tick, f"window at step {t}")
+                                    tick, f"window at step {t}", templates)
         statuses.append(status)
         if plan is not None:
             actions = (plan.load_fraction[:, 0], plan.gen_power[:, 0],

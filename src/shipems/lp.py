@@ -242,8 +242,13 @@ class _SimplexCore:
             row_max[nz_rows] = np.maximum.reduceat(mags, a.indptr[nz_rows])
             pos = row_max > 0
             scale[pos] = np.exp2(-np.round(np.log2(row_max[pos])))
-            a = sp.diags(scale) @ a
-        self.a_csr = a.tocsr()
+            # ``a`` is _stack_rows' own copy: scale it in place and drop
+            # what a product with diag(scale) would drop (duplicates
+            # summed, explicit zeros removed)
+            a.sum_duplicates()
+            a.data *= np.repeat(scale, np.diff(a.indptr))
+            a.eliminate_zeros()
+        self.a_csr = a
         self.a_csc = a.tocsc()
         self.a_t_csr = self.a_csc.T   # CSR view sharing a_csc's arrays
         self.row_lo = row_lo * scale

@@ -170,7 +170,8 @@ def make_mission_evaluator(scenario: ScenarioSpec, mode: str = "fho",
         if mode == "fho":
             res = run_fho(scenario, weights)
         elif mode == "rho":
-            res = run_rho(scenario, weights, horizon or min(scenario.steps, 60))
+            res = run_rho(scenario, weights,
+                          min(scenario.steps, 60) if horizon is None else horizon)
         else:
             raise ValueError(f"unknown evaluator mode {mode!r}")
         return normalized_merit(res.terms, use_norms)

@@ -223,3 +223,57 @@ def test_crash_basis_solves_faster_than_cold():
 def MilpProblemNoHint(prob):
     from shipems.milp import MilpProblem
     return MilpProblem(lp=prob.lp, integrality=prob.integrality, basis_hint=None)
+
+
+def window_arrays(problem):
+    lp, basis = problem.lp, problem.basis_hint
+    return {"indptr": lp.a_rg.indptr, "indices": lp.a_rg.indices,
+            "data": lp.a_rg.data, "rg_lower": lp.rg_lower,
+            "rg_upper": lp.rg_upper, "lower": lp.lower, "upper": lp.upper,
+            "objective": lp.objective, "integrality": problem.integrality,
+            "vstat": basis.vstat, "basic": basis.basic}
+
+
+def test_reused_template_builds_the_fresh_window():
+    # one small mission through a generator trip and its recovery, a
+    # stepped load, a battery with four unwind guard rows per side next
+    # to a supercapacitor that stops within one step (one row per side),
+    # and the shrinking windows at mission end; one extra state carries
+    # an inconsistent generator seam (the explicit seam row)
+    import copy
+    from shipems.engine import run_rho
+
+    T, horizon = 12, 5
+    avail = np.ones((2, T), dtype=bool)
+    avail[1, 4:7] = False
+    rng = np.random.default_rng(6)
+    demand = rng.uniform(2.0, 4.0, (3, T))
+    sc = scenario([load(0, rated=6.0), load(1, rated=4.0, steps=4),
+                   load(2, rated=4.0, weight=0.3)],
+                  [gen(0, p_max=8.0, ramp=1.0, initial=4.0),
+                   gen(1, p_max=6.0, ramp=0.5, initial=3.0)],
+                  [battery(0, soc=0.4, cap=60.0), supercap(1, soc=0.7)],
+                  demand, avail=avail)
+    weights = ObjectiveWeights(0.005, 0.03, 0.05)
+    states = [sc.initial_state()]
+    run_rho(sc, weights, horizon,
+            feedback=lambda s: states.append(copy.deepcopy(s)) or s)
+    states.pop()                                  # step T is past the mission
+    bad_seam = copy.deepcopy(states[2])
+    bad_seam.prev_generator_power = np.array([4.0, 20.0])
+    states.insert(3, bad_seam)
+
+    templates = {}
+    rows = []
+    for state in states:
+        shared, layout = build_window_milp(sc, state, weights, horizon,
+                                           templates=templates)
+        fresh, _ = build_window_milp(sc, state, weights, horizon)
+        for name, value in window_arrays(fresh).items():
+            np.testing.assert_array_equal(window_arrays(shared)[name], value,
+                                          err_msg=f"{name} at step {state.step_index}")
+        rows.append(shared.lp.n_rows)
+        if 4 <= state.step_index <= 6:
+            assert not shared.lp.upper[layout.gen_cols[1, 0]]
+    assert sorted(templates) == [1, 2, 3, 4, 5]
+    assert rows[3] == rows[2] + 1                 # the explicit seam row

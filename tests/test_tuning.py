@@ -125,3 +125,14 @@ def test_mission_descent_beats_probed_zero_baseline():
     probed = evaluator(np.array([1e-3, 1e-3, 1e-3]))
     assert res.merit <= probed + 1e-12
     assert np.all(res.weights >= 0)
+
+
+def test_rho_evaluator_takes_horizon_zero_as_given():
+    # only None means "unset": a zero horizon reaches run_rho and is
+    # refused there instead of quietly becoming the 60-step default
+    sc = tiny_scenario()
+    with pytest.raises(ValueError, match="horizon"):
+        make_mission_evaluator(sc, mode="rho", horizon=0)(np.full(3, 0.02))
+    default = make_mission_evaluator(sc, mode="rho")(np.full(3, 0.02))
+    assert default == make_mission_evaluator(sc, mode="rho", horizon=sc.steps)(
+        np.full(3, 0.02))
