@@ -35,8 +35,11 @@ fall short (then one swing unit follows the deficit and the others
 discharge flat out), SoC columns basic on their recurrence rows, and
 SoC-difference auxiliaries basic on the side the predicted spread
 makes tight.  That starting point is primal feasible up to a
-handful of ramp seams, which is what keeps per-step solves inside the
-real-time budget.
+handful of ramp seams.  It starts a lone window and the first window of
+a receding-horizon run; later windows start from the previous window's
+basis shifted one step (see below) and keep the crash basis, built
+only when needed, as the fallback for a shifted basis that proves
+numerically singular.
 
 Windows of one length differ in little, so a window is a template plus
 a per-step patch.  ``window_template`` builds, once per scenario,
@@ -49,22 +52,27 @@ column to zero, the seam and reachability fold into the bounds, and the
 ramp rows and any inconsistent-seam row come and go with the trips, so
 the fixed rows move down by their count), the storage seam bounds and
 the first recurrence's right-hand side (the state's powers and SoC),
-the demand on the balance rows, and the crash basis.  A run of
+the demand on the balance rows, and the starting basis.  A run of
 receding-horizon steps keeps one template per window length; a lone
 window builds a throwaway one.
 
 The rows keep the order of a window built from scratch: generator rows
 unit by unit, then each storage unit's rows, the balance rows and the
-pair rows.  Every window is therefore array-equal to that build, and
-the simplex takes the same pivots.  A step-major layout with a fixed
-row set, where trips and seams only patch bounds, would let one simplex
-core and a shifted basis serve every step, but it changes the LP that
-the solver sees.
+pair rows.  Every window is therefore array-equal to that build.  The
+layout still serves a shifted basis without a step-major rewrite: the
+template records each fixed row's family, unit and step (a storage
+unit's seam is its ramp row at step 0, the guards belong to the last
+step), each window adds its generator rows by (unit, step), and
+``WindowLayout.row_at`` holds the result.  ``shifted_basis`` moves the
+previous window's optimal basis one step along with index arithmetic on
+those maps: step k takes the statuses of the previous window's step
+k + 1, and the last step copies the previous last step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -98,6 +106,7 @@ class WindowLayout:
     w_hat: np.ndarray          # per-load weight * rated power (unscaled)
     step_sizes: np.ndarray     # per-load decode granularity
     demand: np.ndarray         # (n_loads, h) raw MW
+    row_at: np.ndarray         # (row slots, h) row per family, unit, step; -1: none
 
     @property
     def n_cols(self) -> int:
@@ -140,8 +149,12 @@ class WindowTemplate:
     as CSR arrays whose row pointers start at the storage block; a
     window appends them to its generator rows.  ``demand_at`` locates
     the balance rows' load entries, whose values (the demand) each
-    window supplies.  The arrays are read-only: a window copies what it
-    patches.
+    window supplies.  ``row_at`` gives the fixed row of each (family,
+    unit) slot at each step, -1 where the slot has no row at that step:
+    per storage unit the seam (step 0) and ramp rows, then the SoC
+    recurrences, one slot per unwind guard (last step only), the
+    balance rows and the two rows of each SoC-gap pair.  The arrays are
+    read-only: a window copies what it patches.
     """
 
     scenario: ScenarioSpec
@@ -170,6 +183,7 @@ class WindowTemplate:
     balance_rows: np.ndarray   # (h,)
     gap_rows: np.ndarray       # (2, n_pairs, h) u >= soc_l - soc_m, u >= soc_m - soc_l
     pair_units: np.ndarray     # (2, n_pairs) storage indices l, m
+    row_at: np.ndarray         # (fixed row slots, h)
     gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
     sto_ramp: np.ndarray       # (2, n_storage)
     soc_rate: np.ndarray       # (n_storage,) dt / capacity
@@ -305,6 +319,14 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     row_up[ramp_rows] = sto_ramp[1][:, None]
     row_lo[guard_rows] = -np.inf
     row_up[guard_rows] = guard_abc[:, 2]
+    n_guard = guard_rows.size
+    row_at = np.full((2 * ne + n_guard + 1 + 2 * npairs, h), -1, dtype=np.int64)
+    row_at[:ne, 0] = seam_rows
+    row_at[:ne, 1:] = ramp_rows
+    row_at[ne:2 * ne] = rec_rows
+    row_at[2 * ne:2 * ne + n_guard, h - 1] = guard_rows
+    row_at[2 * ne + n_guard] = balance_rows
+    row_at[2 * ne + n_guard + 1:] = gap_rows.reshape(-1, h)
     return WindowTemplate(
         scenario=scenario, weights=weights, horizon=h, load_cols=load_cols,
         gen_cols=gen_cols, dis_cols=dis_cols, chg_cols=chg_cols,
@@ -315,7 +337,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
         demand_at=position[order.size - nl * h:].reshape(nl, h),
         row_lo=row_lo, row_up=row_up,
         seam_rows=seam_rows, rec_rows=rec_rows, balance_rows=balance_rows,
-        gap_rows=gap_rows, pair_units=pair_units,
+        gap_rows=gap_rows, pair_units=pair_units, row_at=row_at,
         gen_ramp=np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
                            _unit_values(gens, "ramp_up_mw_s") * dt]),
         sto_ramp=sto_ramp, soc_rate=soc_rate)
@@ -323,15 +345,20 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
 
 def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                       weights: ObjectiveWeights, horizon: int, *,
-                      templates: Optional[dict] = None):
+                      templates: Optional[dict] = None,
+                      previous: Optional[tuple] = None):
     """Build the dispatch MILP for the window starting at state.step_index.
 
     The window shrinks at mission end.  ``templates`` maps a window
     length to its template; a mission passes one dict, for one scenario
     and one set of weights, to every step, and templates missing from
     it are built and added.  Without it a template is built for this
-    window alone.  Returns (MilpProblem, WindowLayout); the problem
-    carries a crash-basis hint for the root relaxation.
+    window alone.  ``previous`` is the (WindowLayout, optimal root
+    Basis) of the step before, if any.  Returns (MilpProblem,
+    WindowLayout).  The problem's basis hint for the root relaxation is
+    ``previous``'s basis shifted one step (``shifted_basis``), with the
+    crash basis as its lazily built fallback, or the crash basis itself
+    when there is nothing to shift.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -350,7 +377,8 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     demand = scenario.demand_mw[:, t0:t0 + h].copy()
     soc0 = np.asarray(state.soc, dtype=float)
     lower, upper = tpl.lower.copy(), tpl.upper.copy()
-    g_ptr, g_idx, g_data, g_lo, g_up = _generator_rows(tpl, state, t0, lower, upper)
+    g_ptr, g_idx, g_data, g_lo, g_up, g_at = _generator_rows(tpl, state, t0,
+                                                            lower, upper)
     n_gen = g_lo.size
     data = tpl.data.copy()
     data[tpl.demand_at] = demand * tpl.step_sizes[:, None]
@@ -369,15 +397,19 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     lp = LinearProgram(objective=tpl.objective.copy(), lower=lower, upper=upper,
                        a_rg=a_rg, rg_lower=np.concatenate([g_lo, row_lo]),
                        rg_upper=np.concatenate([g_up, row_up]))
-    basis = _crash_basis(tpl, n_gen, m, upper, demand, soc0)
     layout = WindowLayout(start_step=t0, horizon=h, load_cols=tpl.load_cols,
                           gen_cols=tpl.gen_cols, discharge_cols=tpl.dis_cols,
                           charge_cols=tpl.chg_cols, soc_cols=tpl.soc_cols,
                           soc_gap_cols=tpl.us_cols, weights=weights,
                           w_hat=tpl.w_hat, step_sizes=tpl.step_sizes,
-                          demand=demand)
+                          demand=demand,
+                          row_at=np.concatenate([g_at, np.where(tpl.row_at < 0, -1,
+                                                                tpl.row_at + n_gen)]))
+    crash = partial(_crash_basis, tpl, n_gen, m, upper, demand, soc0)
+    shifted = None if previous is None else shifted_basis(*previous, layout)
     problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
-                          basis_hint=basis)
+                          basis_hint=crash() if shifted is None else shifted,
+                          fallback_basis=None if shifted is None else crash)
     return problem, layout
 
 
@@ -394,6 +426,7 @@ def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
     folds its seam against the state's power; when inconsistent input
     data would make that fold empty, the box stays and the seam becomes
     an explicit row, so that the solver reports the infeasibility.
+    The last array maps each (generator, step) to its row, -1 for none.
     """
     scenario, h, gc = tpl.scenario, tpl.horizon, tpl.gen_cols
     avail = scenario.availability()[:, t0:t0 + h]
@@ -428,7 +461,62 @@ def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
     indices[before] = gc[g[ramp], k[ramp] - 1]
     data[before] = -1.0
     row_lo, row_up = np.where(ramp, tpl.gen_ramp[:, g], seam[:, g])
-    return indptr, indices, data, row_lo, row_up
+    row_at = np.full(gc.shape, -1, dtype=np.int64)
+    row_at[g, k] = np.arange(g.size)
+    return indptr, indices, data, row_lo, row_up, row_at
+
+
+def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
+                  layout: WindowLayout) -> Optional[Basis]:
+    """The basis of the previous step's window moved one step along, for
+    the window ``layout`` of the same mission.
+
+    Step k of the window takes the statuses of the columns and row
+    slacks of the previous window's step k + 1; the last step copies
+    the previous last step, and a window that shrinks by one at mission
+    end copies nothing twice.  A row with no counterpart gets a basic
+    slack.  The basic count is then fixed on the last step: surplus
+    basic columns there leave at their lower bound, or nonbasic slacks
+    of its rows enter, pair and balance rows first.  Returns None when
+    that cannot balance the count.  The basis may be structurally
+    singular; the simplex repairs it, giving up positions near the end
+    of the window first.
+    """
+    h0, h1 = prev_layout.horizon, layout.horizon
+    n0, n1 = prev_layout.n_cols, layout.n_cols
+    stride = n1 // h1
+    dst = layout.row_at
+    m1 = int(np.count_nonzero(dst >= 0))
+    step = np.minimum(np.arange(h1) + 1, h0 - 1)
+    src = prev_layout.row_at[:, step]
+    both = (src >= 0) & (dst >= 0)
+    old = prev_basis.vstat
+    vstat = np.full(n1 + m1, BASIC, dtype=np.int8)
+    vstat[:n1] = old[(step[:, None] * stride + np.arange(stride)).ravel()]
+    vstat[n1 + dst[both]] = old[n0 + src[both]]
+
+    surplus = int(np.count_nonzero(vstat == BASIC)) - m1
+    if surplus > 0:
+        cols = n1 - stride + np.flatnonzero(vstat[n1 - stride:n1] == BASIC)
+        if cols.size < surplus:
+            return None
+        vstat[cols[:surplus]] = AT_LOWER
+    elif surplus < 0:
+        # from the back of the slot order: pair, balance and guard rows
+        # before the recurrences and ramps
+        last = dst[::-1, h1 - 1]
+        slacks = n1 + last[last >= 0]
+        slacks = slacks[vstat[slacks] != BASIC]
+        if slacks.size < -surplus:
+            return None
+        vstat[slacks[:-surplus]] = BASIC
+    # basic positions step by step, columns before row slacks: where the
+    # basis is structurally singular, the repair gives up the last ones
+    key = np.empty(n1 + m1, dtype=np.int64)
+    key[:n1] = 2 * (np.arange(n1) // stride)
+    key[n1 + dst[dst >= 0]] = 2 * np.nonzero(dst >= 0)[1] + 1
+    basic = np.flatnonzero(vstat == BASIC)
+    return Basis(vstat=vstat, basic=basic[np.argsort(key[basic], kind="stable")])
 
 
 def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,

@@ -3,10 +3,12 @@ plant propagation, and the mission-level resilience metrics.
 
 ``run_rho`` solves a window at every step, applies only the first-step
 actions, propagates the state through the storage kinematics, and
-repeats; ``run_fho`` solves one window spanning the whole mission and
-applies it open loop.  With the horizon equal to the mission length and
-no measurement perturbations the two produce the same objective on
-deterministic scenarios, which the tests pin down.
+repeats, starting each window's simplex from the previous window's
+optimal root basis shifted one step; ``run_fho`` solves one window
+spanning the whole mission and applies it open loop.  With the horizon
+equal to the mission length and no measurement perturbations the two
+produce the same objective on deterministic scenarios, which the tests
+pin down.
 
 A window that times out without an incumbent triggers a degraded mode:
 first reuse the previous plan shifted by one step, and if that is
@@ -109,17 +111,21 @@ def _mission_result(scenario: ScenarioSpec, weights: ObjectiveWeights,
 
 def _window_step(scenario: ScenarioSpec, state: SystemState,
                  weights: ObjectiveWeights, horizon: int, cfg: SolverConfig,
-                 tick: float, what: str, templates: Optional[dict] = None):
-    """Build, solve and decode one window; returns (status, plan), with
-    ``plan`` None when the solve stopped with no incumbent.
+                 tick: float, what: str, templates: Optional[dict] = None,
+                 previous: Optional[tuple] = None):
+    """Build, solve and decode one window; returns (status, plan, root),
+    with ``plan`` None when the solve stopped with no incumbent.
 
     ``cfg.deadline_s`` is the wall budget of the whole step, counted from
     ``tick``: the solver gets what the build left of it, less a 10 ms
     reserve for the decode and bookkeeping.  ``templates`` is the
-    mission's window-template dict (see ``build_window_milp``).
+    mission's window-template dict and ``previous`` the ``root`` of the
+    step before (see ``build_window_milp``): ``root`` is this window's
+    layout and optimal root basis, or None when the root relaxation
+    stopped short of optimality.
     """
     problem, layout = build_window_milp(scenario, state, weights, horizon,
-                                        templates=templates)
+                                        templates=templates, previous=previous)
     if cfg.deadline_s is not None:
         spent = time.perf_counter() - tick
         cfg = replace(cfg, deadline_s=cfg.deadline_s - spent - 0.01)
@@ -127,7 +133,8 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
     if sol.status is MilpStatus.INFEASIBLE:
         raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")
     plan = decode_plan(sol, layout, scenario, state) if sol.has_incumbent else None
-    return sol.status.value, plan
+    root = None if sol.basis is None else (layout, sol.basis)
+    return sol.status.value, plan, root
 
 
 def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -141,9 +148,9 @@ def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
     if cfg is None:
         cfg = SolverConfig(gap_tol=ENGINE_GAP)
     t_start = time.perf_counter()
-    status, plan = _window_step(scenario, scenario.initial_state(), weights,
-                                scenario.steps, cfg, t_start,
-                                "whole-mission problem")
+    status, plan, _ = _window_step(scenario, scenario.initial_state(),
+                                   weights, scenario.steps, cfg, t_start,
+                                   "whole-mission problem")
     if plan is None:
         raise InfeasibleWindow("whole-mission solve timed out with no incumbent")
     times = np.zeros(scenario.steps)
@@ -186,14 +193,18 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
     # one template per window length: the full horizon, then each of
-    # the shorter windows of the mission's last horizon - 1 steps
+    # the shorter windows of the mission's last horizon - 1 steps; and
+    # the previous window's layout and root basis, which the next
+    # window starts from, shifted one step
     templates: dict = {}
+    root = None
     t_start = time.perf_counter()
 
     for t in range(T):
         tick = time.perf_counter()
-        status, plan = _window_step(scenario, state, weights, horizon, cfg,
-                                    tick, f"window at step {t}", templates)
+        status, plan, root = _window_step(scenario, state, weights, horizon,
+                                          cfg, tick, f"window at step {t}",
+                                          templates, root)
         statuses.append(status)
         if plan is not None:
             actions = (plan.load_fraction[:, 0], plan.gen_power[:, 0],

@@ -34,6 +34,17 @@ magnitude, or the etas hold more than ``max(4 m, 20_000)`` nonzeros
 (m rows).  On the whole-mission problem the last one fires every ~16
 pivots, because each eta there carries about 1,400 nonzeros.
 
+A basis supplied from outside the simplex (``solve_lp(basis=)`` or a
+MILP's ``basis_hint``) is repaired structurally before its first
+factorization: a maximum bipartite matching pairs rows with basic
+columns, and each column left unmatched is swapped for the slack of a
+row left unmatched (Suhl & Suhl 1990).  The repaired basis matrix has
+full structural rank.  Without the repair a structurally singular basis
+reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU
+may crash the process on it instead of raising, as it does with its
+default options.  A basis that is still numerically singular is
+replaced by the caller's fallback basis, or by the slack basis.
+
 ``solve_lp`` is a pure function of its inputs; independent problems may
 be solved concurrently.
 """
@@ -41,12 +52,14 @@ be solved concurrently.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, NumericalBreakdown
@@ -91,7 +104,9 @@ def _as_csr(mat, n_cols):
     if mat is None:
         return None
     if sp.issparse(mat):
-        out = mat.tocsr().astype(np.float64)
+        # no copy of a float64 CSR input: the simplex core copies the
+        # rows once, into the matrix it scales
+        out = mat.tocsr().astype(np.float64, copy=False)
     else:
         arr = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         out = sp.csr_matrix(arr)
@@ -219,11 +234,16 @@ class _SimplexCore:
 
     Branch-and-bound creates one core per MILP and re-solves with node
     bounds and a warm basis; every solve factors its starting basis
-    afresh, and nothing here mutates the owning problem.
+    afresh, and nothing here mutates the owning problem, which the
+    caller has validated.  ``fallback`` builds the basis that replaces
+    a numerically singular warm basis (default: the slack basis).
     """
 
-    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
-        lp.validate()
+    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None,
+                 fallback: Optional[Callable[[], Basis]] = None):
+        self.fallback = fallback
+        # the bases this core returned, which need no structural repair
+        self._returned = weakref.WeakValueDictionary()
         self.n = lp.n_vars
         a, row_lo, row_up = _stack_rows(lp)
         self.m = a.shape[0]
@@ -324,7 +344,11 @@ class _SimplexCore:
 
         ``deadline`` (absolute perf_counter time) aborts a long solve
         between pivots; the caller receives status None to signal an
-        unfinished relaxation.
+        unfinished relaxation.  A ``warm`` basis that this core did not
+        return is repaired structurally before it is factored (see the
+        module docstring); one it returned has been factored as it
+        stands.  When ``warm`` turns out numerically singular the solve
+        starts from the core's fallback basis instead.
         """
         n, m = self.n, self.m
         nm = n + m
@@ -337,8 +361,6 @@ class _SimplexCore:
         cobj = np.zeros(nm)
         cobj[:n] = self.c
 
-        vstat, basic = self._initial_basis(lo, up, warm)
-
         # product-form updates: eta vectors kept sparse (their support is
         # local for staircase bases), applied sequentially around splu
         etas: list = []   # (pivot_pos, idx array, vals array, w[pivot])
@@ -346,14 +368,15 @@ class _SimplexCore:
         lu = None
         gbuf = np.empty(m)
 
-        def refactor():
+        def refactor(mat=None):
             nonlocal lu, eta_nnz
             etas.clear()
             eta_nnz = 0
             if m == 0:
                 return
-            lu = splu(self._basis_matrix(basic), permc_spec="COLAMD",
-                      relax=1, panel_size=1, options={"SymmetricMode": False})
+            lu = splu(self._basis_matrix(basic) if mat is None else mat,
+                      permc_spec="COLAMD", relax=1, panel_size=1,
+                      options={"SymmetricMode": False})
 
         def ftran(v):
             u = lu.solve(v) if m else v.copy()
@@ -381,13 +404,25 @@ class _SimplexCore:
             if m:
                 xb = ftran(z[n:] - self.a_csr @ z[:n])
 
-        try:
-            refactor()
-        except RuntimeError:
-            if warm is None:
-                raise NumericalBreakdown("singular initial basis")
-            vstat, basic = self._initial_basis(lo, up, None)
-            refactor()
+        def starts():
+            yield warm
+            if warm is not None:
+                if self.fallback is not None:
+                    yield self.fallback()
+                yield None
+
+        for start in starts():
+            vstat, basic = self._initial_basis(lo, up, start)
+            mat = self._basis_matrix(basic) if m else None
+            if (m and start is not None
+                    and self._returned.get(id(start)) is not start):
+                mat = self._repair(vstat, basic, lo, up, mat)
+            try:
+                refactor(mat)
+                break
+            except RuntimeError:
+                if start is None:
+                    raise NumericalBreakdown("singular initial basis")
         # nonbasic values sit in z (0 at the basics); the basic values
         # and their bounds are kept in basis order, so a pivot patches
         # one position instead of gathering them through ``basic``
@@ -402,6 +437,11 @@ class _SimplexCore:
             x = z.copy()
             x[basic] = xb
             return x[:n]
+
+        def snapshot():
+            out = Basis(vstat.copy(), basic.copy())
+            self._returned[id(out)] = out
+            return out
 
         iters = 0
         degen_streak = 0
@@ -435,7 +475,7 @@ class _SimplexCore:
                 feas = not (np.any(xb < lob - tol) or np.any(xb > upb + tol))
                 x_part = point() if feas else None
                 obj_part = float(cobj[:n] @ x_part) + self.offset if feas else -_INF
-                return None, x_part, obj_part, iters, Basis(vstat.copy(), basic.copy())
+                return None, x_part, obj_part, iters, snapshot()
 
             below = xb < lob - tol
             above = xb > upb + tol
@@ -464,11 +504,11 @@ class _SimplexCore:
                     z_stale = False
                     continue
                 if infeasible:
-                    return LpStatus.INFEASIBLE, None, -_INF, iters, Basis(vstat.copy(), basic.copy())
+                    return LpStatus.INFEASIBLE, None, -_INF, iters, snapshot()
                 x = point()
                 objective = float(cobj[:n] @ x) + self.offset
                 self.last_reduced_costs = d[:n].copy()
-                return LpStatus.OPTIMAL, x, objective, iters, Basis(vstat.copy(), basic.copy())
+                return LpStatus.OPTIMAL, x, objective, iters, snapshot()
 
             if bland:
                 j = int(np.argmax(eligible))
@@ -508,7 +548,7 @@ class _SimplexCore:
                     if infeasible:
                         raise NumericalBreakdown(
                             "unbounded infeasibility direction; inconsistent rows")
-                    return LpStatus.UNBOUNDED, None, _INF, iters, Basis(vstat.copy(), basic.copy())
+                    return LpStatus.UNBOUNDED, None, _INF, iters, snapshot()
                 # bound flip: j runs to its opposite bound, basis (and
                 # with it every reduced cost) unchanged
                 xb -= w * (sigma * step)
@@ -525,7 +565,7 @@ class _SimplexCore:
                 if infeasible:
                     raise NumericalBreakdown(
                         "unblocked infeasibility direction; inconsistent rows")
-                return LpStatus.UNBOUNDED, None, _INF, iters, Basis(vstat.copy(), basic.copy())
+                return LpStatus.UNBOUNDED, None, _INF, iters, snapshot()
 
             # leaving choice: among near-minimal ratios take the largest |w|
             cand = ratios <= min_row_ratio + 1e-9
@@ -592,6 +632,51 @@ class _SimplexCore:
                 d_cache = None
                 z_stale = False
 
+    def _repair(self, vstat, basic, lo, up, mat):
+        """Make the basis structurally nonsingular, in place: every basic
+        position a maximum matching of rows to positions leaves out takes
+        the slack of an unmatched row, and its column leaves for the
+        bound nearer zero.  Among the maximum matchings, the one taken
+        leaves out the last positions it can, so a caller lists the
+        basic columns it trusts least last.  Returns the basis matrix
+        of the result (``mat``, the current one, when nothing changed).
+        """
+        graph = mat.T                  # positions x rows
+        row_of = maximum_bipartite_matching(graph, perm_type="column")
+        out = np.flatnonzero(row_of < 0)
+        if not out.size:
+            return mat
+        owner = np.repeat(np.arange(self.m), np.diff(graph.indptr))
+        for k, p in enumerate(out.tolist()):
+            # a position reaches the positions matched to its rows; any
+            # position p reaches can be left out instead of p, by moving
+            # the matching one row along the path
+            pos_of = np.full(self.m, -1)
+            pos_of[row_of[row_of >= 0]] = np.flatnonzero(row_of >= 0)
+            head = pos_of[graph.indices]
+            edge = head >= 0
+            reach = sp.csr_matrix((np.ones(int(edge.sum())),
+                                   (owner[edge], head[edge])),
+                                  shape=(self.m, self.m))
+            order, pred = breadth_first_order(reach, p,
+                                              return_predecessors=True)
+            last = q = int(order.max())
+            moved = row_of.copy()
+            while q != p:
+                moved[pred[q]] = row_of[q]
+                q = pred[q]
+            moved[last] = -1
+            row_of = moved
+            out[k] = last
+        free = np.ones(self.m, dtype=bool)
+        free[row_of[row_of >= 0]] = False
+        cols = basic[out]
+        vstat[cols] = np.where(np.abs(lo[cols]) <= np.abs(up[cols]),
+                               AT_LOWER, AT_UPPER)
+        basic[out] = self.n + np.flatnonzero(free)
+        vstat[basic[out]] = BASIC
+        return self._basis_matrix(basic)
+
     def _initial_basis(self, lo, up, warm: Optional[Basis]):
         n, m, nm = self.n, self.m, self.n + self.m
         if warm is not None:
@@ -634,7 +719,9 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
         Defaults to ``10_000 + 25 * (variables + rows)``.
     basis : Basis, optional
         Warm-start basis from a previous solve of a problem with the
-        same rows (bounds may differ).
+        same rows (bounds may differ).  It is repaired structurally
+        before it is factored; a numerically singular one gives way to
+        the slack basis.
 
     Returns
     -------
@@ -653,6 +740,7 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
     ``REFACTOR_EVERY`` updates, after a pivot below 1e-8 in magnitude,
     and when the etas hold more than ``max(4 m, 20_000)`` nonzeros.
     """
+    lp.validate()
     core = _SimplexCore(lp, max_iter=max_iter)
     status, x, obj, iters, fin = core.solve(warm=basis)
     return LpSolution(status=status, x=x, objective_value=obj,

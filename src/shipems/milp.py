@@ -8,8 +8,11 @@ Node selection is best-bound only; the floor rounding of the root's
 relaxation supplies the early incumbent that the per-step deadline
 needs (for the shedding models it is almost always feasible).
 Branching picks the most-fractional relaxation value, ties broken by
-lowest variable index, which keeps replays deterministic.  Children
-warm-start the simplex from their parent's optimal basis.
+lowest variable index, which keeps replays deterministic.  The root
+starts from the problem's ``basis_hint``, repaired structurally by the
+simplex; children warm-start from their parent's optimal basis as it
+is.  The solution hands back the root relaxation's optimal basis, which
+a receding-horizon caller shifts into the next window.
 
 A timed-out search returns the best incumbent found, flagged TIMED_OUT;
 it is never passed off as OPTIMAL.
@@ -21,7 +24,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,12 +44,16 @@ class MilpProblem:
 
     Integer-masked variables must carry finite integer bounds.
     ``basis_hint`` optionally seeds the root relaxation (model builders
-    know a good crash basis).
+    know a good crash basis).  ``fallback_basis``, when given, builds
+    the basis the root starts from instead when ``basis_hint`` proves
+    numerically singular; without it the root falls back to the slack
+    basis.
     """
 
     lp: LinearProgram
     integrality: np.ndarray
     basis_hint: Optional[Basis] = None
+    fallback_basis: Optional[Callable[[], Basis]] = None
 
     def __post_init__(self):
         self.integrality = np.asarray(self.integrality, dtype=bool).ravel()
@@ -66,6 +73,13 @@ class MilpProblem:
 
 @dataclass(frozen=True)
 class MilpSolution:
+    """Outcome of ``solve_milp``.
+
+    ``basis`` is the optimal basis of the root relaxation, whichever
+    node supplied the incumbent; it is None when the root relaxation
+    did not reach optimality.
+    """
+
     status: MilpStatus
     x: Optional[np.ndarray]
     objective_value: float
@@ -125,7 +139,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     lp = problem.lp
     int_idx = np.flatnonzero(problem.integrality)
-    core = _SimplexCore(lp)
+    core = _SimplexCore(lp, fallback=problem.fallback_basis)
 
     def timed_out():
         return deadline is not None and time.perf_counter() > deadline
@@ -162,9 +176,9 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     incumbent_x = None
     incumbent_obj = -np.inf
-    incumbent_basis = None
-    # root relaxation data for reduced-cost fixing, set by the first solve
-    root_bound = root_d = root_vs = None
+    # root relaxation data for reduced-cost fixing, and the basis the
+    # solution hands back, set by the first optimal solve
+    root_bound = root_d = root_basis = None
 
     def prune_gap():
         if incumbent_obj == -np.inf:
@@ -180,7 +194,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             return
         slack = root_bound - (incumbent_obj + prune_gap())
         d = root_d[int_idx]
-        vs = root_vs[int_idx]
+        vs = root_basis.vstat[int_idx]
         fix_low = (vs == AT_LOWER) & (-d > slack)
         fix_up = (vs == AT_UPPER) & (d > slack)
         root_up[int_idx[fix_low]] = root_lo[int_idx[fix_low]]
@@ -204,11 +218,11 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     def result(status_):
         if incumbent_x is None:
-            return MilpSolution(status_, None, -np.inf, nodes)
+            return MilpSolution(status_, None, -np.inf, nodes, root_basis)
         # snap against the original problem bounds: the search bounds may
         # have been tightened past an older (still optimal) incumbent
         xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
-        return MilpSolution(status_, xr, incumbent_obj, nodes, incumbent_basis)
+        return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis)
 
     def cut_short(x):
         """The one exit for a relaxation stopped by the deadline: a
@@ -235,13 +249,12 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         if status is not LpStatus.OPTIMAL:
             continue
         if root_bound is None:
-            root_bound, root_d = obj, core.last_reduced_costs
-            root_vs = np.asarray(basis.vstat)
+            root_bound, root_d, root_basis = obj, core.last_reduced_costs, basis
         if obj <= incumbent_obj + prune_gap():
             continue
         j = fractional(x)
         if j is None:
-            incumbent_x, incumbent_obj, incumbent_basis = x, obj, basis
+            incumbent_x, incumbent_obj = x, obj
             refix()
             continue
         try_round_down(x)

@@ -330,6 +330,63 @@ def test_inconsistent_state_is_a_hard_error():
         run_rho(sc, ObjectiveWeights(), horizon=3, feedback=corrupt)
 
 
+def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
+    # every window after the first starts from the previous root basis
+    # shifted one step; through a generator trip and its recovery, a
+    # stepped load, a battery with four unwind guard rows per side next
+    # to a supercapacitor whose guards are vacuous, and the shrinking
+    # windows at mission end, that start (repaired where it is
+    # structurally singular) reaches the crash basis's optimum
+    from scipy.sparse.csgraph import structural_rank
+
+    from shipems import engine
+    from shipems.lp import _SimplexCore
+
+    T, horizon = 12, 5
+    avail = np.ones((2, T), dtype=bool)
+    avail[1, 4:7] = False
+    # demand that forces shedding: three of the shifted bases here are
+    # structurally singular
+    demand = np.random.default_rng(27).uniform(3.0, 8.0, (3, T))
+    supercap = StorageSpec(id="S1", kind=StorageClass.SUPERCAPACITOR,
+                           p_min_mw=-10.0, p_max_mw=10.0, ramp_down_mw_s=-100.0,
+                           ramp_up_mw_s=100.0, capacity_mj=200.0, initial_soc=0.7)
+    sc = scenario([load(0, rated=6.0), load(1, rated=4.0, steps=4),
+                   load(2, rated=4.0, weight=0.3)],
+                  [gen(0, p_max=8.0, ramp=1.0, initial=4.0),
+                   gen(1, p_max=6.0, ramp=0.5, initial=3.0)],
+                  [battery(0, soc=0.4, cap=60.0), supercap], demand,
+                  generator_available=avail)
+    windows = []
+    build = engine.build_window_milp
+
+    def spy(*args, **kwargs):
+        problem, layout = build(*args, **kwargs)
+        windows.append((problem, layout))
+        return problem, layout
+
+    monkeypatch.setattr(engine, "build_window_milp", spy)
+    res = run_rho(sc, ObjectiveWeights(0.005, 0.03, 0.05), horizon)
+    assert validate_trajectory(res, sc) == []
+    assert [layout.horizon for _, layout in windows] == [5] * 8 + [4, 3, 2, 1]
+    assert windows[0][0].fallback_basis is None      # nothing to shift
+    repaired = 0
+    for t, (problem, _) in enumerate(windows[1:], start=1):
+        assert problem.fallback_basis is not None, f"step {t} was not shifted"
+        crash = _SimplexCore(problem.lp).solve(warm=problem.fallback_basis())
+        core = _SimplexCore(problem.lp)
+        lo = np.concatenate([core.col_lo, core.row_lo])
+        up = np.concatenate([core.col_up, core.row_up])
+        vstat, basic = core._initial_basis(lo, up, problem.basis_hint)
+        mat = core._basis_matrix(basic)
+        repaired += structural_rank(mat) < core.m
+        assert structural_rank(core._repair(vstat, basic, lo, up, mat)) == core.m
+        shifted = core.solve(warm=problem.basis_hint)
+        assert crash[0] is shifted[0] is LpStatus.OPTIMAL
+        assert shifted[2] == pytest.approx(crash[2], abs=1e-7), f"step {t}"
+    assert repaired == 3
+
+
 def test_rho_feedback_hook_perturbs_state():
     sc = scenario([load(0)], [gen(0, p_max=6.0, initial=2.0)],
                   [battery(0, soc=0.5, cap=100.0)], np.full((1, 6), 2.0))

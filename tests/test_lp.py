@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import structural_rank
 
 from shipems.errors import DimensionMismatch
-from shipems.lp import LinearProgram, LpStatus, solve_lp
+from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
+                        LpStatus, _SimplexCore, solve_lp)
 
 from oracles import lp_vertex_oracle
 
@@ -198,6 +203,56 @@ def test_warm_start_reaches_same_optimum():
     assert warm.status is LpStatus.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
     assert warm.iterations <= 2
+
+    # a structurally singular warm basis: x0 and x1 are basic, and their
+    # only nonzeros share row 0, so row 1 has no basic entry; the repair
+    # swaps the slack of row 1 in (SuperLU may crash the process on the
+    # unrepaired matrix)
+    lp = make_lp([1.0, 2.0, 3.0], a_ub=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 b_ub=[4.0, 2.0], upper=[3.0, 3.0, 3.0])
+    cold = solve_lp(lp)
+    vstat = np.array([BASIC, BASIC, AT_LOWER, AT_LOWER, AT_LOWER], dtype=np.int8)
+    warm = solve_lp(lp, basis=Basis(vstat=vstat, basic=np.array([0, 1])))
+    assert cold.status is warm.status is LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    assert cold.objective_value == pytest.approx(13.0, abs=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       n=st.integers(1, 12), density=st.floats(0.05, 0.6))
+@settings(max_examples=80, deadline=None)
+def test_structural_repair_keeps_the_matched_columns(seed, m, n, density):
+    rng = np.random.default_rng(seed)
+    a = sp.random(m, n, density=density, random_state=rng, format="csr",
+                  data_rvs=lambda k: rng.uniform(0.5, 2.0, k))
+    lp = LinearProgram(objective=np.ones(n), lower=np.zeros(n),
+                       upper=np.ones(n), a_rg=a, rg_lower=np.full(m, -1.0),
+                       rg_upper=np.full(m, 1.0))
+    core = _SimplexCore(lp)
+    basic = rng.choice(n + m, size=m, replace=False)
+    vstat = np.where(rng.random(n + m) < 0.5, AT_LOWER, AT_UPPER).astype(np.int8)
+    vstat[basic] = BASIC
+    before = basic.copy()
+    mat = core._basis_matrix(basic)
+    rank = structural_rank(mat)
+    # positions that some maximum matching leaves out
+    spare = [i for i in range(m)
+             if structural_rank(mat[:, np.delete(np.arange(m), i)]) == rank]
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    repaired = core._repair(vstat, basic, lo, up, mat)
+    kept = basic == before
+    assert structural_rank(repaired) == m
+    assert (repaired != core._basis_matrix(basic)).nnz == 0
+    # every column of a maximum matching stays at its position, and
+    # each of the others gave way to a slack
+    assert kept.sum() == rank
+    assert np.all(basic[~kept] >= n)
+    assert np.unique(basic).size == m
+    assert np.array_equal(np.flatnonzero(vstat == BASIC), np.sort(basic))
+    if rank == m - 1:
+        # the one position given up is the last one that can be
+        assert np.flatnonzero(~kept).tolist() == [max(spare)]
 
 
 def test_iteration_cap_raises_breakdown():
