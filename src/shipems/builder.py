@@ -28,18 +28,18 @@ vacuous for units that can stop within one step.  The guard rows, the
 generator trip/ramp rule and the objective terms come from `plant`,
 which the engine's fallback and trajectory audit share.
 
-The builder also produces a crash basis for the simplex: loads served
-greedily by weight wherever the supply affords them, generators at
-their reachability-tightened maxima, storage idle unless the generators
-fall short (then one swing unit follows the deficit and the others
-discharge flat out), SoC columns basic on their recurrence rows, and
-SoC-difference auxiliaries basic on the side the predicted spread
-makes tight.  That starting point is primal feasible up to a
-handful of ramp seams.  It starts a lone window and the first window of
-a receding-horizon run; later windows start from the previous window's
-basis shifted one step (see below) and keep the crash basis, built
-only when needed, as the fallback for a shifted basis that proves
-numerically singular.
+The builder also produces a crash basis for the simplex: generators at
+their reachability-tightened maxima, storage idle, loads served
+greedily by weight against the generator ceiling, SoC columns basic on
+their recurrence rows, and SoC-difference auxiliaries basic on the side
+the initial SoC spread makes tight.  That starting point is primal
+feasible whenever each storage unit can ramp from its previous power
+to zero in one step; otherwise only that unit's seam row starts
+violated.  It starts a lone window, among them the whole-mission
+(fixed-horizon) solve, and the first window of a receding-horizon run;
+later windows start from the previous window's basis shifted one step
+(see below) and keep the crash basis, built only when needed, as the
+fallback for a shifted basis that proves numerically singular.
 
 Windows of one length differ in little, so a window is a template plus
 a per-step patch.  ``window_template`` builds, once per scenario,
@@ -180,13 +180,11 @@ class WindowTemplate:
     row_up: np.ndarray
     seam_rows: np.ndarray      # (n_storage,) storage ramp seam
     rec_rows: np.ndarray       # (n_storage, h) SoC recurrence
-    balance_rows: np.ndarray   # (h,)
     gap_rows: np.ndarray       # (2, n_pairs, h) u >= soc_l - soc_m, u >= soc_m - soc_l
     pair_units: np.ndarray     # (2, n_pairs) storage indices l, m
     row_at: np.ndarray         # (fixed row slots, h)
     gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
     sto_ramp: np.ndarray       # (2, n_storage)
-    soc_rate: np.ndarray       # (n_storage,) dt / capacity
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -336,11 +334,11 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
         indices=cols[order], data=vals[order],
         demand_at=position[order.size - nl * h:].reshape(nl, h),
         row_lo=row_lo, row_up=row_up,
-        seam_rows=seam_rows, rec_rows=rec_rows, balance_rows=balance_rows,
-        gap_rows=gap_rows, pair_units=pair_units, row_at=row_at,
+        seam_rows=seam_rows, rec_rows=rec_rows, gap_rows=gap_rows,
+        pair_units=pair_units, row_at=row_at,
         gen_ramp=np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
                            _unit_values(gens, "ramp_up_mw_s") * dt]),
-        sto_ramp=sto_ramp, soc_rate=soc_rate)
+        sto_ramp=sto_ramp)
 
 
 def build_window_milp(scenario: ScenarioSpec, state: SystemState,
@@ -521,64 +519,28 @@ def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
 
 def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
                  demand: np.ndarray, soc0: np.ndarray) -> Basis:
-    """Primal-feasible starting basis for the window LP (see module doc).
+    """Starting basis for the window LP (see the module docstring).
 
-    Crash dispatch: generators at their reachable maxima always.  When
-    the generator ceiling cannot cover serve-everything somewhere in
-    the window, storage steps in: the highest-headroom unit becomes the
-    swing unit, following the residual deficit step by step (its
-    discharge columns sit basic on the tight balance rows), while the
-    remaining units discharge flat out for as many steps as their SoC
-    headroom affords.  Loads are served greedily by weight against the
-    resulting supply, so the crash point is a feasible vertex close to
-    the shedding optimum.
-
-    Basis: loads start fully served where the greedy pattern says so;
-    SoC columns sit basic on their recurrence rows; gap auxiliaries sit
-    basic on whichever side the predicted spread makes tight.  A few
-    ramp seams may start violated and are repaired by phase 1 in a
-    handful of pivots.
+    Crash dispatch: generators at their reachable maxima, storage idle,
+    and loads served greedily by weight against the generator ceiling,
+    skipping a load that does not fit.  SoC columns sit basic on their
+    recurrence rows and hold the initial SoC, so each gap auxiliary sits
+    basic on the side that the initial spread makes tight.  The point is
+    primal feasible whenever each storage unit can ramp from its
+    previous power to zero in one step; otherwise only that unit's seam
+    row starts violated.
     """
-    scenario, h = tpl.scenario, tpl.horizon
-    dt = scenario.dt_s
-    ne = scenario.n_storage
-    gen_ceiling = upper[tpl.gen_cols].sum(axis=0) if scenario.n_generators else np.zeros(h)
-    crash_dis = np.zeros((ne, h))
-    swing_on = np.zeros((ne, h), dtype=bool)
-    swing, p_swing, budget = -1, 0.0, 0.0
-    if ne and np.any(demand.sum(axis=0) > gen_ceiling + 1e-12):
-        caps = _unit_values(scenario.storage, "capacity_mj")
-        headrooms = (soc0 - _unit_values(scenario.storage, "soc_min")) * caps
-        swing = int(np.argmax(headrooms))
-        for e, sto in enumerate(scenario.storage):
-            if e == swing:
-                continue
-            lead = int(headrooms[e] / (sto.p_max_mw * dt) - 1e-9)
-            crash_dis[e, :max(min(lead, h), 0)] = sto.p_max_mw
-        p_swing = scenario.storage[swing].p_max_mw
-        budget = float(headrooms[swing])
-    # serve greedily by weight, step by step, against the generators,
-    # the flat-out units and what the swing unit can still add
-    others = (gen_ceiling + crash_dis.sum(axis=0)).tolist()
+    ceiling = upper[tpl.gen_cols].sum(axis=0).tolist()
     by_step = demand.T.tolist()
     order = np.argsort(-tpl.w_hat, kind="stable").tolist()
     serve = np.zeros(demand.shape, dtype=bool)
-    for k in range(h):
-        cap_k = others[k] + min(p_swing, budget / dt)
+    for k, cap in enumerate(ceiling):
         used = 0.0
         for i in order:
-            if used + by_step[k][i] <= cap_k + 1e-12:
+            if used + by_step[k][i] <= cap + 1e-12:
                 serve[i, k] = True
                 used += by_step[k][i]
-        need = used - others[k]
-        if swing >= 0 and need > 1e-12:
-            crash_dis[swing, k] = need
-            swing_on[swing, k] = True
-            budget -= need * dt
-    # predicted SoC path under the crash dispatch drives the choice of
-    # which gap row carries each pair auxiliary
-    crash_soc = soc0[:, None] - np.cumsum(crash_dis * tpl.soc_rate[:, None], axis=1)
-    gap = crash_soc[tpl.pair_units[0]] - crash_soc[tpl.pair_units[1]]
+    gap = soc0[tpl.pair_units[0]] - soc0[tpl.pair_units[1]]
     spread = np.abs(gap) > 1e-12
 
     n = tpl.lower.size
@@ -587,14 +549,12 @@ def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
     basic = np.arange(n, n + m, dtype=np.int64)
     vstat[tpl.gen_cols] = AT_UPPER
     vstat[tpl.load_cols[serve]] = AT_UPPER
-    vstat[tpl.dis_cols[(crash_dis > 0) & ~swing_on]] = AT_UPPER
     # each crash basic replaces the slack of the row it makes tight;
     # a recurrence slack is fixed (lo == up), so either park is exact
-    swaps = ((tpl.dis_cols[swing_on], tpl.balance_rows[np.nonzero(swing_on)[1]],
-              AT_UPPER),
-             (tpl.soc_cols, tpl.rec_rows, AT_LOWER),
+    swaps = ((tpl.soc_cols, tpl.rec_rows, AT_LOWER),
              (tpl.us_cols[spread],
-              np.where(gap > 0, tpl.gap_rows[0], tpl.gap_rows[1])[spread], AT_UPPER))
+              np.where(gap[:, None] > 0, tpl.gap_rows[0], tpl.gap_rows[1])[spread],
+              AT_UPPER))
     for cols, rows, park in swaps:
         rows = rows + n_gen
         vstat[n + rows] = park

@@ -53,6 +53,11 @@ def _get_num(doc, key, path, default=None, required=False):
     return float(val)
 
 
+def _is_count(val) -> bool:
+    """A positive integer; YAML's ``true`` is an ``int`` but not a count."""
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
 def _get_str(doc, key, path, default=None, required=False):
     if key not in doc or doc[key] is None:
         if required:
@@ -67,7 +72,7 @@ def _parse_load(doc, idx):
     _require(isinstance(doc, dict), path, "expected a mapping")
     steps = doc.get("steps")
     if steps is not None:
-        _require(isinstance(steps, int) and steps >= 1, f"{path}.steps",
+        _require(_is_count(steps), f"{path}.steps",
                  "expected a positive integer step count")
     try:
         return LoadSpec(id=_get_str(doc, "id", path, required=True),
@@ -214,7 +219,7 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
     dt = _get_num(doc, "dt_s", "top level", default=DEFAULT_DT_S)
     _require(dt > 0, "dt_s", "must be > 0")
     horizon = doc.get("horizon_steps", DEFAULT_HORIZON_STEPS)
-    _require(isinstance(horizon, int) and horizon >= 1, "horizon_steps",
+    _require(_is_count(horizon), "horizon_steps",
              "expected a positive integer")
 
     _require(isinstance(doc.get("loads"), list) and doc["loads"], "loads",
@@ -226,8 +231,7 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
     if declared_steps is None and doc.get("mission_s") is not None:
         declared_steps = int(round(_get_num(doc, "mission_s", "top level") / dt))
     if declared_steps is not None:
-        _require(isinstance(declared_steps, int) and declared_steps >= 1,
-                 "steps", "expected a positive integer")
+        _require(_is_count(declared_steps), "steps", "expected a positive integer")
 
     _require("demand" in doc, "demand", "missing required section")
     demand = _parse_demand(doc["demand"], load_ids, dt, declared_steps,

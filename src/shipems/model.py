@@ -143,9 +143,6 @@ class ObjectiveWeights:
         if not all(np.isfinite(v) and v >= 0 for v in vals):
             raise ValueError("objective weights must be finite and >= 0")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.throughput, self.imbalance, self.terminal])
-
 
 @dataclass(frozen=True)
 class ObjectiveTerms:
@@ -167,9 +164,6 @@ class ObjectiveTerms:
                 - weights.throughput * self.throughput
                 - weights.imbalance * self.imbalance
                 + weights.terminal * self.terminal_soc)
-
-    def as_tuple(self):
-        return (self.served, self.throughput, self.imbalance, self.terminal_soc)
 
 
 @dataclass(frozen=True)

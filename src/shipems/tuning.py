@@ -57,9 +57,6 @@ class TunerResult:
     iterations: int = 0
     evaluations: int = 0
 
-    def as_objective_weights(self) -> ObjectiveWeights:
-        return ObjectiveWeights(*self.weights)
-
 
 def normalized_merit(terms: ObjectiveTerms, norms: Sequence[float]) -> float:
     """Scalar merit of mission terms, each divided by its normalizer.
@@ -153,17 +150,17 @@ def tune_weights(cfg: TunerConfig,
 
 
 def make_mission_evaluator(scenario: ScenarioSpec, mode: str = "fho",
-                           horizon: Optional[int] = None,
-                           norms: Optional[Sequence[float]] = None):
+                           horizon: Optional[int] = None):
     """Evaluator mapping a weight vector to the mission merit.
 
     Runs the whole-mission solve (or a receding-horizon run when
     ``mode="rho"``) under the candidate weights and scores the applied
-    trajectory.  Tuning is expensive, so point it at a reduced scenario.
+    trajectory with ``default_norms(scenario)``.  Tuning is expensive,
+    so point it at a reduced scenario.
     """
     from .engine import run_fho, run_rho  # local import to avoid a cycle
 
-    use_norms = tuple(norms) if norms is not None else default_norms(scenario)
+    norms = default_norms(scenario)
 
     def evaluate(w):
         weights = ObjectiveWeights(*np.clip(w, 0.0, None))
@@ -174,6 +171,6 @@ def make_mission_evaluator(scenario: ScenarioSpec, mode: str = "fho",
                           min(scenario.steps, 60) if horizon is None else horizon)
         else:
             raise ValueError(f"unknown evaluator mode {mode!r}")
-        return normalized_merit(res.terms, use_norms)
+        return normalized_merit(res.terms, norms)
 
     return evaluate

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from shipems.builder import build_window_milp, decode_plan, window_variable_count
 from shipems.errors import DecodeMismatch
+from shipems.io import parse_scenario, synth_scenario
+from shipems.lp import AT_UPPER, TOL, LpStatus, solve_lp
 from shipems.milp import MilpStatus, SolverConfig, solve_milp
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
                            ScenarioSpec, StorageClass, StorageSpec)
@@ -214,6 +218,10 @@ def test_crash_basis_solves_faster_than_cold():
                   [battery(0, soc=0.35), supercap(1, soc=0.6)], demand)
     state = sc.initial_state()
     prob, layout = build_window_milp(sc, state, ObjectiveWeights(0.005, 0.03, 0.05), 30)
+    crash_lp = solve_lp(prob.lp, basis=prob.basis_hint)
+    cold_lp = solve_lp(prob.lp)
+    assert crash_lp.status is cold_lp.status is LpStatus.OPTIMAL
+    assert crash_lp.iterations < cold_lp.iterations
     warm = solve_milp(prob, SolverConfig(gap_tol=1e-9))
     cold = solve_milp(MilpProblemNoHint(prob), SolverConfig(gap_tol=1e-9))
     assert warm.status is MilpStatus.OPTIMAL
@@ -223,6 +231,26 @@ def test_crash_basis_solves_faster_than_cold():
 def MilpProblemNoHint(prob):
     from shipems.milp import MilpProblem
     return MilpProblem(lp=prob.lp, integrality=prob.integrality, basis_hint=None)
+
+
+def test_crash_basis_starts_primal_feasible():
+    # the synth whole-mission window from its initial state: every
+    # storage unit starts at 0 MW, so idling satisfies its seam and the
+    # crash point lies inside every box and row range
+    sc, _ = parse_scenario(synth_scenario(42))
+    weights = ObjectiveWeights(0.005, 0.03, 0.05)
+    prob, _ = build_window_milp(sc, sc.initial_state(), weights, sc.steps)
+    lp, basis = prob.lp, prob.basis_hint
+    n, m = lp.n_vars, lp.n_rows
+    lo = np.concatenate([lp.lower, lp.rg_lower])
+    up = np.concatenate([lp.upper, lp.rg_upper])
+    # columns and row activities: [A, -I] z = 0, the basics solved for
+    z = np.where(basis.vstat == AT_UPPER, up, lo)
+    z[basis.basic] = 0.0
+    g = sp.hstack([lp.a_rg, -sp.identity(m)], format="csc")
+    z[basis.basic] = splu(g[:, basis.basic]).solve(z[n:] - lp.a_rg @ z[:n])
+    out = np.flatnonzero((z < lo - TOL) | (z > up + TOL))
+    assert out.size == 0, f"basics out of bounds: {out.tolist()}"
 
 
 def window_arrays(problem):

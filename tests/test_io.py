@@ -133,6 +133,17 @@ demand:
             load_scenario(write(tmp_path, bad))
         assert "fraction" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["steps", "horizon_steps", "loads[0].steps"])
+    def test_yaml_boolean_is_not_a_count(self, field):
+        # YAML's true loads as a Python bool, which is an int equal to 1
+        doc = yaml.safe_load("loads: [{id: L1, rated_mw: 5.0, weight: 1.0}]\n"
+                             "demand: {inline: {L1: [4.0]}}")
+        target = doc["loads"][0] if field.startswith("loads") else doc
+        target[field.rsplit(".", 1)[-1]] = yaml.safe_load("true")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert field in str(err.value)
+
     def test_parse_error_on_bad_yaml(self, tmp_path):
         with pytest.raises(ParseError):
             load_scenario(write(tmp_path, "loads: [}{"))
