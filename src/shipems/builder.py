@@ -47,12 +47,15 @@ weights and window length, the column maps, the static column bounds,
 objective and integrality, and every row no step changes: the storage
 seam, ramp, SoC-recurrence and unwind-guard rows, the balance rows'
 columns and signs, and the SoC-gap pair rows, kept ready in CSR order.
-Each step then patches in the generator bounds and rows (trips pin a
-column to zero, the seam and reachability fold into the bounds, and the
-ramp rows and any inconsistent-seam row come and go with the trips, so
-the fixed rows move down by their count), the storage seam bounds and
-the first recurrence's right-hand side (the state's powers and SoC),
-the demand on the balance rows, and the starting basis.  A run of
+Each step folds the generator bounds (trips pin a column to zero, the
+seam and reachability fold into the bounds).  Which generator rows
+exist (ramp rows and any inconsistent-seam row come and go with the
+trips, and the fixed rows move down by their count) picks a row set:
+the window's whole row structure, row map and constant bounds, built
+the first time the template meets that set and kept on it.  A step
+then only patches in the demand on the balance rows, the generator and
+storage seam bounds and the first recurrence's right-hand side (the
+state's powers and SoC), and the starting basis.  A run of
 receding-horizon steps keeps one template per window length; a lone
 window builds a throwaway one.
 
@@ -66,13 +69,14 @@ step), each window adds its generator rows by (unit, step), and
 ``WindowLayout.row_at`` holds the result.  ``shifted_basis`` moves the
 previous window's optimal basis one step along with index arithmetic on
 those maps: step k takes the statuses of the previous window's step
-k + 1, and the last step copies the previous last step.
+k + 1, and the last step copies the previous last step.  The index maps
+depend on the two row maps alone, so they are computed once per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -146,15 +150,15 @@ class WindowTemplate:
     in the same mission (see the module docstring).
 
     The fixed rows (storage, balance and SoC-gap pair blocks) are kept
-    as CSR arrays whose row pointers start at the storage block; a
-    window appends them to its generator rows.  ``demand_at`` locates
-    the balance rows' load entries, whose values (the demand) each
-    window supplies.  ``row_at`` gives the fixed row of each (family,
-    unit) slot at each step, -1 where the slot has no row at that step:
-    per storage unit the seam (step 0) and ramp rows, then the SoC
-    recurrences, one slot per unwind guard (last step only), the
-    balance rows and the two rows of each SoC-gap pair.  The arrays are
-    read-only: a window copies what it patches.
+    as CSR arrays whose row pointers start at the storage block; each
+    row set in ``row_sets`` appends them to its generator rows.
+    ``demand_at`` locates the balance rows' load entries, whose values
+    (the demand) each window supplies.  ``row_at`` gives the fixed row
+    of each (family, unit) slot at each step, -1 where the slot has no
+    row at that step: per storage unit the seam (step 0) and ramp rows,
+    then the SoC recurrences, one slot per unwind guard (last step
+    only), the balance rows and the two rows of each SoC-gap pair.  The
+    arrays are read-only: a window copies what it patches.
     """
 
     scenario: ScenarioSpec
@@ -185,11 +189,17 @@ class WindowTemplate:
     row_at: np.ndarray         # (fixed row slots, h)
     gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
     sto_ramp: np.ndarray       # (2, n_storage)
+    # generator-row mask bytes -> _WindowRows, filled as windows need them
+    row_sets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _read_only(self)
+
+
+def _read_only(obj):
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -199,7 +209,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     h = horizon
     loads, gens, stos = scenario.loads, scenario.generators, scenario.storage
     nl, ng, ne = len(loads), len(gens), len(stos)
-    pair_units = np.array(scenario.storage_pairs(), dtype=np.int64).reshape(-1, 2).T
+    pair_units = scenario.pair_index
     npairs = pair_units.shape[1]
     stride = nl + ng + 3 * ne + npairs
     n = h * stride
@@ -221,7 +231,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     step_sizes = np.array([ld.step_size for ld in loads], dtype=float)
     stepped = np.array([ld.is_stepped for ld in loads], dtype=bool)
     soc_max = _unit_values(stos, "soc_max")
-    soc_rate = dt / _unit_values(stos, "capacity_mj")
+    soc_rate = dt / scenario.capacities
 
     lower = np.zeros(n)
     upper = np.zeros(n)
@@ -250,8 +260,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     lower[soc_cols] = _unit_values(stos, "soc_min")[:, None]
     upper[soc_cols] = soc_max[:, None]
     # terminal SoC reward lands directly on the final SoC column
-    objective[soc_cols[:, h - 1]] += weights.terminal * _unit_values(
-        stos, "terminal_priority")
+    objective[soc_cols[:, h - 1]] += weights.terminal * scenario.terminal_priorities
     upper[us_cols] = np.maximum(soc_max[pair_units[0]], soc_max[pair_units[1]])[:, None]
     objective[us_cols] = -weights.imbalance
 
@@ -375,35 +384,29 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     demand = scenario.demand_mw[:, t0:t0 + h].copy()
     soc0 = np.asarray(state.soc, dtype=float)
     lower, upper = tpl.lower.copy(), tpl.upper.copy()
-    g_ptr, g_idx, g_data, g_lo, g_up, g_at = _generator_rows(tpl, state, t0,
-                                                            lower, upper)
-    n_gen = g_lo.size
-    data = tpl.data.copy()
-    data[tpl.demand_at] = demand * tpl.step_sizes[:, None]
-    row_lo, row_up = tpl.row_lo.copy(), tpl.row_up.copy()
+    has_row, seam = _fold_generators(tpl, state, t0, lower, upper)
+    rows = _window_rows(tpl, has_row)
+    data = rows.data.copy()
+    data[rows.demand_at] = demand * tpl.step_sizes[:, None]
     prev_sto = np.asarray(state.prev_storage_power, dtype=float)
-    row_lo[tpl.seam_rows] = prev_sto + tpl.sto_ramp[0]
-    row_up[tpl.seam_rows] = prev_sto + tpl.sto_ramp[1]
-    row_lo[tpl.rec_rows[:, 0]] = soc0
-    row_up[tpl.rec_rows[:, 0]] = soc0
+    row_lo, row_up = rows.row_lo.copy(), rows.row_up.copy()
+    row_lo[rows.patched] = np.concatenate([seam[0, rows.seam_units],
+                                           prev_sto + tpl.sto_ramp[0], soc0])
+    row_up[rows.patched] = np.concatenate([seam[1, rows.seam_units],
+                                           prev_sto + tpl.sto_ramp[1], soc0])
 
-    n, m = tpl.lower.size, n_gen + tpl.row_lo.size
-    a_rg = sp.csr_matrix((np.concatenate([g_data, data]),
-                          np.concatenate([g_idx, tpl.indices]),
-                          np.concatenate([g_ptr, tpl.indptr[1:] + g_ptr[-1]])),
-                         shape=(m, n))
+    n, m = tpl.lower.size, row_lo.size
     lp = LinearProgram(objective=tpl.objective.copy(), lower=lower, upper=upper,
-                       a_rg=a_rg, rg_lower=np.concatenate([g_lo, row_lo]),
-                       rg_upper=np.concatenate([g_up, row_up]))
+                       a_rg=sp.csr_matrix((data, rows.indices, rows.indptr),
+                                          shape=(m, n)),
+                       rg_lower=row_lo, rg_upper=row_up)
     layout = WindowLayout(start_step=t0, horizon=h, load_cols=tpl.load_cols,
                           gen_cols=tpl.gen_cols, discharge_cols=tpl.dis_cols,
                           charge_cols=tpl.chg_cols, soc_cols=tpl.soc_cols,
                           soc_gap_cols=tpl.us_cols, weights=weights,
                           w_hat=tpl.w_hat, step_sizes=tpl.step_sizes,
-                          demand=demand,
-                          row_at=np.concatenate([g_at, np.where(tpl.row_at < 0, -1,
-                                                                tpl.row_at + n_gen)]))
-    crash = partial(_crash_basis, tpl, n_gen, m, upper, demand, soc0)
+                          demand=demand, row_at=rows.row_at)
+    crash = partial(_crash_basis, tpl, rows.n_gen, m, upper, demand, soc0)
     shifted = None if previous is None else shifted_basis(*previous, layout)
     problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
                           basis_hint=crash() if shifted is None else shifted,
@@ -411,10 +414,9 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     return problem, layout
 
 
-def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
-                    lower: np.ndarray, upper: np.ndarray):
-    """Fold trips and ramp seams into the generator bounds (in place) and
-    return the generator rows: CSR arrays, then row bounds.
+def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
+                     lower: np.ndarray, upper: np.ndarray):
+    """Fold trips and ramp seams into the generator bounds (in place).
 
     A tripped step is pinned to zero.  Where the ramp applies
     (``plant.ramp_linked``, which must be the same inside a window and
@@ -424,7 +426,8 @@ def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
     folds its seam against the state's power; when inconsistent input
     data would make that fold empty, the box stays and the seam becomes
     an explicit row, so that the solver reports the infeasibility.
-    The last array maps each (generator, step) to its row, -1 for none.
+    Returns the (n_generators, h) mask of the steps with a generator
+    row and the seam bounds (2, n_generators) against the state.
     """
     scenario, h, gc = tpl.scenario, tpl.horizon, tpl.gen_cols
     avail = scenario.availability()[:, t0:t0 + h]
@@ -448,20 +451,73 @@ def _generator_rows(tpl: WindowTemplate, state: SystemState, t0: int,
             has_row[g, 0] = False
     lower[gc] = np.reshape(lo, gc.shape)
     upper[gc] = np.reshape(up, gc.shape)
+    return has_row, seam
+
+
+@dataclass(frozen=True, eq=False)
+class _WindowRows:
+    """The rows of a template's windows that share one set of generator
+    rows: the generator rows first, then the template's fixed rows.
+
+    Everything here depends on the template and that set alone.  A
+    window copies ``data`` and the bounds, sets the demand entries
+    (``demand_at``) and the bounds of the ``patched`` rows: the
+    generator seam rows (of the units ``seam_units``), then the storage
+    seams and the first SoC recurrences.
+    """
+
+    n_gen: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    demand_at: np.ndarray
+    row_lo: np.ndarray
+    row_up: np.ndarray
+    patched: np.ndarray
+    seam_units: np.ndarray
+    row_at: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
+
+
+def _window_rows(tpl: WindowTemplate, has_row: np.ndarray) -> _WindowRows:
+    """The template's rows for the generator-row mask ``has_row``, built
+    on first use and kept on the template."""
+    key = has_row.tobytes()
+    rows = tpl.row_sets.get(key)
+    if rows is not None:
+        return rows
+    gc = tpl.gen_cols
     # a ramp row is [-1, 1] on the columns (k-1, k), a seam row [1] on k
     g, k = np.nonzero(has_row)
     ramp = k > 0
-    indptr = np.concatenate([[0], np.cumsum(1 + ramp)])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.ones(indptr[-1])
-    indices[indptr[1:] - 1] = gc[g, k]
-    before = indptr[:-1][ramp]
-    indices[before] = gc[g[ramp], k[ramp] - 1]
-    data[before] = -1.0
-    row_lo, row_up = np.where(ramp, tpl.gen_ramp[:, g], seam[:, g])
-    row_at = np.full(gc.shape, -1, dtype=np.int64)
-    row_at[g, k] = np.arange(g.size)
-    return indptr, indices, data, row_lo, row_up, row_at
+    n_gen = g.size
+    g_ptr = np.concatenate([[0], np.cumsum(1 + ramp)])
+    g_idx = np.empty(g_ptr[-1], dtype=np.int64)
+    g_data = np.ones(g_ptr[-1])
+    g_idx[g_ptr[1:] - 1] = gc[g, k]
+    before = g_ptr[:-1][ramp]
+    g_idx[before] = gc[g[ramp], k[ramp] - 1]
+    g_data[before] = -1.0
+    g_at = np.full(gc.shape, -1, dtype=np.int64)
+    g_at[g, k] = np.arange(n_gen)
+    # the seam rows' bounds are placeholders until a window patches them
+    g_lo, g_up = np.where(ramp, tpl.gen_ramp[:, g], np.nan)
+    rows = _WindowRows(
+        n_gen=n_gen,
+        indptr=np.concatenate([g_ptr, tpl.indptr[1:] + g_ptr[-1]]).astype(np.int32),
+        indices=np.concatenate([g_idx, tpl.indices]).astype(np.int32),
+        data=np.concatenate([g_data, tpl.data]),
+        demand_at=tpl.demand_at + g_ptr[-1],
+        row_lo=np.concatenate([g_lo, tpl.row_lo]),
+        row_up=np.concatenate([g_up, tpl.row_up]),
+        patched=np.concatenate([np.flatnonzero(~ramp), tpl.seam_rows + n_gen,
+                                tpl.rec_rows[:, 0] + n_gen]),
+        seam_units=g[~ramp],
+        row_at=np.concatenate([g_at, np.where(tpl.row_at < 0, -1, tpl.row_at + n_gen)]))
+    tpl.row_sets[key] = rows
+    return rows
 
 
 def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
@@ -480,18 +536,14 @@ def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
     singular; the simplex repairs it, giving up positions near the end
     of the window first.
     """
-    h0, h1 = prev_layout.horizon, layout.horizon
-    n0, n1 = prev_layout.n_cols, layout.n_cols
-    stride = n1 // h1
-    dst = layout.row_at
-    m1 = int(np.count_nonzero(dst >= 0))
-    step = np.minimum(np.arange(h1) + 1, h0 - 1)
-    src = prev_layout.row_at[:, step]
-    both = (src >= 0) & (dst >= 0)
-    old = prev_basis.vstat
-    vstat = np.full(n1 + m1, BASIC, dtype=np.int8)
-    vstat[:n1] = old[(step[:, None] * stride + np.arange(stride)).ravel()]
-    vstat[n1 + dst[both]] = old[n0 + src[both]]
+    n1 = layout.n_cols
+    stride = n1 // layout.horizon
+    gather, last_slacks, order = _shift_maps(
+        prev_layout.row_at.tobytes(), prev_layout.row_at.shape, prev_layout.n_cols,
+        layout.row_at.tobytes(), layout.row_at.shape, n1)
+    m1 = order.size - n1
+    # the last entry stands for "no counterpart": a basic slack
+    vstat = np.append(prev_basis.vstat, np.int8(BASIC))[gather]
 
     surplus = int(np.count_nonzero(vstat == BASIC)) - m1
     if surplus > 0:
@@ -500,21 +552,49 @@ def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
             return None
         vstat[cols[:surplus]] = AT_LOWER
     elif surplus < 0:
-        # from the back of the slot order: pair, balance and guard rows
-        # before the recurrences and ramps
-        last = dst[::-1, h1 - 1]
-        slacks = n1 + last[last >= 0]
-        slacks = slacks[vstat[slacks] != BASIC]
+        slacks = last_slacks[vstat[last_slacks] != BASIC]
         if slacks.size < -surplus:
             return None
         vstat[slacks[:-surplus]] = BASIC
+    return Basis(vstat=vstat, basic=order[vstat[order] == BASIC])
+
+
+@lru_cache(maxsize=64)
+def _shift_maps(prev_rows: bytes, prev_shape: tuple, n0: int,
+                rows: bytes, shape: tuple, n1: int):
+    """Index maps of ``shifted_basis`` between two windows, given by
+    their ``row_at`` (as bytes and shape) and column counts; they depend
+    on nothing else, so a mission computes each pair once.
+
+    Returns where each column and row slack of the new window takes its
+    status from (``n0 + m0``, one past the previous basis, for none),
+    the last step's row slacks in the order they may enter, and every
+    column and slack in basic-position order.
+    """
+    src_at = np.frombuffer(prev_rows, dtype=np.int64).reshape(prev_shape)
+    dst = np.frombuffer(rows, dtype=np.int64).reshape(shape)
+    h0, h1 = prev_shape[1], shape[1]
+    stride = n1 // h1
+    m1 = int(np.count_nonzero(dst >= 0))
+    step = np.minimum(np.arange(h1) + 1, h0 - 1)
+    src = src_at[:, step]
+    both = (src >= 0) & (dst >= 0)
+    gather = np.full(n1 + m1, n0 + int(np.count_nonzero(src_at >= 0)), dtype=np.int64)
+    gather[:n1] = (step[:, None] * stride + np.arange(stride)).ravel()
+    gather[n1 + dst[both]] = n0 + src[both]
+    # from the back of the slot order: pair, balance and guard rows
+    # before the recurrences and ramps
+    last = dst[::-1, h1 - 1]
+    last_slacks = n1 + last[last >= 0]
     # basic positions step by step, columns before row slacks: where the
     # basis is structurally singular, the repair gives up the last ones
     key = np.empty(n1 + m1, dtype=np.int64)
     key[:n1] = 2 * (np.arange(n1) // stride)
     key[n1 + dst[dst >= 0]] = 2 * np.nonzero(dst >= 0)[1] + 1
-    basic = np.flatnonzero(vstat == BASIC)
-    return Basis(vstat=vstat, basic=basic[np.argsort(key[basic], kind="stable")])
+    maps = gather, last_slacks, np.argsort(key, kind="stable")
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
 def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,

@@ -42,15 +42,33 @@ def _require(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_number(val) -> bool:
+    """An int or a float; YAML's ``true`` is an ``int`` but not a number."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _number(val, path) -> float:
+    """The one checked converter of a scenario number."""
+    _require(_is_number(val), path, f"expected a number, got {val!r}")
+    return float(val)
+
+
+def _numbers(seq, path) -> list:
+    """A list of scenario numbers, each checked as ``_number`` does (a
+    list of plain ints and floats passes on one look at its types)."""
+    _require(isinstance(seq, list), path, "expected a list of numbers")
+    if not set(map(type, seq)) <= {int, float}:
+        for k, val in enumerate(seq):
+            _number(val, f"{path}[{k}]")
+    return [float(val) for val in seq]
+
+
 def _get_num(doc, key, path, default=None, required=False):
     if key not in doc or doc[key] is None:
         if required:
             raise SchemaError(f"{path}.{key}: missing required field")
         return default
-    val = doc[key]
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+    return _number(doc[key], f"{path}.{key}")
 
 
 def _is_count(val) -> bool:
@@ -104,12 +122,16 @@ def _parse_generator(doc, idx, dt, steps):
         if len(seq) != steps:
             raise DimensionError(
                 f"{path}.available: {len(seq)} entries for {steps} steps")
+        for k, v in enumerate(seq):
+            # booleans, or the 0/1 that scenario_document writes
+            _require(isinstance(v, int) and v in (0, 1), f"{path}.available[{k}]",
+                     f"expected true/false or 0/1, got {v!r}")
         avail = np.array([bool(v) for v in seq])
     for k, window in enumerate(doc.get("outages") or []):
         wpath = f"{path}.outages[{k}]"
         _require(isinstance(window, (list, tuple)) and len(window) == 2, wpath,
                  "expected [from_s, to_s]")
-        t_from, t_to = float(window[0]), float(window[1])
+        t_from, t_to = (_number(t, f"{wpath}[{i}]") for i, t in enumerate(window))
         _require(t_from < t_to, wpath, "need from_s < to_s")
         idx_from = int(np.ceil(t_from / dt - 1e-9))
         idx_to = int(np.ceil(t_to / dt - 1e-9))
@@ -191,10 +213,11 @@ def _parse_demand(doc, load_ids, dt, declared_steps, base_dir: Path):
             raise DimensionError(
                 f"demand.inline: load ids mismatch (missing {missing}, "
                 f"unknown {extra})")
-        lengths = {len(table[i]) for i in load_ids}
+        series = [_numbers(table[i], f"demand.inline.{i}") for i in load_ids]
+        lengths = {len(s) for s in series}
         if len(lengths) != 1:
             raise DimensionError(f"demand.inline: unequal series lengths {sorted(lengths)}")
-        return np.array([[float(v) for v in table[i]] for i in load_ids])
+        return np.array(series)
     # constant demand needs a step count from somewhere
     table = doc["constant"]
     _require(isinstance(table, dict), "demand.constant", "expected a mapping")
@@ -204,7 +227,7 @@ def _parse_demand(doc, load_ids, dt, declared_steps, base_dir: Path):
         raise DimensionError(
             f"demand.constant: load ids mismatch (missing {missing}, unknown {extra})")
     steps = declared_steps or int(round(DEFAULT_MISSION_S / dt))
-    col = np.array([float(table[i]) for i in load_ids])
+    col = np.array([_number(table[i], f"demand.constant.{i}") for i in load_ids])
     return np.tile(col[:, None], (1, steps))
 
 
@@ -260,7 +283,8 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
         if extra:
             raise DimensionError(f"weight_override: unknown load ids {extra}")
         weight_override = np.array([
-            float(table.get(i, loads[k].weight)) for k, i in enumerate(load_ids)])
+            _number(table[i], f"weight_override.{i}") if i in table else loads[k].weight
+            for k, i in enumerate(load_ids)])
 
     try:
         spec = ScenarioSpec(dt_s=dt, loads=loads, generators=gens,

@@ -45,6 +45,15 @@ may crash the process on it instead of raising, as it does with its
 default options.  A basis that is still numerically singular is
 replaced by the caller's fallback basis, or by the slack basis.
 
+A simplex core prepares one problem once for any number of solves: it
+scales the rows into fresh arrays (the caller's matrix is only read),
+and lays out the columns of G = [A, -I] as CSC arrays, A's columns then
+one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
+matrix, whatever its mix of columns, is one gather over them.  A basis
+the core returned itself (branch and bound warm-starts each child from
+its parent's) was checked when its solve started and every pivot kept
+it well formed, so it is neither checked again nor repaired.
+
 ``solve_lp`` is a pure function of its inputs; independent problems may
 be solved concurrently.
 """
@@ -176,25 +185,33 @@ class LinearProgram:
         return m
 
     def validate(self):
-        """Check invariants; raises DimensionMismatch on malformed input."""
-        if not np.all(np.isfinite(self.objective)):
+        """Check invariants; raises DimensionMismatch on malformed input.
+
+        One pass covers every entry that must be finite; which entry
+        failed, for the message, is looked up only when one did."""
+        blocks = (("a_ub", self.a_ub), ("a_eq", self.a_eq), ("a_rg", self.a_rg))
+        finite = [self.objective, self.lower, self.upper]
+        finite += [block.data for _, block in blocks if block is not None]
+        finite += [b for b in (self.b_ub, self.b_eq) if b is not None]
+        ok = bool(np.isfinite(np.concatenate(finite)).all())
+        if not ok and not np.isfinite(self.objective).all():
             raise DimensionMismatch("objective has non-finite coefficients")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        if not ok and not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise DimensionMismatch("variable bounds must be finite")
-        if np.any(self.lower > self.upper):
-            bad = int(np.argmax(self.lower > self.upper))
-            raise DimensionMismatch(f"variable {bad} has lower > upper")
-        for name, block in (("a_ub", self.a_ub), ("a_eq", self.a_eq), ("a_rg", self.a_rg)):
-            if block is not None and block.nnz and not np.all(np.isfinite(block.data)):
-                raise DimensionMismatch(f"{name} has non-finite coefficients")
-        if self.b_ub is not None and not np.all(np.isfinite(self.b_ub)):
-            raise DimensionMismatch("b_ub has non-finite entries")
-        if self.b_eq is not None and not np.all(np.isfinite(self.b_eq)):
-            raise DimensionMismatch("b_eq has non-finite entries")
+        crossed = self.lower > self.upper
+        if crossed.any():
+            raise DimensionMismatch(f"variable {int(np.argmax(crossed))} has lower > upper")
+        if not ok:
+            for name, block in blocks:
+                if block is not None and not np.isfinite(block.data).all():
+                    raise DimensionMismatch(f"{name} has non-finite coefficients")
+            if self.b_ub is not None and not np.isfinite(self.b_ub).all():
+                raise DimensionMismatch("b_ub has non-finite entries")
+            raise DimensionMismatch("b_eq has non-finite entries")   # all that is left
         if self.a_rg is not None:
-            if np.any(np.isnan(self.rg_lower)) or np.any(np.isnan(self.rg_upper)):
+            if np.isnan(np.concatenate([self.rg_lower, self.rg_upper])).any():
                 raise DimensionMismatch("ranged row bounds contain NaN")
-            if np.any(self.rg_lower > self.rg_upper):
+            if (self.rg_lower > self.rg_upper).any():
                 raise DimensionMismatch("ranged row has lower > upper")
 
 
@@ -208,7 +225,8 @@ class LpSolution:
 
 
 def _stack_rows(lp: LinearProgram):
-    """Fuse the three row blocks into one csr matrix plus ranged bounds."""
+    """Fuse the three row blocks into one csr matrix plus ranged bounds;
+    a lone block comes back as it is, not copied."""
     blocks, lows, ups = [], [], []
     if lp.a_ub is not None:
         blocks.append(lp.a_ub)
@@ -225,8 +243,9 @@ def _stack_rows(lp: LinearProgram):
     if not blocks:
         a = sp.csr_matrix((0, lp.n_vars))
         return a, np.empty(0), np.empty(0)
-    a = sp.vstack(blocks, format="csr") if len(blocks) > 1 else blocks[0].copy()
-    return a, np.concatenate(lows), np.concatenate(ups)
+    if len(blocks) == 1:
+        return blocks[0], lows[0], ups[0]
+    return sp.vstack(blocks, format="csr"), np.concatenate(lows), np.concatenate(ups)
 
 
 class _SimplexCore:
@@ -237,51 +256,74 @@ class _SimplexCore:
     afresh, and nothing here mutates the owning problem, which the
     caller has validated.  ``fallback`` builds the basis that replaces
     a numerically singular warm basis (default: the slack basis).
+
+    Built once per core: the scaled rows (``a_csr``), G = [A, -I] as CSC
+    arrays (``_gp``, ``_gi``, ``_gd``; column lengths ``_glen``), the
+    CSR view ``a_t_csr`` of A^T over them, and the cost vector over all
+    ``n + m`` variables.  An outside warm basis is validated and
+    repaired; one this core returned skips both (``_initial_basis``).
     """
 
     def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None,
                  fallback: Optional[Callable[[], Basis]] = None):
         self.fallback = fallback
-        # the bases this core returned, which need no structural repair
+        # the bases this core returned, which need no checks and no repair
         self._returned = weakref.WeakValueDictionary()
-        self.n = lp.n_vars
+        self.n = n = lp.n_vars
         a, row_lo, row_up = _stack_rows(lp)
-        self.m = a.shape[0]
-        default_cap = 10_000 + 25 * (self.n + self.m)
+        self.m = m = a.shape[0]
+        default_cap = 10_000 + 25 * (n + m)
         self.max_iter = int(max_iter) if max_iter is not None else default_cap
         self.offset = float(lp.offset)
 
         # Row equilibration with powers of two keeps pivots well scaled
-        # without perturbing representable data.
-        scale = np.ones(self.m)
+        # without perturbing representable data.  The scaled rows go into
+        # fresh arrays (the caller's matrix is only read), with what a
+        # product with diag(scale) drops: duplicates summed, explicit
+        # zeros removed.
+        scale = np.ones(m)
+        counts = a.indptr[1:] - a.indptr[:-1]
         if a.nnz:
-            row_max = np.zeros(self.m)
-            mags = np.abs(a.data)
-            nz_rows = np.flatnonzero(np.diff(a.indptr) > 0)
+            row_max = np.zeros(m)
+            nz_rows = np.flatnonzero(counts)
             # reduceat segments end at the next nonempty row's start
-            row_max[nz_rows] = np.maximum.reduceat(mags, a.indptr[nz_rows])
+            row_max[nz_rows] = np.maximum.reduceat(np.abs(a.data), a.indptr[nz_rows])
             pos = row_max > 0
             scale[pos] = np.exp2(-np.round(np.log2(row_max[pos])))
-            # ``a`` is _stack_rows' own copy: scale it in place and drop
-            # what a product with diag(scale) would drop (duplicates
-            # summed, explicit zeros removed)
-            a.sum_duplicates()
-            a.data *= np.repeat(scale, np.diff(a.indptr))
-            a.eliminate_zeros()
+            if not a.has_canonical_format:
+                a = a.copy()
+                a.sum_duplicates()
+                counts = a.indptr[1:] - a.indptr[:-1]
+            data = a.data * np.repeat(scale, counts)
+            a = sp.csr_matrix((data, a.indices, a.indptr), shape=(m, n))
+            if not data.all():
+                a = a.copy()                # not the caller's structure
+                a.eliminate_zeros()
+                counts = a.indptr[1:] - a.indptr[:-1]
         self.a_csr = a
-        self.a_csc = a.tocsc()
-        self.a_t_csr = self.a_csc.T   # CSR view sharing a_csc's arrays
         self.row_lo = row_lo * scale
         self.row_up = row_up * scale
+        # the columns of G = [A, -I]: A's CSC arrays, then one -1 per
+        # logical, so the basis matrix of any mix of columns is one gather
+        cols = a.indices
+        by_col = np.argsort(cols, kind="stable")    # rows ascend in a column
+        col_ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
+        nnz = int(col_ptr[-1])
+        logicals = np.arange(m, dtype=np.int32)
+        self._gp = np.concatenate([col_ptr, nnz + 1 + logicals])
+        self._gi = np.concatenate([np.repeat(logicals, counts)[by_col],
+                                   logicals])
+        self._gd = np.concatenate([a.data[by_col], np.full(m, -1.0)])
+        self._glen = self._gp[1:] - self._gp[:-1]
+        # A^T as CSR is A's CSC, viewed from G's arrays
+        self.a_t_csr = sp.csr_matrix((self._gd[:nnz], self._gi[:nnz], col_ptr),
+                                     shape=(n, m))
 
         self.c = lp.objective.copy()
         self.col_lo = lp.lower.copy()
         self.col_up = lp.upper.copy()
-
-        # cached csc arrays for fast basis assembly / column fetch
-        self._ci = self.a_csc.indices
-        self._cp = self.a_csc.indptr
-        self._cd = self.a_csc.data
+        self._cobj = np.concatenate([self.c, np.zeros(m)])
         # structural reduced costs of the last optimal solve (for
         # reduced-cost bound fixing in branch and bound)
         self.last_reduced_costs = None
@@ -291,36 +333,19 @@ class _SimplexCore:
     def _column(self, j, out):
         """Dense column j of G = [A, -I] into preallocated ``out``."""
         out.fill(0.0)
-        if j < self.n:
-            s, e = self._cp[j], self._cp[j + 1]
-            out[self._ci[s:e]] = self._cd[s:e]
-        else:
-            out[j - self.n] = -1.0
+        s, e = self._gp[j], self._gp[j + 1]
+        out[self._gi[s:e]] = self._gd[s:e]
         return out
 
     def _basis_matrix(self, basic):
-        m, n = self.m, self.n
-        struct = basic < n
-        counts = np.ones(m, dtype=np.int64)
-        scols = basic[struct]
-        counts[struct] = self._cp[scols + 1] - self._cp[scols]
-        indptr = np.zeros(m + 1, dtype=np.int64)
+        """CSC basis matrix G[:, basic]: one gather over G's arrays."""
+        counts = self._glen[basic]
+        indptr = np.zeros(self.m + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        # vectorized gather of the structural column slices
-        lens = counts[struct]
-        if lens.size:
-            within = np.arange(int(lens.sum()), dtype=np.int64)
-            within -= np.repeat(np.cumsum(lens) - lens, lens)
-            src = np.repeat(self._cp[scols], lens) + within
-            dst = np.repeat(indptr[:-1][struct], lens) + within
-            data[dst] = self._cd[src]
-            indices[dst] = self._ci[src]
-        slack_pos = indptr[:-1][~struct]
-        data[slack_pos] = -1.0
-        indices[slack_pos] = basic[~struct] - n
-        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+        src = np.repeat(self._gp[basic] - indptr[:-1], counts)
+        src += np.arange(indptr[-1], dtype=np.int32)
+        return sp.csc_matrix((self._gd[src], self._gi[src], indptr),
+                             shape=(self.m, self.m))
 
     def point_feasible(self, x) -> bool:
         """Explicit feasibility check of a candidate point against the
@@ -355,11 +380,10 @@ class _SimplexCore:
         tol = TOL
         lo = np.concatenate([self.col_lo if col_lo is None else col_lo, self.row_lo])
         up = np.concatenate([self.col_up if col_up is None else col_up, self.row_up])
-        if np.any(lo > up):
+        if (lo > up).any():
             # empty box: trivially infeasible
             return LpStatus.INFEASIBLE, None, -_INF, 0, None
-        cobj = np.zeros(nm)
-        cobj[:n] = self.c
+        cobj = self._cobj
 
         # product-form updates: eta vectors kept sparse (their support is
         # local for staircase bases), applied sequentially around splu
@@ -414,8 +438,7 @@ class _SimplexCore:
         for start in starts():
             vstat, basic = self._initial_basis(lo, up, start)
             mat = self._basis_matrix(basic) if m else None
-            if (m and start is not None
-                    and self._returned.get(id(start)) is not start):
+            if m and start is not None and not self._trusts(start):
                 mat = self._repair(vstat, basic, lo, up, mat)
             try:
                 refactor(mat)
@@ -677,26 +700,38 @@ class _SimplexCore:
         vstat[basic[out]] = BASIC
         return self._basis_matrix(basic)
 
+    def _trusts(self, basis: Basis) -> bool:
+        """True for a basis this core returned."""
+        return self._returned.get(id(basis)) is basis
+
     def _initial_basis(self, lo, up, warm: Optional[Basis]):
+        """Working copies of the starting basis: ``warm``, or the slack
+        basis when ``warm`` is None or malformed.  A basis this core
+        returned is taken as it is: it passed these checks when its
+        solve started, pivots keep it well formed, and its nonbasics sit
+        on finite bounds (column bounds always are; row bounds do not
+        change), so checking it again could only repeat itself."""
         n, m, nm = self.n, self.m, self.n + self.m
         if warm is not None:
-            vstat = np.asarray(warm.vstat, dtype=np.int8).copy()
-            basic = np.asarray(warm.basic, dtype=np.int64).copy()
-            ok = (
-                vstat.size == nm
-                and basic.size == m
-                and np.all(basic >= 0) and np.all(basic < nm)
-                and np.unique(basic).size == m
-                and int((vstat == BASIC).sum()) == m
-                and np.all(vstat[basic] == BASIC)
-            )
+            vstat = np.array(warm.vstat, dtype=np.int8)
+            basic = np.array(warm.basic, dtype=np.int64)
+            if self._trusts(warm):
+                return vstat, basic
+            ok = (vstat.size == nm and basic.size == m
+                  and (m == 0 or (basic.min() >= 0 and basic.max() < nm)))
+            if ok:
+                # m distinct positions marked, exactly the BASIC ones:
+                # basic lists m distinct columns, all BASIC, and no other
+                # column is BASIC
+                mark = np.zeros(nm, dtype=bool)
+                mark[basic] = True
+                is_basic = vstat == BASIC
+                ok = (np.count_nonzero(mark) == m
+                      and np.array_equal(mark, is_basic))
             if ok:
                 # nonbasic entries must sit on a finite bound
-                nonb = vstat != BASIC
-                bad_low = nonb & (vstat == AT_LOWER) & ~np.isfinite(lo)
-                vstat[bad_low] = AT_UPPER
-                bad_up = nonb & (vstat == AT_UPPER) & ~np.isfinite(up)
-                vstat[bad_up] = AT_LOWER
+                vstat[~is_basic & (vstat == AT_LOWER) & ~np.isfinite(lo)] = AT_UPPER
+                vstat[~is_basic & (vstat == AT_UPPER) & ~np.isfinite(up)] = AT_LOWER
                 return vstat, basic
         vstat = np.empty(nm, dtype=np.int8)
         nearer_low = np.abs(lo[:n]) <= np.abs(up[:n])

@@ -64,10 +64,9 @@ class MilpProblem:
             raise DimensionMismatch(
                 f"integrality mask has {self.integrality.size} entries for "
                 f"{self.lp.n_vars} variables")
-        idx = np.flatnonzero(self.integrality)
-        lo = self.lp.lower[idx]
-        up = self.lp.upper[idx]
-        if np.any(np.abs(lo - np.round(lo)) > 1e-9) or np.any(np.abs(up - np.round(up)) > 1e-9):
+        bounds = np.concatenate([self.lp.lower[self.integrality],
+                                 self.lp.upper[self.integrality]])
+        if (np.abs(bounds - np.round(bounds)) > 1e-9).any():
             raise DimensionMismatch("integer variables must have integer bounds")
 
 

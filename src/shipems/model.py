@@ -11,7 +11,7 @@ as read-only, which makes concurrent window builds safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -174,6 +174,8 @@ class ScenarioSpec:
     optional (n_generators, steps) boolean matrix; a False entry trips
     the unit for that step (its power is forced to zero).  The
     commanded service level is 1 for every load at every step.
+    ``capacities``, ``terminal_priorities`` and ``pair_index`` are
+    read-only arrays derived from ``storage`` at construction.
     """
 
     dt_s: float
@@ -184,6 +186,11 @@ class ScenarioSpec:
     generator_available: Optional[np.ndarray] = None
     weight_override: Optional[np.ndarray] = None
     name: str = ""
+    # derived from ``storage`` once: per unit, and the (2, n_pairs) unit
+    # indices of ``storage_pairs``
+    capacities: np.ndarray = field(init=False, repr=False, compare=False)
+    terminal_priorities: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple(self.loads))
@@ -215,6 +222,14 @@ class ScenarioSpec:
             if np.any(wo < 0) or not np.all(np.isfinite(wo)):
                 raise ValueError("weight_override entries must be finite and >= 0")
             object.__setattr__(self, "weight_override", wo)
+        derived = {
+            "capacities": np.array([u.capacity_mj for u in self.storage], dtype=float),
+            "terminal_priorities": np.array([u.terminal_priority for u in self.storage],
+                                            dtype=float),
+            "pair_index": np.array(self.storage_pairs(), dtype=np.int64).reshape(-1, 2).T}
+        for name, values in derived.items():
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         ids = [u.id for u in self.loads] + [u.id for u in self.generators] \
             + [u.id for u in self.storage]
         if len(set(ids)) != len(ids):

@@ -38,14 +38,15 @@ def ramp_linked(scenario: ScenarioSpec, t0: int, h: int) -> np.ndarray:
 
 def soc_path(scenario: ScenarioSpec, soc0, storage_power) -> np.ndarray:
     """(n_storage, h) SoC after each step of ``storage_power`` (n_storage,
-    h), starting from ``soc0``: ``soc_step`` applied column by column."""
-    caps = np.array([s.capacity_mj for s in scenario.storage])
-    soc = np.empty_like(storage_power, dtype=float)
-    cur = np.asarray(soc0, dtype=float)
-    for k in range(soc.shape[1]):
-        cur = soc_step(cur, storage_power[:, k], scenario.dt_s, caps)
-        soc[:, k] = cur
-    return soc
+    h), starting from ``soc0``: ``soc_step`` applied column by column.
+    One ``soc_step`` call gives every step's change (so its capacity
+    check runs once per path) and an accumulate adds them up in step
+    order, which is the same arithmetic."""
+    change = soc_step(0.0, np.asarray(storage_power, dtype=float), scenario.dt_s,
+                      scenario.capacities[:, None])
+    path = np.concatenate([np.reshape(np.asarray(soc0, dtype=float), (-1, 1)), change],
+                          axis=1)
+    return np.add.accumulate(path, axis=1)[:, 1:]
 
 
 def _per_unit(units, attr) -> np.ndarray:
@@ -159,9 +160,9 @@ def objective_terms(scenario: ScenarioSpec, w_hat, frac, storage_power,
     served = float(w_hat @ frac.sum(axis=1))
     throughput = float(np.abs(storage_power).sum())
     imbalance = 0.0
-    for (l, m) in scenario.storage_pairs():
-        imbalance += float(np.abs(soc[l] - soc[m]).sum())
-    alphas = np.array([s.terminal_priority for s in scenario.storage])
-    terminal = float(alphas @ soc[:, -1]) if soc.size else 0.0
+    first, second = scenario.pair_index
+    for gap in np.abs(soc[first] - soc[second]):
+        imbalance += float(gap.sum())
+    terminal = float(scenario.terminal_priorities @ soc[:, -1]) if soc.size else 0.0
     return ObjectiveTerms(served=served, throughput=throughput,
                           imbalance=imbalance, terminal_soc=terminal)

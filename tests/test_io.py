@@ -144,6 +144,43 @@ demand:
             parse_scenario(doc)
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("available", ["false", 1, 1, 1], "generators[0].available[0]"),
+        ("available", [1, 0.5, 1, 1], "generators[0].available[1]"),
+        ("available", [1, 1, 2, 1], "generators[0].available[2]"),
+        ("weight_override", {"L1": True}, "weight_override.L1"),
+        ("weight_override", {"L1": "abc"}, "weight_override.L1"),
+        ("outages", [["a", 3]], "generators[0].outages[0][0]"),
+        ("outages", [[True, 3.0]], "generators[0].outages[0][0]"),
+        ("inline", {"L1": [4.0, True, 4.0, 4.0]}, "demand.inline.L1[1]"),
+        ("inline", {"L1": [4.0, 4.0, "abc", 4.0]}, "demand.inline.L1[2]"),
+        ("inline", {"L1": "4.0"}, "demand.inline.L1"),
+        ("constant", {"L1": True}, "demand.constant.L1"),
+        ("constant", {"L1": "abc"}, "demand.constant.L1"),
+    ])
+    def test_scenario_numbers_are_checked(self, field, value, path):
+        # a bool or a string is no number, and only booleans and 0/1 are
+        # availability flags; each failure names its field
+        doc = yaml.safe_load(MINIMAL)
+        doc["steps"] = 4
+        doc["demand"] = {"inline": {"L1": [4.0] * 4}}
+        if field in ("available", "outages"):
+            doc["generators"][0][field] = value
+        elif field == "weight_override":
+            doc[field] = value
+        else:
+            doc["demand"] = {field: value}
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert path in str(err.value)
+
+    def test_availability_flags_parse(self):
+        doc = yaml.safe_load(MINIMAL)
+        doc["demand"] = {"inline": {"L1": [4.0] * 4}}
+        doc["generators"][0]["available"] = [1, 0, True, False]
+        sc, _ = parse_scenario(doc)
+        assert sc.availability()[0].tolist() == [True, False, True, False]
+
     def test_parse_error_on_bad_yaml(self, tmp_path):
         with pytest.raises(ParseError):
             load_scenario(write(tmp_path, "loads: [}{"))

@@ -255,6 +255,84 @@ def test_structural_repair_keeps_the_matched_columns(seed, m, n, density):
         assert np.flatnonzero(~kept).tolist() == [max(spare)]
 
 
+@st.composite
+def raw_rows(draw):
+    """A CSR matrix as stored, not canonical: repeated and unsorted
+    columns within a row, explicit zeros and duplicates that cancel."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    value = st.sampled_from([0.0, 0.3, -1.5, 2.0, 7.0, -0.125, 96.0])
+    indptr, indices, data = [0], [], []
+    for _ in range(m):
+        row = draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=6))
+        if row and draw(st.booleans()):
+            col, val = row[0]
+            row.append((col, -val))               # cancels to an explicit zero
+        indices += [c for c, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    a = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=(m, n))
+    basic = draw(st.permutations(range(n + m)))[:m]
+    return a, np.array(basic, dtype=np.int64)
+
+
+@given(raw_rows())
+@settings(max_examples=150, deadline=None)
+def test_basis_matrix_gathers_scaled_columns(case):
+    a, basic = case
+    m, n = a.shape
+    stored = [np.abs(a.data[a.indptr[i]:a.indptr[i + 1]]) for i in range(m)]
+    before = (a.data.copy(), a.indices.copy(), a.indptr.copy())
+    core = _SimplexCore(LinearProgram(objective=np.ones(n), lower=np.zeros(n),
+                                      upper=np.ones(n), a_rg=a,
+                                      rg_lower=np.full(m, -1.0),
+                                      rg_upper=np.full(m, 1.0)))
+    # rows scale by a power of two from their largest stored magnitude,
+    # duplicates are summed after scaling and zeros dropped
+    row_max = np.array([r.max() if r.size else 0.0 for r in stored])
+    scale = np.where(row_max > 0,
+                     np.exp2(-np.round(np.log2(np.where(row_max > 0, row_max, 1.0)))),
+                     1.0)
+    assert np.array_equal(-core.row_lo, scale)
+    dense = np.hstack([scale[:, None] * a.toarray(), -np.eye(m)])
+    mat = core._basis_matrix(basic)
+    assert np.array_equal(mat.toarray(), dense[:, basic])
+    assert np.all(mat.data != 0.0)
+    assert all(np.all(np.diff(mat.indices[mat.indptr[j]:mat.indptr[j + 1]]) > 0)
+               for j in range(m))
+    # the caller's matrix is only read
+    for was, now in zip(before, (a.data, a.indices, a.indptr)):
+        assert np.array_equal(was, now)
+
+
+@pytest.mark.parametrize("vstat_basic, basic", [
+    ([0], [0, 0]),              # a column listed twice
+    ([0, 1], [0, 0]),
+    ([0, 1], [0]),              # too few basic positions
+    ([0, 1, 2], [0, 1, 2]),     # too many
+    ([0, 3], [0, 4]),           # vstat and basic disagree
+])
+def test_malformed_outside_basis_starts_from_slacks(vstat_basic, basic):
+    lp = make_lp([1.0, 2.0, 3.0], a_ub=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                 b_ub=[4.0, 2.0], upper=[3.0, 3.0, 3.0])
+    cold = solve_lp(lp)
+    vstat = np.full(5, AT_LOWER, dtype=np.int8)
+    vstat[vstat_basic] = BASIC
+    bad = Basis(vstat=vstat, basic=np.array(basic))
+    core = _SimplexCore(lp)
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    start_vstat, start_basic = core._initial_basis(lo, up, bad)
+    assert start_basic.tolist() == [3, 4]
+    assert start_vstat[3:].tolist() == [BASIC, BASIC]
+    assert BASIC not in start_vstat[:3]
+    warm = solve_lp(lp, basis=bad)
+    assert warm.status is cold.status is LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    assert warm.iterations == cold.iterations
+
+
 def test_iteration_cap_raises_breakdown():
     from shipems.errors import NumericalBreakdown
     rng = np.random.default_rng(13)
