@@ -15,9 +15,10 @@ real-time per-step budget.
 A generator's ramp seam against the previous applied power involves
 one column, so it is folded into that column's bounds instead of a
 row, and the reach it implies tightens the bounds along the rest of
-the ramp-linked run.  When inconsistent input data would make the fold
-empty, the seam is emitted as an explicit row so that infeasibility
-surfaces from the solver rather than from the builder.
+the ramp-linked run.  Only inconsistent input data (a previous power
+the ramp cannot bring back into the box) makes the fold empty; the
+builder then raises InfeasibleWindow, naming the generator and the
+step.
 
 Each window also carries terminal unwind guards: piecewise-linear rows
 bounding the final-step storage power by the energy needed to ramp it
@@ -44,38 +45,35 @@ fallback for a shifted basis that proves numerically singular.
 Windows of one length differ in little, so a window is a template plus
 a per-step patch.  ``window_template`` builds, once per scenario,
 weights and window length, the column maps, the static column bounds,
-objective and integrality, and every row no step changes: the storage
-seam, ramp, SoC-recurrence and unwind-guard rows, the balance rows'
-columns and signs, and the SoC-gap pair rows, kept ready in CSR order.
-Each step folds the generator bounds (trips pin a column to zero, the
-seam and reachability fold into the bounds).  Which generator rows
-exist (ramp rows and any inconsistent-seam row come and go with the
-trips, and the fixed rows move down by their count) picks a row set:
-the window's whole row structure, row map and constant bounds, built
-the first time the template meets that set and kept on it.  A step
-then only patches in the demand on the balance rows, the generator and
-storage seam bounds and the first recurrence's right-hand side (the
-state's powers and SoC), and the starting basis.  A run of
-receding-horizon steps keeps one template per window length; a lone
-window builds a throwaway one.
+objective and integrality, and every row of the window, kept ready in
+CSR order: one structure per window length.  Each step folds the
+generator bounds (trips pin a column to zero, the seam and
+reachability fold into the bounds) and patches in the demand on the
+balance rows, the storage seam bounds and the first recurrence's
+right-hand side (the state's powers and SoC), the generator ramp rows'
+bounds, and the starting basis.  A generator's ramp row at steps
+1..h-1 is in every window: where the ramp applies it holds the ramp,
+and on a trip or recovery step (``plant.ramp_linked`` False) it widens
+to one MW past any move the unit's box allows.  That is never tight,
+so the widened row acts as no row, and finite, so a shifted basis may
+leave its slack at a bound.  A run of receding-horizon steps keeps one
+template per window length; a lone window builds a throwaway one.
 
-The rows keep the order of a window built from scratch: generator rows
-unit by unit, then each storage unit's rows, the balance rows and the
-pair rows.  Every window is therefore array-equal to that build.  The
-layout still serves a shifted basis without a step-major rewrite: the
-template records each fixed row's family, unit and step (a storage
-unit's seam is its ramp row at step 0, the guards belong to the last
-step), each window adds its generator rows by (unit, step), and
-``WindowLayout.row_at`` holds the result.  ``shifted_basis`` moves the
-previous window's optimal basis one step along with index arithmetic on
-those maps: step k takes the statuses of the previous window's step
-k + 1, and the last step copies the previous last step.  The index maps
-depend on the two row maps alone, so they are computed once per pair.
+The rows come in the order generator ramp rows unit by unit, then each
+storage unit's rows, the balance rows and the pair rows.  The template
+also records each row's family, unit and step (a storage unit's seam is
+its ramp row at step 0, the guards belong to the last step) in
+``row_at``, which ``WindowLayout.row_at`` shares.  ``shifted_basis``
+moves the previous window's optimal basis one step along with index
+arithmetic on those maps: step k takes the statuses of the previous
+window's step k + 1, and the last step copies the previous last step.
+The index maps depend on the two row maps alone, so they are computed
+once per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -83,7 +81,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import plant
-from .errors import DecodeMismatch
+from .errors import DecodeMismatch, InfeasibleWindow
 from .lp import AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram
 from .milp import MilpProblem, MilpSolution
 from .model import DispatchPlan, ObjectiveWeights, ScenarioSpec, SystemState
@@ -149,16 +147,18 @@ class WindowTemplate:
     """Everything a window shares with the other windows of its length
     in the same mission (see the module docstring).
 
-    The fixed rows (storage, balance and SoC-gap pair blocks) are kept
-    as CSR arrays whose row pointers start at the storage block; each
-    row set in ``row_sets`` appends them to its generator rows.
-    ``demand_at`` locates the balance rows' load entries, whose values
-    (the demand) each window supplies.  ``row_at`` gives the fixed row
+    The rows (generator ramp, storage, balance and SoC-gap pair
+    blocks) are kept as CSR arrays that every window of the length
+    shares.  ``demand_at`` locates the balance rows' load entries, whose
+    values (the demand) each window supplies.  ``row_at`` gives the row
     of each (family, unit) slot at each step, -1 where the slot has no
-    row at that step: per storage unit the seam (step 0) and ramp rows,
-    then the SoC recurrences, one slot per unwind guard (last step
-    only), the balance rows and the two rows of each SoC-gap pair.  The
-    arrays are read-only: a window copies what it patches.
+    row at that step: per generator the ramp rows (steps 1..h-1), per
+    storage unit the seam (step 0) and ramp rows, then the SoC
+    recurrences, one slot per unwind guard (last step only), the
+    balance rows and the two rows of each SoC-gap pair.  The generator
+    ramp rows come first and hold ``gen_ramp``; a window gives the rows
+    off the ramp the bounds ``gen_free``.  The arrays are read-only: a
+    window copies what it patches.
     """
 
     scenario: ScenarioSpec
@@ -176,21 +176,20 @@ class WindowTemplate:
     upper: np.ndarray
     objective: np.ndarray
     integrality: np.ndarray
-    indptr: np.ndarray         # fixed rows, CSR
+    indptr: np.ndarray         # every row, CSR
     indices: np.ndarray
     data: np.ndarray
     demand_at: np.ndarray      # (n_loads, h) positions in data
-    row_lo: np.ndarray         # storage seams and first recurrences patched
-    row_up: np.ndarray
-    seam_rows: np.ndarray      # (n_storage,) storage ramp seam
+    row_lo: np.ndarray         # generator ramps, storage seams and
+    row_up: np.ndarray         # first recurrences patched per window
+    patched: np.ndarray        # storage seams, then first recurrences
     rec_rows: np.ndarray       # (n_storage, h) SoC recurrence
     gap_rows: np.ndarray       # (2, n_pairs, h) u >= soc_l - soc_m, u >= soc_m - soc_l
     pair_units: np.ndarray     # (2, n_pairs) storage indices l, m
-    row_at: np.ndarray         # (fixed row slots, h)
+    row_at: np.ndarray         # (row slots, h)
     gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
+    gen_free: np.ndarray       # (2, n_generators) ramp row bounds off the ramp
     sto_ramp: np.ndarray       # (2, n_storage)
-    # generator-row mask bytes -> _WindowRows, filled as windows need them
-    row_sets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         _read_only(self)
@@ -264,13 +263,16 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     upper[us_cols] = np.maximum(soc_max[pair_units[0]], soc_max[pair_units[1]])[:, None]
     objective[us_cols] = -weights.imbalance
 
+    # generator ramp rows p_k - p_{k-1}, unit by unit, at steps 1..h-1
+    gen_end = ng * (h - 1)
+    gen_rows = np.arange(gen_end).reshape(ng, h - 1)
     # storage rows, unit by unit: the ramp seam against the previous
     # applied power, ramps, the kinematics
     # soc_k - soc_{k-1} + (dt/E)(dis_k - chg_k) = 0, terminal guards
     guards = [plant.unwind_guards(sto, dt) for sto in stos]
     n_guards = np.array([len(g) for g in guards], dtype=np.int64)
     size = 2 * h + n_guards
-    seam_rows = np.cumsum(size) - size
+    seam_rows = gen_end + np.cumsum(size) - size
     ramp_rows = seam_rows[:, None] + np.arange(1, h)
     rec_rows = seam_rows[:, None] + h + np.arange(h)
     guard_rows = np.arange(n_guards.sum()) + np.repeat(
@@ -278,14 +280,16 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     guard_abc = np.array([g for unit in guards for g in unit]).reshape(-1, 3)
     last = np.stack([dis_cols[:, h - 1], chg_cols[:, h - 1], soc_cols[:, h - 1]], -1)
     rate = soc_rate[:, None]
-    n_sto = int(size.sum())
-    balance_rows = n_sto + np.arange(h)
-    gap_rows = (n_sto + h + 2 * np.arange(npairs * h).reshape(npairs, h)
+    sto_end = gen_end + int(size.sum())
+    balance_rows = sto_end + np.arange(h)
+    gap_rows = (sto_end + h + 2 * np.arange(npairs * h).reshape(npairs, h)
                 + np.array([0, 1])[:, None, None])
     pair_cols = np.stack([soc_cols[pair_units[0]], soc_cols[pair_units[1]], us_cols], -1)
     bal_cols = np.concatenate([dis_cols, chg_cols, gen_cols]).T
     bal_sign = np.concatenate([-np.ones(ne), np.ones(ne), -np.ones(ng)])
     blocks = [
+        _triplets(gen_rows, np.stack([gen_cols[:, :-1], gen_cols[:, 1:]], -1),
+                  [-1.0, 1.0]),
         _triplets(seam_rows, np.stack([dis_cols[:, 0], chg_cols[:, 0]], -1),
                   [1.0, -1.0]),
         _triplets(ramp_rows,
@@ -311,43 +315,52 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
         _triplets(np.broadcast_to(balance_rows, (nl, h)), load_cols[..., None], 0.0),
     ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    m = n_sto + h + 2 * npairs * h
+    m = sto_end + h + 2 * npairs * h
     order = np.lexsort((cols, rows))       # CSR order: by row, then column
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
+    gen_ramp = np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
+                         _unit_values(gens, "ramp_up_mw_s") * dt])
     sto_ramp = np.stack([_unit_values(stos, "ramp_down_mw_s") * dt,
                          _unit_values(stos, "ramp_up_mw_s") * dt])
+    # off the ramp a generator row widens to one MW past any move its box
+    # allows, a tripped step at zero included (see the module docstring)
+    reach = (np.maximum(_unit_values(gens, "p_max_mw"), 0.0)
+             - np.minimum(_unit_values(gens, "p_min_mw"), 0.0) + 1.0)
     # recurrences are equalities and seams are patched; balance and
     # pair rows are <= 0
     row_lo = np.full(m, -np.inf)
     row_up = np.zeros(m)
-    row_lo[:n_sto] = 0.0
+    row_lo[gen_rows] = gen_ramp[0][:, None]
+    row_up[gen_rows] = gen_ramp[1][:, None]
+    row_lo[gen_end:sto_end] = 0.0
     row_lo[ramp_rows] = sto_ramp[0][:, None]
     row_up[ramp_rows] = sto_ramp[1][:, None]
     row_lo[guard_rows] = -np.inf
     row_up[guard_rows] = guard_abc[:, 2]
     n_guard = guard_rows.size
-    row_at = np.full((2 * ne + n_guard + 1 + 2 * npairs, h), -1, dtype=np.int64)
-    row_at[:ne, 0] = seam_rows
-    row_at[:ne, 1:] = ramp_rows
-    row_at[ne:2 * ne] = rec_rows
-    row_at[2 * ne:2 * ne + n_guard, h - 1] = guard_rows
-    row_at[2 * ne + n_guard] = balance_rows
-    row_at[2 * ne + n_guard + 1:] = gap_rows.reshape(-1, h)
+    row_at = np.full((ng + 2 * ne + n_guard + 1 + 2 * npairs, h), -1, dtype=np.int64)
+    row_at[:ng, 1:] = gen_rows
+    sto_at = row_at[ng:]
+    sto_at[:ne, 0] = seam_rows
+    sto_at[:ne, 1:] = ramp_rows
+    sto_at[ne:2 * ne] = rec_rows
+    sto_at[2 * ne:2 * ne + n_guard, h - 1] = guard_rows
+    sto_at[2 * ne + n_guard] = balance_rows
+    sto_at[2 * ne + n_guard + 1:] = gap_rows.reshape(-1, h)
     return WindowTemplate(
         scenario=scenario, weights=weights, horizon=h, load_cols=load_cols,
         gen_cols=gen_cols, dis_cols=dis_cols, chg_cols=chg_cols,
         soc_cols=soc_cols, us_cols=us_cols, w_hat=w_hat, step_sizes=step_sizes,
         lower=lower, upper=upper, objective=objective, integrality=integrality,
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]),
-        indices=cols[order], data=vals[order],
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]
+                              ).astype(np.int32),
+        indices=cols[order].astype(np.int32), data=vals[order],
         demand_at=position[order.size - nl * h:].reshape(nl, h),
         row_lo=row_lo, row_up=row_up,
-        seam_rows=seam_rows, rec_rows=rec_rows, gap_rows=gap_rows,
-        pair_units=pair_units, row_at=row_at,
-        gen_ramp=np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
-                           _unit_values(gens, "ramp_up_mw_s") * dt]),
-        sto_ramp=sto_ramp)
+        patched=np.concatenate([seam_rows, rec_rows[:, 0]]),
+        rec_rows=rec_rows, gap_rows=gap_rows, pair_units=pair_units, row_at=row_at,
+        gen_ramp=gen_ramp, gen_free=np.stack([-reach, reach]), sto_ramp=sto_ramp)
 
 
 def build_window_milp(scenario: ScenarioSpec, state: SystemState,
@@ -384,20 +397,22 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     demand = scenario.demand_mw[:, t0:t0 + h].copy()
     soc0 = np.asarray(state.soc, dtype=float)
     lower, upper = tpl.lower.copy(), tpl.upper.copy()
-    has_row, seam = _fold_generators(tpl, state, t0, lower, upper)
-    rows = _window_rows(tpl, has_row)
-    data = rows.data.copy()
-    data[rows.demand_at] = demand * tpl.step_sizes[:, None]
+    linked = _fold_generators(tpl, state, t0, lower, upper)
+    data = tpl.data.copy()
+    data[tpl.demand_at] = demand * tpl.step_sizes[:, None]
     prev_sto = np.asarray(state.prev_storage_power, dtype=float)
-    row_lo, row_up = rows.row_lo.copy(), rows.row_up.copy()
-    row_lo[rows.patched] = np.concatenate([seam[0, rows.seam_units],
-                                           prev_sto + tpl.sto_ramp[0], soc0])
-    row_up[rows.patched] = np.concatenate([seam[1, rows.seam_units],
-                                           prev_sto + tpl.sto_ramp[1], soc0])
+    row_lo, row_up = tpl.row_lo.copy(), tpl.row_up.copy()
+    # the generator ramp rows lead, unit by unit: off the ramp they widen
+    gen_lo, gen_up = np.where(linked[:, 1:], tpl.gen_ramp[..., None],
+                              tpl.gen_free[..., None])
+    row_lo[:gen_lo.size] = gen_lo.ravel()
+    row_up[:gen_up.size] = gen_up.ravel()
+    row_lo[tpl.patched] = np.concatenate([prev_sto + tpl.sto_ramp[0], soc0])
+    row_up[tpl.patched] = np.concatenate([prev_sto + tpl.sto_ramp[1], soc0])
 
     n, m = tpl.lower.size, row_lo.size
     lp = LinearProgram(objective=tpl.objective.copy(), lower=lower, upper=upper,
-                       a_rg=sp.csr_matrix((data, rows.indices, rows.indptr),
+                       a_rg=sp.csr_matrix((data, tpl.indices, tpl.indptr),
                                           shape=(m, n)),
                        rg_lower=row_lo, rg_upper=row_up)
     layout = WindowLayout(start_step=t0, horizon=h, load_cols=tpl.load_cols,
@@ -405,8 +420,8 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                           charge_cols=tpl.chg_cols, soc_cols=tpl.soc_cols,
                           soc_gap_cols=tpl.us_cols, weights=weights,
                           w_hat=tpl.w_hat, step_sizes=tpl.step_sizes,
-                          demand=demand, row_at=rows.row_at)
-    crash = partial(_crash_basis, tpl, rows.n_gen, m, upper, demand, soc0)
+                          demand=demand, row_at=tpl.row_at)
+    crash = partial(_crash_basis, tpl, upper, demand, soc0)
     shifted = None if previous is None else shifted_basis(*previous, layout)
     problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
                           basis_hint=crash() if shifted is None else shifted,
@@ -422,20 +437,20 @@ def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
     (``plant.ramp_linked``, which must be the same inside a window and
     on a window seam, or receding-horizon runs diverge from the
     baseline) the bounds shrink to what the ramp reaches from the step
-    before, and a ramp row links the two columns.  The first column
-    folds its seam against the state's power; when inconsistent input
-    data would make that fold empty, the box stays and the seam becomes
-    an explicit row, so that the solver reports the infeasibility.
-    Returns the (n_generators, h) mask of the steps with a generator
-    row and the seam bounds (2, n_generators) against the state.
+    before; the ramp row between the two columns keeps its ramp
+    bounds, while off the ramp the window widens it.  The first column
+    folds its seam against the state's power.  Returns the
+    (n_generators, h) ``plant.ramp_linked`` mask.  Raises
+    InfeasibleWindow, naming the generator and the step, when the seam
+    fold is empty: the state's power cannot reach the unit's box, which
+    inconsistent input data alone brings about.
     """
     scenario, h, gc = tpl.scenario, tpl.horizon, tpl.gen_cols
     avail = scenario.availability()[:, t0:t0 + h]
     linked = plant.ramp_linked(scenario, t0, h)
-    seam = np.asarray(state.prev_generator_power, dtype=float) + tpl.gen_ramp
+    prev = np.asarray(state.prev_generator_power, dtype=float)
     rdn, rup = tpl.gen_ramp.tolist()
-    seam_lo, seam_up = seam.tolist()
-    has_row = linked.copy()
+    seam_lo, seam_up = (prev + tpl.gen_ramp).tolist()
     # a run of linked steps folds left to right: plain floats, one (g, k)
     # at a time, in the same operations as the rows they stand for
     lo = np.where(avail, tpl.lower[gc], 0.0).tolist()
@@ -448,76 +463,14 @@ def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
         elif max(lo_g[0], seam_lo[g]) <= min(up_g[0], seam_up[g]) + 1e-12:
             lo_g[0] = max(lo_g[0], seam_lo[g])
             up_g[0] = min(up_g[0], seam_up[g])
-            has_row[g, 0] = False
+        else:
+            raise InfeasibleWindow(
+                f"generator {scenario.generators[g].id} at step {t0}: previous "
+                f"power {prev[g]:.6g} MW cannot ramp into "
+                f"[{lo_g[0]:.6g}, {up_g[0]:.6g}] MW")
     lower[gc] = np.reshape(lo, gc.shape)
     upper[gc] = np.reshape(up, gc.shape)
-    return has_row, seam
-
-
-@dataclass(frozen=True, eq=False)
-class _WindowRows:
-    """The rows of a template's windows that share one set of generator
-    rows: the generator rows first, then the template's fixed rows.
-
-    Everything here depends on the template and that set alone.  A
-    window copies ``data`` and the bounds, sets the demand entries
-    (``demand_at``) and the bounds of the ``patched`` rows: the
-    generator seam rows (of the units ``seam_units``), then the storage
-    seams and the first SoC recurrences.
-    """
-
-    n_gen: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    demand_at: np.ndarray
-    row_lo: np.ndarray
-    row_up: np.ndarray
-    patched: np.ndarray
-    seam_units: np.ndarray
-    row_at: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self)
-
-
-def _window_rows(tpl: WindowTemplate, has_row: np.ndarray) -> _WindowRows:
-    """The template's rows for the generator-row mask ``has_row``, built
-    on first use and kept on the template."""
-    key = has_row.tobytes()
-    rows = tpl.row_sets.get(key)
-    if rows is not None:
-        return rows
-    gc = tpl.gen_cols
-    # a ramp row is [-1, 1] on the columns (k-1, k), a seam row [1] on k
-    g, k = np.nonzero(has_row)
-    ramp = k > 0
-    n_gen = g.size
-    g_ptr = np.concatenate([[0], np.cumsum(1 + ramp)])
-    g_idx = np.empty(g_ptr[-1], dtype=np.int64)
-    g_data = np.ones(g_ptr[-1])
-    g_idx[g_ptr[1:] - 1] = gc[g, k]
-    before = g_ptr[:-1][ramp]
-    g_idx[before] = gc[g[ramp], k[ramp] - 1]
-    g_data[before] = -1.0
-    g_at = np.full(gc.shape, -1, dtype=np.int64)
-    g_at[g, k] = np.arange(n_gen)
-    # the seam rows' bounds are placeholders until a window patches them
-    g_lo, g_up = np.where(ramp, tpl.gen_ramp[:, g], np.nan)
-    rows = _WindowRows(
-        n_gen=n_gen,
-        indptr=np.concatenate([g_ptr, tpl.indptr[1:] + g_ptr[-1]]).astype(np.int32),
-        indices=np.concatenate([g_idx, tpl.indices]).astype(np.int32),
-        data=np.concatenate([g_data, tpl.data]),
-        demand_at=tpl.demand_at + g_ptr[-1],
-        row_lo=np.concatenate([g_lo, tpl.row_lo]),
-        row_up=np.concatenate([g_up, tpl.row_up]),
-        patched=np.concatenate([np.flatnonzero(~ramp), tpl.seam_rows + n_gen,
-                                tpl.rec_rows[:, 0] + n_gen]),
-        seam_units=g[~ramp],
-        row_at=np.concatenate([g_at, np.where(tpl.row_at < 0, -1, tpl.row_at + n_gen)]))
-    tpl.row_sets[key] = rows
-    return rows
+    return linked
 
 
 def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
@@ -597,8 +550,8 @@ def _shift_maps(prev_rows: bytes, prev_shape: tuple, n0: int,
     return maps
 
 
-def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
-                 demand: np.ndarray, soc0: np.ndarray) -> Basis:
+def _crash_basis(tpl: WindowTemplate, upper: np.ndarray, demand: np.ndarray,
+                 soc0: np.ndarray) -> Basis:
     """Starting basis for the window LP (see the module docstring).
 
     Crash dispatch: generators at their reachable maxima, storage idle,
@@ -623,7 +576,7 @@ def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
     gap = soc0[tpl.pair_units[0]] - soc0[tpl.pair_units[1]]
     spread = np.abs(gap) > 1e-12
 
-    n = tpl.lower.size
+    n, m = tpl.lower.size, tpl.row_lo.size
     vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
     vstat[n:] = BASIC
     basic = np.arange(n, n + m, dtype=np.int64)
@@ -636,7 +589,6 @@ def _crash_basis(tpl: WindowTemplate, n_gen: int, m: int, upper: np.ndarray,
               np.where(gap[:, None] > 0, tpl.gap_rows[0], tpl.gap_rows[1])[spread],
               AT_UPPER))
     for cols, rows, park in swaps:
-        rows = rows + n_gen
         vstat[n + rows] = park
         vstat[cols] = BASIC
         basic[rows] = cols

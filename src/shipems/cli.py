@@ -204,11 +204,11 @@ def build_parser():
 
     p_syn = sub.add_parser("synth", help="write a deterministic synthetic scenario")
     p_syn.add_argument("--seed", type=int, required=True)
-    p_syn.add_argument("--loads", type=int, default=8)
-    p_syn.add_argument("--gens", type=int, default=2)
-    p_syn.add_argument("--storage", type=int, default=4)
-    p_syn.add_argument("--steps", type=int, default=240)
-    p_syn.add_argument("--dt", type=float, default=0.5)
+    p_syn.add_argument("--loads", type=_positive_int, default=8)
+    p_syn.add_argument("--gens", type=_positive_int, default=2)
+    p_syn.add_argument("--storage", type=_positive_int, default=4)
+    p_syn.add_argument("--steps", type=_positive_int, default=240)
+    p_syn.add_argument("--dt", type=_positive_float, default=0.5)
     p_syn.add_argument("--out", required=True)
     p_syn.set_defaults(func=cmd_synth)
     return parser

@@ -132,6 +132,8 @@ def _parse_generator(doc, idx, dt, steps):
         _require(isinstance(window, (list, tuple)) and len(window) == 2, wpath,
                  "expected [from_s, to_s]")
         t_from, t_to = (_number(t, f"{wpath}[{i}]") for i, t in enumerate(window))
+        for i, t in enumerate((t_from, t_to)):
+            _require(np.isfinite(t), f"{wpath}[{i}]", f"expected a finite time, got {t!r}")
         _require(t_from < t_to, wpath, "need from_s < to_s")
         idx_from = int(np.ceil(t_from / dt - 1e-9))
         idx_to = int(np.ceil(t_to / dt - 1e-9))

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from shipems.builder import build_window_milp, decode_plan, window_variable_count
-from shipems.errors import DecodeMismatch
+from shipems.errors import DecodeMismatch, InfeasibleWindow
 from shipems.io import parse_scenario, synth_scenario
 from shipems.lp import AT_UPPER, TOL, LpStatus, solve_lp
 from shipems.milp import MilpStatus, SolverConfig, solve_milp
@@ -266,8 +266,9 @@ def test_reused_template_builds_the_fresh_window():
     # one small mission through a generator trip and its recovery, a
     # stepped load, a battery with four unwind guard rows per side next
     # to a supercapacitor that stops within one step (one row per side),
-    # and the shrinking windows at mission end; one extra state carries
-    # an inconsistent generator seam (the explicit seam row)
+    # and the shrinking windows at mission end; every window of one
+    # length has one row structure.  A state whose generator power its
+    # ramp cannot bring back into the box is a build error
     import copy
     from shipems.engine import run_rho
 
@@ -287,12 +288,9 @@ def test_reused_template_builds_the_fresh_window():
     run_rho(sc, weights, horizon,
             feedback=lambda s: states.append(copy.deepcopy(s)) or s)
     states.pop()                                  # step T is past the mission
-    bad_seam = copy.deepcopy(states[2])
-    bad_seam.prev_generator_power = np.array([4.0, 20.0])
-    states.insert(3, bad_seam)
 
     templates = {}
-    rows = []
+    structure = {}
     for state in states:
         shared, layout = build_window_milp(sc, state, weights, horizon,
                                            templates=templates)
@@ -300,8 +298,16 @@ def test_reused_template_builds_the_fresh_window():
         for name, value in window_arrays(fresh).items():
             np.testing.assert_array_equal(window_arrays(shared)[name], value,
                                           err_msg=f"{name} at step {state.step_index}")
-        rows.append(shared.lp.n_rows)
+        first = structure.setdefault(layout.horizon, shared.lp.a_rg)
+        for name in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(shared.lp.a_rg, name),
+                                          getattr(first, name),
+                                          err_msg=f"{name} at step {state.step_index}")
         if 4 <= state.step_index <= 6:
             assert not shared.lp.upper[layout.gen_cols[1, 0]]
     assert sorted(templates) == [1, 2, 3, 4, 5]
-    assert rows[3] == rows[2] + 1                 # the explicit seam row
+
+    bad_seam = copy.deepcopy(states[2])
+    bad_seam.prev_generator_power = np.array([4.0, 20.0])
+    with pytest.raises(InfeasibleWindow, match="generator G1 at step 2"):
+        build_window_milp(sc, bad_seam, weights, horizon, templates=templates)

@@ -121,6 +121,18 @@ def test_np_must_be_positive(small_scenario, tmp_path, capsys, command, value):
     assert "--np" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--loads", "--gens", "--storage", "--steps", "--dt"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_synth_sizes_must_be_positive(tmp_path, capsys, option, value):
+    # --dt -0.5 used to write a file that validate rejects, with exit 0
+    out = tmp_path / "synth.yaml"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--seed", "1", option, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scenario_file_is_scenario_error(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--mode", "fho",
                "--out", str(tmp_path)])

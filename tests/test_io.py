@@ -197,6 +197,18 @@ demand:
         assert not avail[20:40].any()
         assert avail[40:].all()
 
+    @pytest.mark.parametrize("window, path", [
+        ("[1.0, .inf]", "generators[0].outages[0][1]"),
+        ("[-.inf, 1.0]", "generators[0].outages[0][0]"),
+    ])
+    def test_infinite_outage_bound_is_a_schema_error(self, tmp_path, window, path):
+        # an infinite time has no step index; the error names the field
+        text = MINIMAL.replace("initial_mw: 5.0}",
+                               f"initial_mw: 5.0, outages: [{window}]}}")
+        with pytest.raises(SchemaError) as err:
+            load_scenario(write(tmp_path, text))
+        assert path in str(err.value)
+
 
 class TestRoundTrip:
     def test_document_round_trip(self, tmp_path):
