@@ -56,19 +56,21 @@ bounds, and the starting basis.  A generator's ramp row at steps
 and on a trip or recovery step (``plant.ramp_linked`` False) it widens
 to one MW past any move the unit's box allows.  That is never tight,
 so the widened row acts as no row, and finite, so a shifted basis may
-leave its slack at a bound.  A run of receding-horizon steps keeps one
-template per window length; a lone window builds a throwaway one.
+leave its slack at a bound.  The template is also the window's layout:
+``build_window_milp`` returns it with the problem, and the next step
+of a receding-horizon run passes it back as ``previous`` with the root
+basis, so a run of windows of one length builds one template and each
+shorter window at mission end builds its own.
 
 The rows come in the order generator ramp rows unit by unit, then each
 storage unit's rows, the balance rows and the pair rows.  The template
 also records each row's family, unit and step (a storage unit's seam is
 its ramp row at step 0, the guards belong to the last step) in
-``row_at``, which ``WindowLayout.row_at`` shares.  ``shifted_basis``
-moves the previous window's optimal basis one step along with index
-arithmetic on those maps: step k takes the statuses of the previous
-window's step k + 1, and the last step copies the previous last step.
-The index maps depend on the two row maps alone, so they are computed
-once per pair.
+``WindowTemplate.row_at``.  ``shifted_basis`` moves the previous
+window's optimal basis one step along with index arithmetic on those
+maps: step k takes the statuses of the previous window's step k + 1,
+and the last step copies the previous last step.  The index maps
+depend on the two row maps alone, so they are computed once per pair.
 """
 
 from __future__ import annotations
@@ -85,36 +87,6 @@ from .errors import DecodeMismatch, InfeasibleWindow
 from .lp import AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram
 from .milp import MilpProblem, MilpSolution
 from .model import DispatchPlan, ObjectiveWeights, ScenarioSpec, SystemState
-
-
-@dataclass(frozen=True)
-class WindowLayout:
-    """Column/row map of one built window plus decode context.
-
-    Storage power is carried as a discharge/charge split: the net power
-    is ``x[discharge_cols] - x[charge_cols]`` and the absolute-power
-    auxiliary of the linearized objective is their sum.
-    """
-
-    start_step: int
-    horizon: int
-    load_cols: np.ndarray      # (n_loads, h)
-    gen_cols: np.ndarray       # (n_generators, h)
-    discharge_cols: np.ndarray     # (n_storage, h)
-    charge_cols: np.ndarray        # (n_storage, h)
-    soc_cols: np.ndarray       # (n_storage, h)
-    soc_gap_cols: np.ndarray       # (n_pairs, h)
-    weights: ObjectiveWeights
-    w_hat: np.ndarray          # per-load weight * rated power (unscaled)
-    step_sizes: np.ndarray     # per-load decode granularity
-    demand: np.ndarray         # (n_loads, h) raw MW
-    row_at: np.ndarray         # (row slots, h) row per family, unit, step; -1: none
-
-    @property
-    def n_cols(self) -> int:
-        return (self.load_cols.size + self.gen_cols.size
-                + self.discharge_cols.size + self.charge_cols.size
-                + self.soc_cols.size + self.soc_gap_cols.size)
 
 
 def window_variable_count(n_loads: int, n_generators: int, n_storage: int,
@@ -145,20 +117,24 @@ def _triplets(rows, cols, vals):
 @dataclass(frozen=True, eq=False)
 class WindowTemplate:
     """Everything a window shares with the other windows of its length
-    in the same mission (see the module docstring).
+    in the same mission (see the module docstring), and the column/row
+    map that decodes and shifts each of them.
 
-    The rows (generator ramp, storage, balance and SoC-gap pair
-    blocks) are kept as CSR arrays that every window of the length
-    shares.  ``demand_at`` locates the balance rows' load entries, whose
-    values (the demand) each window supplies.  ``row_at`` gives the row
-    of each (family, unit) slot at each step, -1 where the slot has no
-    row at that step: per generator the ramp rows (steps 1..h-1), per
-    storage unit the seam (step 0) and ramp rows, then the SoC
-    recurrences, one slot per unwind guard (last step only), the
-    balance rows and the two rows of each SoC-gap pair.  The generator
-    ramp rows come first and hold ``gen_ramp``; a window gives the rows
-    off the ramp the bounds ``gen_free``.  The arrays are read-only: a
-    window copies what it patches.
+    Storage power is carried as a discharge/charge split: the net power
+    is ``x[discharge_cols] - x[charge_cols]`` and the absolute-power
+    auxiliary of the linearized objective is their sum.  The rows
+    (generator ramp, storage, balance and SoC-gap pair blocks) are kept
+    as CSR arrays that every window of the length shares.  ``demand_at``
+    locates the balance rows' load entries, whose values (the demand)
+    each window supplies.  ``row_at`` gives the row of each (family,
+    unit) slot at each step, -1 where the slot has no row at that step:
+    per generator the ramp rows (steps 1..h-1), per storage unit the
+    seam (step 0) and ramp rows, then the SoC recurrences, one slot per
+    unwind guard (last step only), the balance rows and the two rows of
+    each SoC-gap pair.  The generator ramp rows come first and hold
+    ``gen_ramp``; a window gives the rows off the ramp the bounds
+    ``gen_free``.  The arrays are read-only: a window copies what it
+    patches.
     """
 
     scenario: ScenarioSpec
@@ -166,12 +142,12 @@ class WindowTemplate:
     horizon: int
     load_cols: np.ndarray      # (n_loads, h)
     gen_cols: np.ndarray       # (n_generators, h)
-    dis_cols: np.ndarray       # (n_storage, h)
-    chg_cols: np.ndarray       # (n_storage, h)
+    discharge_cols: np.ndarray  # (n_storage, h)
+    charge_cols: np.ndarray    # (n_storage, h)
     soc_cols: np.ndarray       # (n_storage, h)
-    us_cols: np.ndarray        # (n_pairs, h)
-    w_hat: np.ndarray
-    step_sizes: np.ndarray
+    soc_gap_cols: np.ndarray   # (n_pairs, h)
+    w_hat: np.ndarray          # per-load weight * rated power (unscaled)
+    step_sizes: np.ndarray     # per-load decode granularity
     lower: np.ndarray          # generator columns hold their boxes
     upper: np.ndarray
     objective: np.ndarray
@@ -192,13 +168,13 @@ class WindowTemplate:
     sto_ramp: np.ndarray       # (2, n_storage)
 
     def __post_init__(self):
-        _read_only(self)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
-
-def _read_only(obj):
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+    @property
+    def n_cols(self) -> int:
+        return self.lower.size
 
 
 def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -350,8 +326,8 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     sto_at[2 * ne + n_guard + 1:] = gap_rows.reshape(-1, h)
     return WindowTemplate(
         scenario=scenario, weights=weights, horizon=h, load_cols=load_cols,
-        gen_cols=gen_cols, dis_cols=dis_cols, chg_cols=chg_cols,
-        soc_cols=soc_cols, us_cols=us_cols, w_hat=w_hat, step_sizes=step_sizes,
+        gen_cols=gen_cols, discharge_cols=dis_cols, charge_cols=chg_cols,
+        soc_cols=soc_cols, soc_gap_cols=us_cols, w_hat=w_hat, step_sizes=step_sizes,
         lower=lower, upper=upper, objective=objective, integrality=integrality,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]
                               ).astype(np.int32),
@@ -365,20 +341,18 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
 
 def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                       weights: ObjectiveWeights, horizon: int, *,
-                      templates: Optional[dict] = None,
                       previous: Optional[tuple] = None):
     """Build the dispatch MILP for the window starting at state.step_index.
 
-    The window shrinks at mission end.  ``templates`` maps a window
-    length to its template; a mission passes one dict, for one scenario
-    and one set of weights, to every step, and templates missing from
-    it are built and added.  Without it a template is built for this
-    window alone.  ``previous`` is the (WindowLayout, optimal root
-    Basis) of the step before, if any.  Returns (MilpProblem,
-    WindowLayout).  The problem's basis hint for the root relaxation is
-    ``previous``'s basis shifted one step (``shifted_basis``), with the
-    crash basis as its lazily built fallback, or the crash basis itself
-    when there is nothing to shift.
+    The window shrinks at mission end.  ``previous`` is the
+    (WindowTemplate, optimal root Basis or None) of the step before, if
+    any, built for the same scenario and weights.  A window of its
+    length reuses its template; any other window (the first, each
+    shrinking window at mission end, a lone window) builds its own.
+    Returns (MilpProblem, WindowTemplate).  The problem's basis hint
+    for the root relaxation is ``previous``'s basis shifted one step
+    (``shifted_basis``), with the crash basis as its lazily built
+    fallback, or the crash basis itself when there is nothing to shift.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -386,15 +360,13 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     if not 0 <= t0 < scenario.steps:
         raise ValueError(f"step_index {t0} outside mission of {scenario.steps} steps")
     h = min(horizon, scenario.steps - t0)
-    tpl = None if templates is None else templates.get(h)
-    if tpl is None:
-        tpl = window_template(scenario, weights, h)
-        if templates is not None:
-            templates[h] = tpl
-    elif tpl.scenario is not scenario or tpl.weights != weights:
-        raise ValueError("templates were built for another scenario or weights")
+    prev, basis = previous or (None, None)
+    if prev is not None and (prev.scenario is not scenario or prev.weights != weights):
+        raise ValueError("previous window was built for another scenario or weights")
+    reuse = prev is not None and prev.horizon == h
+    tpl = prev if reuse else window_template(scenario, weights, h)
 
-    demand = scenario.demand_mw[:, t0:t0 + h].copy()
+    demand = scenario.demand_mw[:, t0:t0 + h]
     soc0 = np.asarray(state.soc, dtype=float)
     lower, upper = tpl.lower.copy(), tpl.upper.copy()
     linked = _fold_generators(tpl, state, t0, lower, upper)
@@ -410,23 +382,16 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     row_lo[tpl.patched] = np.concatenate([prev_sto + tpl.sto_ramp[0], soc0])
     row_up[tpl.patched] = np.concatenate([prev_sto + tpl.sto_ramp[1], soc0])
 
-    n, m = tpl.lower.size, row_lo.size
     lp = LinearProgram(objective=tpl.objective.copy(), lower=lower, upper=upper,
                        a_rg=sp.csr_matrix((data, tpl.indices, tpl.indptr),
-                                          shape=(m, n)),
+                                          shape=(row_lo.size, tpl.n_cols)),
                        rg_lower=row_lo, rg_upper=row_up)
-    layout = WindowLayout(start_step=t0, horizon=h, load_cols=tpl.load_cols,
-                          gen_cols=tpl.gen_cols, discharge_cols=tpl.dis_cols,
-                          charge_cols=tpl.chg_cols, soc_cols=tpl.soc_cols,
-                          soc_gap_cols=tpl.us_cols, weights=weights,
-                          w_hat=tpl.w_hat, step_sizes=tpl.step_sizes,
-                          demand=demand, row_at=tpl.row_at)
     crash = partial(_crash_basis, tpl, upper, demand, soc0)
-    shifted = None if previous is None else shifted_basis(*previous, layout)
+    shifted = None if basis is None else shifted_basis(prev, basis, tpl)
     problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
                           basis_hint=crash() if shifted is None else shifted,
                           fallback_basis=None if shifted is None else crash)
-    return problem, layout
+    return problem, tpl
 
 
 def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
@@ -473,10 +438,10 @@ def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
     return linked
 
 
-def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
-                  layout: WindowLayout) -> Optional[Basis]:
+def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
+                  tpl: WindowTemplate) -> Optional[Basis]:
     """The basis of the previous step's window moved one step along, for
-    the window ``layout`` of the same mission.
+    the window of ``tpl`` in the same mission.
 
     Step k of the window takes the statuses of the columns and row
     slacks of the previous window's step k + 1; the last step copies
@@ -489,11 +454,11 @@ def shifted_basis(prev_layout: WindowLayout, prev_basis: Basis,
     singular; the simplex repairs it, giving up positions near the end
     of the window first.
     """
-    n1 = layout.n_cols
-    stride = n1 // layout.horizon
+    n1 = tpl.n_cols
+    stride = n1 // tpl.horizon
     gather, last_slacks, order = _shift_maps(
-        prev_layout.row_at.tobytes(), prev_layout.row_at.shape, prev_layout.n_cols,
-        layout.row_at.tobytes(), layout.row_at.shape, n1)
+        prev_tpl.row_at.tobytes(), prev_tpl.row_at.shape, prev_tpl.n_cols,
+        tpl.row_at.tobytes(), tpl.row_at.shape, n1)
     m1 = order.size - n1
     # the last entry stands for "no counterpart": a basic slack
     vstat = np.append(prev_basis.vstat, np.int8(BASIC))[gather]
@@ -585,7 +550,7 @@ def _crash_basis(tpl: WindowTemplate, upper: np.ndarray, demand: np.ndarray,
     # each crash basic replaces the slack of the row it makes tight;
     # a recurrence slack is fixed (lo == up), so either park is exact
     swaps = ((tpl.soc_cols, tpl.rec_rows, AT_LOWER),
-             (tpl.us_cols[spread],
+             (tpl.soc_gap_cols[spread],
               np.where(gap[:, None] > 0, tpl.gap_rows[0], tpl.gap_rows[1])[spread],
               AT_UPPER))
     for cols, rows, park in swaps:
@@ -595,16 +560,18 @@ def _crash_basis(tpl: WindowTemplate, upper: np.ndarray, demand: np.ndarray,
     return Basis(vstat=vstat, basic=basic)
 
 
-def decode_plan(solution: MilpSolution, layout: WindowLayout,
+def decode_plan(solution: MilpSolution, layout: WindowTemplate,
                 scenario: ScenarioSpec, state: SystemState) -> DispatchPlan:
     """Decode a solver vector into a dispatch plan and re-audit it.
 
-    Stepped-load integers are multiplied back by their step size; the
-    SoC trajectory is recomputed through the one-step kinematics and
-    must match the window's internal SoC columns; the objective
-    recombined from the decoded terms must match the solver objective.
-    Raises DecodeMismatch when the audit fails (a layout bug, not a
-    data error).
+    ``layout`` is the window's template and ``state`` the state it was
+    built from, whose step index the plan starts at.  Stepped-load
+    integers are multiplied back by their step size; the SoC trajectory
+    is recomputed through the one-step kinematics and must match the
+    window's internal SoC columns; the objective recombined from the
+    decoded terms must match the solver objective.  Raises
+    DecodeMismatch when the audit fails (a layout bug, not a data
+    error).
     """
     if not solution.has_incumbent:
         raise ValueError("solution carries no incumbent to decode")
@@ -631,7 +598,7 @@ def decode_plan(solution: MilpSolution, layout: WindowLayout,
         raise DecodeMismatch(
             f"recombined objective {recombined:.9g} deviates from solver "
             f"value {solution.objective_value:.9g}")
-    return DispatchPlan(start_step=layout.start_step, load_fraction=frac,
+    return DispatchPlan(start_step=int(state.step_index), load_fraction=frac,
                         gen_power=gen_power, storage_power=sto_power, soc=soc,
                         terms=terms, objective=solution.objective_value)
 

@@ -43,8 +43,8 @@ def _parse_weights(text):
 
 def _positive_float(text):
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 

@@ -111,30 +111,27 @@ def _mission_result(scenario: ScenarioSpec, weights: ObjectiveWeights,
 
 def _window_step(scenario: ScenarioSpec, state: SystemState,
                  weights: ObjectiveWeights, horizon: int, cfg: SolverConfig,
-                 tick: float, what: str, templates: Optional[dict] = None,
-                 previous: Optional[tuple] = None):
+                 tick: float, what: str, previous: Optional[tuple] = None):
     """Build, solve and decode one window; returns (status, plan, root),
     with ``plan`` None when the solve stopped with no incumbent.
 
     ``cfg.deadline_s`` is the wall budget of the whole step, counted from
     ``tick``: the solver gets what the build left of it, less a 10 ms
-    reserve for the decode and bookkeeping.  ``templates`` is the
-    mission's window-template dict and ``previous`` the ``root`` of the
-    step before (see ``build_window_milp``): ``root`` is this window's
-    layout and optimal root basis, or None when the root relaxation
-    stopped short of optimality.
+    reserve for the decode and bookkeeping.  ``previous`` is the
+    ``root`` of the step before (see ``build_window_milp``): ``root`` is
+    this window's template and optimal root basis, the basis None when
+    the root relaxation stopped short of optimality.
     """
-    problem, layout = build_window_milp(scenario, state, weights, horizon,
-                                        templates=templates, previous=previous)
+    problem, template = build_window_milp(scenario, state, weights, horizon,
+                                          previous=previous)
     if cfg.deadline_s is not None:
         spent = time.perf_counter() - tick
         cfg = replace(cfg, deadline_s=cfg.deadline_s - spent - 0.01)
     sol = solve_milp(problem, cfg)
     if sol.status is MilpStatus.INFEASIBLE:
         raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")
-    plan = decode_plan(sol, layout, scenario, state) if sol.has_incumbent else None
-    root = None if sol.basis is None else (layout, sol.basis)
-    return sol.status.value, plan, root
+    plan = decode_plan(sol, template, scenario, state) if sol.has_incumbent else None
+    return sol.status.value, plan, (template, sol.basis)
 
 
 def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -192,19 +189,16 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
 
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
-    # one template per window length: the full horizon, then each of
-    # the shorter windows of the mission's last horizon - 1 steps; and
-    # the previous window's layout and root basis, which the next
-    # window starts from, shifted one step
-    templates: dict = {}
+    # the previous window's template and root basis: the next window
+    # reuses the template when it has the same length and starts from
+    # the basis, shifted one step
     root = None
     t_start = time.perf_counter()
 
     for t in range(T):
         tick = time.perf_counter()
         status, plan, root = _window_step(scenario, state, weights, horizon,
-                                          cfg, tick, f"window at step {t}",
-                                          templates, root)
+                                          cfg, tick, f"window at step {t}", root)
         statuses.append(status)
         if plan is not None:
             actions = (plan.load_fraction[:, 0], plan.gen_power[:, 0],

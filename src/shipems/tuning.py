@@ -39,10 +39,10 @@ class TunerConfig:
     probe: float = 1e-3
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        for name in ("gamma", "eps", "probe"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         arr = np.asarray(self.initial, dtype=float)
         if arr.shape != (3,) or np.any(arr < 0):
             raise ValueError("initial weights must be three nonnegative values")

@@ -266,9 +266,11 @@ def test_reused_template_builds_the_fresh_window():
     # one small mission through a generator trip and its recovery, a
     # stepped load, a battery with four unwind guard rows per side next
     # to a supercapacitor that stops within one step (one row per side),
-    # and the shrinking windows at mission end; every window of one
-    # length has one row structure.  A state whose generator power its
-    # ramp cannot bring back into the box is a build error
+    # and the shrinking windows at mission end; each window reuses the
+    # template of the window before when it has the same length, and
+    # every window of one length has one row structure.  A state whose
+    # generator power its ramp cannot bring back into the box is a build
+    # error
     import copy
     from shipems.engine import run_rho
 
@@ -289,11 +291,14 @@ def test_reused_template_builds_the_fresh_window():
             feedback=lambda s: states.append(copy.deepcopy(s)) or s)
     states.pop()                                  # step T is past the mission
 
-    templates = {}
+    previous = None
     structure = {}
+    templates = set()
     for state in states:
         shared, layout = build_window_milp(sc, state, weights, horizon,
-                                           templates=templates)
+                                           previous=previous)
+        previous = (layout, None)
+        templates.add(layout)
         fresh, _ = build_window_milp(sc, state, weights, horizon)
         for name, value in window_arrays(fresh).items():
             np.testing.assert_array_equal(window_arrays(shared)[name], value,
@@ -305,9 +310,33 @@ def test_reused_template_builds_the_fresh_window():
                                           err_msg=f"{name} at step {state.step_index}")
         if 4 <= state.step_index <= 6:
             assert not shared.lp.upper[layout.gen_cols[1, 0]]
-    assert sorted(templates) == [1, 2, 3, 4, 5]
+    assert sorted(tpl.horizon for tpl in templates) == [1, 2, 3, 4, 5]
 
     bad_seam = copy.deepcopy(states[2])
     bad_seam.prev_generator_power = np.array([4.0, 20.0])
+    full = next(tpl for tpl in templates if tpl.horizon == horizon)
     with pytest.raises(InfeasibleWindow, match="generator G1 at step 2"):
-        build_window_milp(sc, bad_seam, weights, horizon, templates=templates)
+        build_window_milp(sc, bad_seam, weights, horizon, previous=(full, None))
+
+
+@pytest.mark.parametrize("other", ["scenario", "weights"])
+def test_previous_window_of_another_mission_is_rejected(other):
+    # a template and root basis carry over only within one mission: a
+    # window built for another scenario object, even one with the same
+    # data, or for other weights must not seed the next build
+    def mission():
+        return scenario([load(0), load(1, weight=0.3)], [gen(0, initial=4.0)],
+                        [battery(0)], np.full((2, 6), 2.0))
+
+    sc, weights = mission(), ObjectiveWeights(0.005, 0.03, 0.05)
+    prob, tpl = build_window_milp(sc, sc.initial_state(), weights, 3)
+    previous = (tpl, solve_milp(prob).basis)
+    state = sc.initial_state()
+    state.step_index = 1
+    build_window_milp(sc, state, weights, 3, previous=previous)
+    if other == "scenario":
+        sc = mission()
+    else:
+        weights = ObjectiveWeights(0.005, 0.03, 0.1)
+    with pytest.raises(ValueError, match="another scenario or weights"):
+        build_window_milp(sc, state, weights, 3, previous=previous)

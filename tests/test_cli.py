@@ -101,7 +101,7 @@ def test_tune_writes_trace(small_scenario, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
 def test_deadline_must_be_positive(small_scenario, tmp_path, capsys, command, value):
     with pytest.raises(SystemExit) as exc:
         main([command, "--scenario", str(small_scenario), "--deadline-ms", value,
@@ -122,9 +122,10 @@ def test_np_must_be_positive(small_scenario, tmp_path, capsys, command, value):
 
 
 @pytest.mark.parametrize("option", ["--loads", "--gens", "--storage", "--steps", "--dt"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf"])
 def test_synth_sizes_must_be_positive(tmp_path, capsys, option, value):
-    # --dt -0.5 used to write a file that validate rejects, with exit 0
+    # --dt -0.5 used to write a file that validate rejects, with exit 0;
+    # --dt inf wrote an all-NaN demand
     out = tmp_path / "synth.yaml"
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--seed", "1", option, value, "--out", str(out)])

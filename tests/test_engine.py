@@ -369,6 +369,12 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     res = run_rho(sc, ObjectiveWeights(0.005, 0.03, 0.05), horizon)
     assert validate_trajectory(res, sc) == []
     assert [layout.horizon for _, layout in windows] == [5] * 8 + [4, 3, 2, 1]
+    # a window of the previous window's length reuses its template; each
+    # shorter window at mission end builds its own
+    templates = [layout for _, layout in windows]
+    assert all(a is b for a, b in zip(templates[:8], templates[1:8]))
+    distinct = list({id(tpl): tpl for tpl in templates}.values())
+    assert [tpl.horizon for tpl in distinct] == [5, 4, 3, 2, 1]
     assert windows[0][0].fallback_basis is None      # nothing to shift
     repaired = 0
     for t, (problem, _) in enumerate(windows[1:], start=1):

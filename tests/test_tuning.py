@@ -87,6 +87,16 @@ class TestQuadraticDescent:
         assert err.value.trace  # partial trace preserved
 
 
+@pytest.mark.parametrize("name, value", [
+    ("probe", 0.0), ("probe", -1e-3), ("probe", np.nan), ("probe", np.inf),
+    ("eps", np.nan), ("eps", np.inf), ("gamma", np.nan), ("gamma", np.inf)])
+def test_step_settings_must_be_finite_and_positive(name, value):
+    # probe 0 divided by zero in the gradient, eps NaN never converged
+    # and gamma NaN reported convergence without moving
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        TunerConfig(**{name: value})
+
+
 def tiny_scenario():
     loads = [LoadSpec(id="L0", rated_mw=4.0, weight=1.0),
              LoadSpec(id="L1", rated_mw=3.0, weight=0.2)]
