@@ -576,16 +576,12 @@ def decode_plan(solution: MilpSolution, layout: WindowTemplate,
     if not solution.has_incumbent:
         raise ValueError("solution carries no incumbent to decode")
     x = solution.x
-    h = layout.horizon
 
     # solve_milp hands back every integer column already snapped
     frac = np.clip(x[layout.load_cols] * layout.step_sizes[:, None], 0.0, 1.0)
 
-    gen_power = x[layout.gen_cols] if layout.gen_cols.size else np.zeros((0, h))
-    if layout.discharge_cols.size:
-        sto_power = x[layout.discharge_cols] - x[layout.charge_cols]
-    else:
-        sto_power = np.zeros((0, h))
+    gen_power = x[layout.gen_cols]
+    sto_power = x[layout.discharge_cols] - x[layout.charge_cols]
 
     soc = plant.soc_path(scenario, state.soc, sto_power)
     # cross-check against the window's internal SoC columns

@@ -192,7 +192,7 @@ def build_parser():
     add_common(p_tune)
     p_tune.add_argument("--gamma", type=float, default=0.05)
     p_tune.add_argument("--eps", type=float, default=1e-4)
-    p_tune.add_argument("--max-iters", type=int, default=50)
+    p_tune.add_argument("--max-iters", type=_positive_int, default=50)
     p_tune.add_argument("--initial", default="0.02,0.02,0.02")
     p_tune.add_argument("--mode", choices=("fho", "rho"), default="fho")
     p_tune.add_argument("--np", type=_positive_int, default=None)

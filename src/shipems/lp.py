@@ -3,12 +3,13 @@
 Problems are stated in maximize orientation over box-bounded variables
 with sparse constraint rows.  Bounds are handled implicitly (never as
 rows), which keeps the basis small for models that are dense in boxes
-and sparse in rows.  Every row is carried internally as a ranged row
-``row_lower <= a.x <= row_upper`` with a logical slack variable, so
-inequalities, equalities and two-sided rows all go through one code
-path.  Phase 1 minimizes the total bound violation of the logical/basic
-variables; the problem is reported infeasible when that optimum stays
-above tolerance.
+and sparse in rows.  Every row is a ranged row
+``rg_lower <= a_rg x <= rg_upper``, and the caller states it so: an
+inequality leaves one side infinite (open), an equality has equal
+sides.  Each row gets a logical slack variable, so all rows go through
+one code path.  Phase 1 minimizes the total bound violation of the
+logical/basic variables; the problem is reported infeasible when that
+optimum stays above tolerance.
 
 The basis is factored by SuperLU (``scipy.sparse.linalg.splu``) with a
 COLAMD column order, relaxed supernodes switched off (``relax=1``) and
@@ -110,8 +111,6 @@ class Basis:
 
 
 def _as_csr(mat, n_cols):
-    if mat is None:
-        return None
     if sp.issparse(mat):
         # no copy of a float64 CSR input: the simplex core copies the
         # rows once, into the matrix it scales
@@ -120,9 +119,7 @@ def _as_csr(mat, n_cols):
         arr = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         out = sp.csr_matrix(arr)
     if out.shape[1] != n_cols:
-        raise DimensionMismatch(
-            f"constraint block has {out.shape[1]} columns, expected {n_cols}"
-        )
+        raise DimensionMismatch(f"a_rg has {out.shape[1]} columns, expected {n_cols}")
     return out
 
 
@@ -137,40 +134,34 @@ def _as_vec(v, n, name):
 class LinearProgram:
     """Sparse LP in maximize orientation with finite variable boxes.
 
-    Rows come in three blocks, any of which may be absent:
-    ``a_ub x <= b_ub``, ``a_eq x == b_eq`` and the ranged block
-    ``rg_lower <= a_rg x <= rg_upper``.  ``offset`` is added to the
-    reported objective value (used by model builders that fold constant
-    terms out of the columns).
+    Every row is a ranged row ``rg_lower <= a_rg x <= rg_upper``: an
+    infinite side is open, so ``a x <= b`` has ``rg_lower = -inf`` and
+    ``a x == b`` has equal sides.  ``a_rg = None`` states a pure box LP
+    and becomes a 0-row block.
     """
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    a_ub: Optional[sp.csr_matrix] = None
-    b_ub: Optional[np.ndarray] = None
-    a_eq: Optional[sp.csr_matrix] = None
-    b_eq: Optional[np.ndarray] = None
     a_rg: Optional[sp.csr_matrix] = None
     rg_lower: Optional[np.ndarray] = None
     rg_upper: Optional[np.ndarray] = None
-    offset: float = 0.0
+
+    # not fields: read by the benchmark until its next change drops them
+    a_ub = a_eq = None
+    offset = 0.0
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64).ravel()
         n = self.objective.size
         self.lower = _as_vec(self.lower, n, "lower")
         self.upper = _as_vec(self.upper, n, "upper")
-        self.a_ub = _as_csr(self.a_ub, n)
-        self.a_eq = _as_csr(self.a_eq, n)
+        if self.a_rg is None:
+            self.a_rg = sp.csr_matrix((0, n))
+            self.rg_lower = self.rg_upper = np.empty(0)
         self.a_rg = _as_csr(self.a_rg, n)
-        if self.a_ub is not None:
-            self.b_ub = _as_vec(self.b_ub, self.a_ub.shape[0], "b_ub")
-        if self.a_eq is not None:
-            self.b_eq = _as_vec(self.b_eq, self.a_eq.shape[0], "b_eq")
-        if self.a_rg is not None:
-            self.rg_lower = _as_vec(self.rg_lower, self.a_rg.shape[0], "rg_lower")
-            self.rg_upper = _as_vec(self.rg_upper, self.a_rg.shape[0], "rg_upper")
+        self.rg_lower = _as_vec(self.rg_lower, self.a_rg.shape[0], "rg_lower")
+        self.rg_upper = _as_vec(self.rg_upper, self.a_rg.shape[0], "rg_upper")
 
     @property
     def n_vars(self) -> int:
@@ -178,22 +169,16 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        m = 0
-        for block in (self.a_ub, self.a_eq, self.a_rg):
-            if block is not None:
-                m += block.shape[0]
-        return m
+        return self.a_rg.shape[0]
 
     def validate(self):
         """Check invariants; raises DimensionMismatch on malformed input.
 
         One pass covers every entry that must be finite; which entry
-        failed, for the message, is looked up only when one did."""
-        blocks = (("a_ub", self.a_ub), ("a_eq", self.a_eq), ("a_rg", self.a_rg))
-        finite = [self.objective, self.lower, self.upper]
-        finite += [block.data for _, block in blocks if block is not None]
-        finite += [b for b in (self.b_ub, self.b_eq) if b is not None]
-        ok = bool(np.isfinite(np.concatenate(finite)).all())
+        failed, for the message, is looked up only when one did.  A
+        row side may be infinite (open) but not NaN."""
+        ok = bool(np.isfinite(np.concatenate(
+            [self.objective, self.lower, self.upper, self.a_rg.data])).all())
         if not ok and not np.isfinite(self.objective).all():
             raise DimensionMismatch("objective has non-finite coefficients")
         if not ok and not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
@@ -202,17 +187,11 @@ class LinearProgram:
         if crossed.any():
             raise DimensionMismatch(f"variable {int(np.argmax(crossed))} has lower > upper")
         if not ok:
-            for name, block in blocks:
-                if block is not None and not np.isfinite(block.data).all():
-                    raise DimensionMismatch(f"{name} has non-finite coefficients")
-            if self.b_ub is not None and not np.isfinite(self.b_ub).all():
-                raise DimensionMismatch("b_ub has non-finite entries")
-            raise DimensionMismatch("b_eq has non-finite entries")   # all that is left
-        if self.a_rg is not None:
-            if np.isnan(np.concatenate([self.rg_lower, self.rg_upper])).any():
-                raise DimensionMismatch("ranged row bounds contain NaN")
-            if (self.rg_lower > self.rg_upper).any():
-                raise DimensionMismatch("ranged row has lower > upper")
+            raise DimensionMismatch("a_rg has non-finite coefficients")   # all that is left
+        if np.isnan(np.concatenate([self.rg_lower, self.rg_upper])).any():
+            raise DimensionMismatch("ranged row bounds contain NaN")
+        if (self.rg_lower > self.rg_upper).any():
+            raise DimensionMismatch("ranged row has lower > upper")
 
 
 @dataclass(frozen=True)
@@ -222,30 +201,6 @@ class LpSolution:
     objective_value: float
     iterations: int
     basis: Optional[Basis] = None
-
-
-def _stack_rows(lp: LinearProgram):
-    """Fuse the three row blocks into one csr matrix plus ranged bounds;
-    a lone block comes back as it is, not copied."""
-    blocks, lows, ups = [], [], []
-    if lp.a_ub is not None:
-        blocks.append(lp.a_ub)
-        lows.append(np.full(lp.a_ub.shape[0], -_INF))
-        ups.append(lp.b_ub)
-    if lp.a_eq is not None:
-        blocks.append(lp.a_eq)
-        lows.append(lp.b_eq)
-        ups.append(lp.b_eq)
-    if lp.a_rg is not None:
-        blocks.append(lp.a_rg)
-        lows.append(lp.rg_lower)
-        ups.append(lp.rg_upper)
-    if not blocks:
-        a = sp.csr_matrix((0, lp.n_vars))
-        return a, np.empty(0), np.empty(0)
-    if len(blocks) == 1:
-        return blocks[0], lows[0], ups[0]
-    return sp.vstack(blocks, format="csr"), np.concatenate(lows), np.concatenate(ups)
 
 
 class _SimplexCore:
@@ -270,11 +225,10 @@ class _SimplexCore:
         # the bases this core returned, which need no checks and no repair
         self._returned = weakref.WeakValueDictionary()
         self.n = n = lp.n_vars
-        a, row_lo, row_up = _stack_rows(lp)
+        a, row_lo, row_up = lp.a_rg, lp.rg_lower, lp.rg_upper
         self.m = m = a.shape[0]
         default_cap = 10_000 + 25 * (n + m)
         self.max_iter = int(max_iter) if max_iter is not None else default_cap
-        self.offset = float(lp.offset)
 
         # Row equilibration with powers of two keeps pivots well scaled
         # without perturbing representable data.  The scaled rows go into
@@ -359,7 +313,7 @@ class _SimplexCore:
                     and np.all(act <= self.row_up + TOL))
 
     def objective_of(self, x) -> float:
-        return float(self.c @ x) + self.offset
+        return float(self.c @ x)
 
     # -- main solve ------------------------------------------------------
 
@@ -497,7 +451,7 @@ class _SimplexCore:
                 # primal feasible, which lets callers build an incumbent
                 feas = not (np.any(xb < lob - tol) or np.any(xb > upb + tol))
                 x_part = point() if feas else None
-                obj_part = float(cobj[:n] @ x_part) + self.offset if feas else -_INF
+                obj_part = float(cobj[:n] @ x_part) if feas else -_INF
                 return None, x_part, obj_part, iters, snapshot()
 
             below = xb < lob - tol
@@ -529,7 +483,7 @@ class _SimplexCore:
                 if infeasible:
                     return LpStatus.INFEASIBLE, None, -_INF, iters, snapshot()
                 x = point()
-                objective = float(cobj[:n] @ x) + self.offset
+                objective = float(cobj[:n] @ x)
                 self.last_reduced_costs = d[:n].copy()
                 return LpStatus.OPTIMAL, x, objective, iters, snapshot()
 

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .engine import run_fho, run_rho
 from .errors import NonFiniteMerit, ZeroNorm
 from .model import ObjectiveTerms, ObjectiveWeights, ScenarioSpec
 
@@ -44,8 +45,13 @@ class TunerConfig:
             if not (value > 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         arr = np.asarray(self.initial, dtype=float)
-        if arr.shape != (3,) or np.any(arr < 0):
-            raise ValueError("initial weights must be three nonnegative values")
+        if arr.shape != (3,) or not (np.isfinite(arr) & (arr >= 0)).all():
+            raise ValueError("initial weights must be three finite, nonnegative "
+                             f"values, got {self.initial}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -102,7 +108,7 @@ def tune_weights(cfg: TunerConfig,
             raise NonFiniteMerit(f"merit not finite at weights {w}", trace=trace)
         return val
 
-    w = np.clip(np.asarray(cfg.initial, dtype=float), 0.0, None)
+    w = np.array(cfg.initial, dtype=float)
     trace: list = []
     merit = ev(w)
     evals = 1
@@ -158,8 +164,6 @@ def make_mission_evaluator(scenario: ScenarioSpec, mode: str = "fho",
     trajectory with ``default_norms(scenario)``.  Tuning is expensive,
     so point it at a reduced scenario.
     """
-    from .engine import run_fho, run_rho  # local import to avoid a cycle
-
     norms = default_norms(scenario)
 
     def evaluate(w):

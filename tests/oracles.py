@@ -9,7 +9,6 @@ and window-scale MILP optima from HiGHS (``scipy.optimize.milp``).
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 
@@ -135,21 +134,13 @@ def milp_vertex_lp(c, a_ub, b_ub, lower, upper):
 
 
 def highs_milp(problem):
-    """Optimal objective of a ``MilpProblem`` (maximize orientation, with
-    its offset) from HiGHS at zero relative gap; raises if HiGHS fails."""
+    """Optimal objective of a ``MilpProblem`` (maximize orientation) from
+    HiGHS at zero relative gap; raises if HiGHS fails."""
     lp = problem.lp
-    blocks, lows, ups = [], [], []
-    for a, lo, up in ((lp.a_ub, None, lp.b_ub), (lp.a_eq, lp.b_eq, lp.b_eq),
-                      (lp.a_rg, lp.rg_lower, lp.rg_upper)):
-        if a is not None:
-            blocks.append(a)
-            lows.append(np.full(a.shape[0], -np.inf) if lo is None else lo)
-            ups.append(up)
-    rows = LinearConstraint(sp.vstack(blocks, format="csr"),
-                            np.concatenate(lows), np.concatenate(ups))
+    rows = LinearConstraint(lp.a_rg, lp.rg_lower, lp.rg_upper)
     res = milp(-lp.objective, integrality=problem.integrality.astype(int),
                bounds=Bounds(lp.lower, lp.upper), constraints=rows,
                options={"mip_rel_gap": 0.0})
     if not res.success:
         raise RuntimeError(f"HiGHS failed: {res.message}")
-    return -res.fun + lp.offset
+    return -res.fun

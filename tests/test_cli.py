@@ -121,6 +121,25 @@ def test_np_must_be_positive(small_scenario, tmp_path, capsys, command, value):
     assert "--np" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_tune_iterations_must_be_positive(small_scenario, tmp_path, capsys, value):
+    # --max-iters 0 returned the initial weights, unconverged
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--scenario", str(small_scenario), "--max-iters", value,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--max-iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial", ["nan,0.02,0.02", "0.02,inf,0.02"])
+def test_tune_initial_weights_must_be_finite(small_scenario, tmp_path, capsys, initial):
+    # a NaN initial weight was reported as a solver error, exit 3
+    rc = main(["tune", "--scenario", str(small_scenario), "--initial", initial,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "initial weights" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", ["--loads", "--gens", "--storage", "--steps", "--dt"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf"])
 def test_synth_sizes_must_be_positive(tmp_path, capsys, option, value):

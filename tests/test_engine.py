@@ -213,7 +213,8 @@ def _oracle_best(sc, weights):
             rows.append(r)
             rhs.append(0.0)
         sol = solve_lp(LinearProgram(objective=c, lower=lower, upper=upper,
-                                     a_ub=np.array(rows), b_ub=np.array(rhs)))
+                                     a_rg=np.array(rows), rg_upper=np.array(rhs),
+                                     rg_lower=np.full(len(rhs), -np.inf)))
         if sol.status is not LpStatus.OPTIMAL:
             continue
         const = w1 * frac1.sum() + weights.terminal * alpha * b.initial_soc

@@ -15,12 +15,16 @@ from oracles import lp_vertex_oracle
 
 
 def make_lp(c, a_ub=None, b_ub=None, lower=None, upper=None, **kw):
+    """LP with default boxes [0, 10]; ``a_ub x <= b_ub`` is stated as
+    ranged rows with an open lower side."""
     c = np.asarray(c, dtype=float)
     n = c.size
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(n, 10.0) if upper is None else np.asarray(upper, dtype=float)
-    return LinearProgram(objective=c, lower=lower, upper=upper,
-                         a_ub=a_ub, b_ub=b_ub, **kw)
+    if a_ub is not None:
+        b_ub = np.asarray(b_ub, dtype=float)
+        kw.update(a_rg=a_ub, rg_lower=np.full(b_ub.size, -np.inf), rg_upper=b_ub)
+    return LinearProgram(objective=c, lower=lower, upper=upper, **kw)
 
 
 def test_single_active_constraint():
@@ -63,7 +67,8 @@ def test_pure_box_problem():
 
 def test_equality_rows():
     # maximize x + y with x + y = 1.5 exactly
-    lp = make_lp([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.5], upper=[1.0, 1.0])
+    lp = make_lp([1.0, 1.0], a_rg=[[1.0, 1.0]], rg_lower=[1.5], rg_upper=[1.5],
+                 upper=[1.0, 1.0])
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x.sum() == pytest.approx(1.5, abs=1e-9)
@@ -91,12 +96,6 @@ def test_infeasible_between_rows():
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
-def test_objective_offset():
-    lp = make_lp([1.0], a_ub=[[1.0]], b_ub=[2.0], offset=7.5)
-    sol = solve_lp(lp)
-    assert sol.objective_value == pytest.approx(9.5, abs=1e-9)
-
-
 def test_rejects_infinite_bounds():
     with pytest.raises(DimensionMismatch):
         solve_lp(make_lp([1.0], upper=[np.inf]))
@@ -112,6 +111,24 @@ def test_rejects_bad_shapes():
         make_lp([1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(DimensionMismatch):
         make_lp([1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("a_rg", 0, np.nan, "a_rg has non-finite"),
+    ("a_rg", 1, np.inf, "a_rg has non-finite"),
+    ("a_rg", 3, -np.inf, "a_rg has non-finite"),
+    ("rg_lower", 1, np.nan, "NaN"),
+    ("rg_upper", 0, np.nan, "NaN"),
+    ("rg_lower", 0, 5.0, "lower > upper"),      # above its upper side of 1
+])
+def test_rejects_bad_row_data(field, index, value, message):
+    lp = make_lp([1.0, 1.0], a_rg=[[1.0, 2.0], [3.0, 4.0]],
+                 rg_lower=[-np.inf, 0.0], rg_upper=[1.0, np.inf])
+    solve_lp(lp)                    # infinite sides are open, not an error
+    data = lp.a_rg.data if field == "a_rg" else getattr(lp, field)
+    data[index] = value
+    with pytest.raises(DimensionMismatch, match=message):
+        solve_lp(lp)
 
 
 def _random_lp(rng, force_tight=False):

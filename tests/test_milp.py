@@ -13,21 +13,30 @@ from shipems.plant import violations
 from oracles import highs_milp, milp_enum_oracle, milp_vertex_lp
 
 
+def le_lp(c, a_ub, b_ub, lower, upper):
+    """``LinearProgram`` for ``a_ub x <= b_ub``: ranged rows with an open
+    lower side (a pure box LP when ``a_ub`` is None)."""
+    if a_ub is None:
+        return LinearProgram(objective=c, lower=lower, upper=upper)
+    b_ub = np.asarray(b_ub, dtype=float)
+    return LinearProgram(objective=c, lower=lower, upper=upper, a_rg=a_ub,
+                         rg_lower=np.full(b_ub.size, -np.inf), rg_upper=b_ub)
+
+
 def lp_backend(c, a_ub, b_ub, lower, upper):
     """Residual-LP backend for the enumeration oracle (vetted in test_lp)."""
     if len(c) == 0:
         ok = b_ub is None or np.all(np.asarray(b_ub) >= -1e-9)
         return ("optimal", np.zeros(0), 0.0) if ok else ("infeasible", None, -np.inf)
-    sol = solve_lp(LinearProgram(objective=c, lower=lower, upper=upper,
-                                 a_ub=a_ub, b_ub=b_ub))
+    sol = solve_lp(le_lp(c, a_ub, b_ub, lower, upper))
     if sol.status is LpStatus.OPTIMAL:
         return "optimal", sol.x, sol.objective_value
     return "infeasible", None, -np.inf
 
 
 def make_milp(c, a_ub, b_ub, lower, upper, is_int, hint=None):
-    lp = LinearProgram(objective=c, lower=lower, upper=upper, a_ub=a_ub, b_ub=b_ub)
-    return MilpProblem(lp=lp, integrality=is_int, basis_hint=hint)
+    return MilpProblem(lp=le_lp(c, a_ub, b_ub, lower, upper), integrality=is_int,
+                       basis_hint=hint)
 
 
 def random_milp(rng, max_combos=1024):
@@ -70,7 +79,7 @@ def test_empty_mask_equals_lp():
     b = [4.0, 6.0]
     lo = [0.0, 0.0]
     up = [100.0, 100.0]
-    lp_sol = solve_lp(LinearProgram(objective=c, lower=lo, upper=up, a_ub=a, b_ub=b))
+    lp_sol = solve_lp(le_lp(c, a, b, lo, up))
     mip_sol = solve_milp(make_milp(c, a, b, lo, up, [False, False]))
     assert mip_sol.status is MilpStatus.OPTIMAL
     assert mip_sol.objective_value == pytest.approx(lp_sol.objective_value, abs=1e-9)
@@ -107,7 +116,7 @@ def test_fixed_integer_reduces_to_lp():
 def test_infeasible_integer_program():
     # 2a = 1 impossible for integer a
     lp = LinearProgram(objective=[1.0], lower=[0.0], upper=[3.0],
-                       a_eq=[[2.0]], b_eq=[1.0])
+                       a_rg=[[2.0]], rg_lower=[1.0], rg_upper=[1.0])
     sol = solve_milp(MilpProblem(lp=lp, integrality=[True]))
     assert sol.status is MilpStatus.INFEASIBLE
     assert not sol.has_incumbent
@@ -146,7 +155,7 @@ def test_relaxation_bounds_milp():
     rng = np.random.default_rng(2718)
     for _ in range(25):
         c, a, b, lo, up, is_int = random_milp(rng)
-        relax = solve_lp(LinearProgram(objective=c, lower=lo, upper=up, a_ub=a, b_ub=b))
+        relax = solve_lp(le_lp(c, a, b, lo, up))
         sol = solve_milp(make_milp(c, a, b, lo, up, is_int))
         if sol.status is MilpStatus.OPTIMAL and relax.status is LpStatus.OPTIMAL:
             assert relax.objective_value >= sol.objective_value - 1e-7

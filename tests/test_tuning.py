@@ -97,6 +97,22 @@ def test_step_settings_must_be_finite_and_positive(name, value):
         TunerConfig(**{name: value})
 
 
+@pytest.mark.parametrize("initial", [
+    (np.nan, 0.02, 0.02), (0.02, np.nan, 0.02), (0.02, 0.02, np.inf)])
+def test_initial_weights_must_be_finite(initial):
+    # NaN or inf passed the check and the first evaluation then raised
+    # NonFiniteMerit, a solver error for what is an input error
+    with pytest.raises(ValueError, match="three finite, nonnegative"):
+        TunerConfig(initial=initial)
+
+
+@pytest.mark.parametrize("value", [0, -3, True, 2.0])
+def test_max_iters_must_be_a_positive_int(value):
+    # 0 or -3 returned the initial weights after 0 iterations; True ran one
+    with pytest.raises(ValueError, match="max_iters must be an int >= 1"):
+        TunerConfig(max_iters=value)
+
+
 def tiny_scenario():
     loads = [LoadSpec(id="L0", rated_mw=4.0, weight=1.0),
              LoadSpec(id="L1", rated_mw=3.0, weight=0.2)]
