@@ -36,11 +36,10 @@ their recurrence rows, and SoC-difference auxiliaries basic on the side
 the initial SoC spread makes tight.  That starting point is primal
 feasible whenever each storage unit can ramp from its previous power
 to zero in one step; otherwise only that unit's seam row starts
-violated.  It starts a lone window, among them the whole-mission
-(fixed-horizon) solve, and the first window of a receding-horizon run;
-later windows start from the previous window's basis shifted one step
-(see below) and keep the crash basis, built only when needed, as the
-fallback for a shifted basis that proves numerically singular.
+violated.  Every window carries it as its fallback basis, built only
+when the window has no shifted basis (a lone window, the whole-mission
+solve among them, and the first window of a receding-horizon run) or
+its shifted basis (see below) proves numerically singular.
 
 Windows of one length differ in little, so a window is a template plus
 a per-step patch.  ``window_template`` builds, once per scenario,
@@ -69,14 +68,14 @@ its ramp row at step 0, the guards belong to the last step) in
 ``WindowTemplate.row_at``.  ``shifted_basis`` moves the previous
 window's optimal basis one step along with index arithmetic on those
 maps: step k takes the statuses of the previous window's step k + 1,
-and the last step copies the previous last step.  The index maps
-depend on the two row maps alone, so they are computed once per pair.
+and the last step copies the previous last step.  A template keeps
+the index maps to the next window of its length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -175,6 +174,11 @@ class WindowTemplate:
     @property
     def n_cols(self) -> int:
         return self.lower.size
+
+    @cached_property
+    def shift_maps(self):
+        """``_shift_maps`` to the next window of this length."""
+        return _shift_maps(self, self)
 
 
 def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -349,10 +353,10 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     any, built for the same scenario and weights.  A window of its
     length reuses its template; any other window (the first, each
     shrinking window at mission end, a lone window) builds its own.
-    Returns (MilpProblem, WindowTemplate).  The problem's basis hint
-    for the root relaxation is ``previous``'s basis shifted one step
-    (``shifted_basis``), with the crash basis as its lazily built
-    fallback, or the crash basis itself when there is nothing to shift.
+    Returns (MilpProblem, WindowTemplate).  The basis hint is
+    ``previous``'s basis shifted one step (``shifted_basis``; None when
+    there is nothing to shift or the shift cannot balance), and the
+    fallback basis builds the crash basis when a solve asks for it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -386,11 +390,10 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                        a_rg=sp.csr_matrix((data, tpl.indices, tpl.indptr),
                                           shape=(row_lo.size, tpl.n_cols)),
                        rg_lower=row_lo, rg_upper=row_up)
-    crash = partial(_crash_basis, tpl, upper, demand, soc0)
-    shifted = None if basis is None else shifted_basis(prev, basis, tpl)
-    problem = MilpProblem(lp=lp, integrality=tpl.integrality.copy(),
-                          basis_hint=crash() if shifted is None else shifted,
-                          fallback_basis=None if shifted is None else crash)
+    problem = MilpProblem(
+        lp=lp, integrality=tpl.integrality.copy(),
+        basis_hint=None if basis is None else shifted_basis(prev, basis, tpl),
+        fallback_basis=partial(_crash_basis, tpl, upper, demand, soc0))
     return problem, tpl
 
 
@@ -456,9 +459,8 @@ def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
     """
     n1 = tpl.n_cols
     stride = n1 // tpl.horizon
-    gather, last_slacks, order = _shift_maps(
-        prev_tpl.row_at.tobytes(), prev_tpl.row_at.shape, prev_tpl.n_cols,
-        tpl.row_at.tobytes(), tpl.row_at.shape, n1)
+    gather, last_slacks, order = (tpl.shift_maps if prev_tpl is tpl
+                                  else _shift_maps(prev_tpl, tpl))
     m1 = order.size - n1
     # the last entry stands for "no counterpart": a basic slack
     vstat = np.append(prev_basis.vstat, np.int8(BASIC))[gather]
@@ -477,21 +479,19 @@ def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
     return Basis(vstat=vstat, basic=order[vstat[order] == BASIC])
 
 
-@lru_cache(maxsize=64)
-def _shift_maps(prev_rows: bytes, prev_shape: tuple, n0: int,
-                rows: bytes, shape: tuple, n1: int):
-    """Index maps of ``shifted_basis`` between two windows, given by
-    their ``row_at`` (as bytes and shape) and column counts; they depend
-    on nothing else, so a mission computes each pair once.
+def _shift_maps(prev: WindowTemplate, tpl: WindowTemplate):
+    """Index maps of ``shifted_basis`` from a window of ``prev`` to the
+    next one, of ``tpl``; they depend on the two row maps and column
+    counts alone.
 
     Returns where each column and row slack of the new window takes its
     status from (``n0 + m0``, one past the previous basis, for none),
     the last step's row slacks in the order they may enter, and every
     column and slack in basic-position order.
     """
-    src_at = np.frombuffer(prev_rows, dtype=np.int64).reshape(prev_shape)
-    dst = np.frombuffer(rows, dtype=np.int64).reshape(shape)
-    h0, h1 = prev_shape[1], shape[1]
+    src_at, dst = prev.row_at, tpl.row_at
+    n0, n1 = prev.n_cols, tpl.n_cols
+    h0, h1 = prev.horizon, tpl.horizon
     stride = n1 // h1
     m1 = int(np.count_nonzero(dst >= 0))
     step = np.minimum(np.arange(h1) + 1, h0 - 1)

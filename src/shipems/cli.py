@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .engine import ENGINE_GAP, compare_f1, run_fho, run_rho, validate_trajectory
+from .engine import ENGINE_GAP, compare_f1, run_fho, run_rho
 from .errors import (BundleInvariantError, DecodeMismatch, InfeasibleWindow,
                      NonFiniteMerit, NumericalBreakdown, ScenarioError)
 from .milp import SolverConfig

@@ -35,16 +35,19 @@ magnitude, or the etas hold more than ``max(4 m, 20_000)`` nonzeros
 (m rows).  On the whole-mission problem the last one fires every ~16
 pivots, because each eta there carries about 1,400 nonzeros.
 
-A basis supplied from outside the simplex (``solve_lp(basis=)`` or a
-MILP's ``basis_hint``) is repaired structurally before its first
+Every solve takes one path, a problem without rows included (its
+basis is 0 x 0).  It starts from the warm basis if there is one, else
+the caller's fallback basis if there is one, else the slack basis; a
+start that proves numerically singular gives way to the next.  A basis
+supplied from outside the simplex (``solve_lp(basis=)``, a MILP's
+``basis_hint`` or fallback) is repaired structurally before its first
 factorization: a maximum bipartite matching pairs rows with basic
 columns, and each column left unmatched is swapped for the slack of a
 row left unmatched (Suhl & Suhl 1990).  The repaired basis matrix has
 full structural rank.  Without the repair a structurally singular basis
 reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU
 may crash the process on it instead of raising, as it does with its
-default options.  A basis that is still numerically singular is
-replaced by the caller's fallback basis, or by the slack basis.
+default options.
 
 A simplex core prepares one problem once for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
@@ -94,7 +97,6 @@ REFACTOR_EVERY = 64
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,9 @@ class LinearProgram:
 
     Every row is a ranged row ``rg_lower <= a_rg x <= rg_upper``: an
     infinite side is open, so ``a x <= b`` has ``rg_lower = -inf`` and
-    ``a x == b`` has equal sides.  ``a_rg = None`` states a pure box LP
-    and becomes a 0-row block.
+    ``a x == b`` has equal sides.  An omitted side is open, as in
+    scipy's ``LinearConstraint``.  ``a_rg = None`` states a pure box LP
+    and becomes a 0-row block, whose sides must then be empty.
     """
 
     objective: np.ndarray
@@ -156,12 +159,12 @@ class LinearProgram:
         n = self.objective.size
         self.lower = _as_vec(self.lower, n, "lower")
         self.upper = _as_vec(self.upper, n, "upper")
-        if self.a_rg is None:
-            self.a_rg = sp.csr_matrix((0, n))
-            self.rg_lower = self.rg_upper = np.empty(0)
-        self.a_rg = _as_csr(self.a_rg, n)
-        self.rg_lower = _as_vec(self.rg_lower, self.a_rg.shape[0], "rg_lower")
-        self.rg_upper = _as_vec(self.rg_upper, self.a_rg.shape[0], "rg_upper")
+        self.a_rg = _as_csr(sp.csr_matrix((0, n)) if self.a_rg is None else self.a_rg, n)
+        m = self.a_rg.shape[0]
+        self.rg_lower = _as_vec(np.full(m, -_INF) if self.rg_lower is None
+                                else self.rg_lower, m, "rg_lower")
+        self.rg_upper = _as_vec(np.full(m, _INF) if self.rg_upper is None
+                                else self.rg_upper, m, "rg_upper")
 
     @property
     def n_vars(self) -> int:
@@ -209,8 +212,9 @@ class _SimplexCore:
     Branch-and-bound creates one core per MILP and re-solves with node
     bounds and a warm basis; every solve factors its starting basis
     afresh, and nothing here mutates the owning problem, which the
-    caller has validated.  ``fallback`` builds the basis that replaces
-    a numerically singular warm basis (default: the slack basis).
+    caller has validated.  ``fallback`` builds the start that follows
+    a missing or numerically singular warm basis; the slack basis is
+    the last (module docstring).
 
     Built once per core: the scaled rows (``a_csr``), G = [A, -I] as CSC
     arrays (``_gp``, ``_gi``, ``_gd``; column lengths ``_glen``), the
@@ -306,8 +310,6 @@ class _SimplexCore:
         problem's own boxes and (scaled) rows, within ``TOL``."""
         if np.any(x < self.col_lo - TOL) or np.any(x > self.col_up + TOL):
             return False
-        if self.m == 0:
-            return True
         act = self.a_csr @ x
         return bool(np.all(act >= self.row_lo - TOL)
                     and np.all(act <= self.row_up + TOL))
@@ -323,11 +325,9 @@ class _SimplexCore:
 
         ``deadline`` (absolute perf_counter time) aborts a long solve
         between pivots; the caller receives status None to signal an
-        unfinished relaxation.  A ``warm`` basis that this core did not
-        return is repaired structurally before it is factored (see the
-        module docstring); one it returned has been factored as it
-        stands.  When ``warm`` turns out numerically singular the solve
-        starts from the core's fallback basis instead.
+        unfinished relaxation.  The start is ``warm``, else the core's
+        fallback, else the slack basis (see the module docstring); a
+        basis this core returned is factored as it stands.
         """
         n, m = self.n, self.m
         nm = n + m
@@ -350,14 +350,12 @@ class _SimplexCore:
             nonlocal lu, eta_nnz
             etas.clear()
             eta_nnz = 0
-            if m == 0:
-                return
             lu = splu(self._basis_matrix(basic) if mat is None else mat,
                       permc_spec="COLAMD", relax=1, panel_size=1,
                       options={"SymmetricMode": False})
 
         def ftran(v):
-            u = lu.solve(v) if m else v.copy()
+            u = lu.solve(v)
             for p, idx, vals, wp in etas:
                 piv = u[p] / wp
                 if piv != 0.0:
@@ -369,7 +367,7 @@ class _SimplexCore:
             y = v.copy()
             for p, idx, vals, wp in reversed(etas):
                 y[p] = (y[p] - (vals @ y[idx] - wp * y[p])) / wp
-            return lu.solve(y, trans="T") if m else y
+            return lu.solve(y, trans="T")
 
         def push_eta(r, w):
             nonlocal eta_nnz
@@ -379,20 +377,19 @@ class _SimplexCore:
 
         def recompute_basics():
             nonlocal xb
-            if m:
-                xb = ftran(z[n:] - self.a_csr @ z[:n])
+            xb = ftran(z[n:] - self.a_csr @ z[:n])
 
         def starts():
-            yield warm
             if warm is not None:
-                if self.fallback is not None:
-                    yield self.fallback()
-                yield None
+                yield warm
+            if self.fallback is not None:
+                yield self.fallback()
+            yield None
 
         for start in starts():
             vstat, basic = self._initial_basis(lo, up, start)
-            mat = self._basis_matrix(basic) if m else None
-            if m and start is not None and not self._trusts(start):
+            mat = self._basis_matrix(basic)
+            if start is not None and not self._trusts(start):
                 mat = self._repair(vstat, basic, lo, up, mat)
             try:
                 refactor(mat)
@@ -405,7 +402,6 @@ class _SimplexCore:
         # one position instead of gathering them through ``basic``
         z = np.where(vstat == AT_UPPER, up, lo)
         z[basic] = 0.0
-        xb = np.empty(0)
         recompute_basics()
         lob = lo[basic]
         upb = up[basic]
@@ -435,9 +431,9 @@ class _SimplexCore:
         def price(cb, cn):
             """Reduced costs ``cn - A^T y`` of the structurals and ``y``
             of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
-            y = btran(cb) if m else cb
+            y = btran(cb)
             dd = np.empty(nm)
-            dd[:n] = cn - (self.a_t_csr @ y if m else 0.0)
+            dd[:n] = cn - self.a_t_csr @ y
             dd[n:] = y
             return dd
 
@@ -518,14 +514,13 @@ class _SimplexCore:
                 ratios = np.maximum(rr, 0.0)
                 min_row_ratio = ratios.min()
             own_range = up[j] - lo[j]
+            # every column is boxed, so only a blocking row dropped as
+            # |w| <= 1e-10 (or a NaN ratio) leaves the ray unblocked
+            if not np.isfinite(np.minimum(own_range, min_row_ratio)):
+                raise NumericalBreakdown(f"no bound blocks entering column {j}")
 
             if own_range <= min_row_ratio:
                 step = own_range
-                if not np.isfinite(step):
-                    if infeasible:
-                        raise NumericalBreakdown(
-                            "unbounded infeasibility direction; inconsistent rows")
-                    return LpStatus.UNBOUNDED, None, _INF, iters, snapshot()
                 # bound flip: j runs to its opposite bound, basis (and
                 # with it every reduced cost) unchanged
                 xb -= w * (sigma * step)
@@ -537,12 +532,6 @@ class _SimplexCore:
                 verify_rounds = 0
                 z_stale = True
                 continue
-
-            if not np.isfinite(min_row_ratio):
-                if infeasible:
-                    raise NumericalBreakdown(
-                        "unblocked infeasibility direction; inconsistent rows")
-                return LpStatus.UNBOUNDED, None, _INF, iters, snapshot()
 
             # leaving choice: among near-minimal ratios take the largest |w|
             cand = ratios <= min_row_ratio + 1e-9
@@ -672,7 +661,7 @@ class _SimplexCore:
             if self._trusts(warm):
                 return vstat, basic
             ok = (vstat.size == nm and basic.size == m
-                  and (m == 0 or (basic.min() >= 0 and basic.max() < nm)))
+                  and ((basic >= 0) & (basic < nm)).all())
             if ok:
                 # m distinct positions marked, exactly the BASIC ones:
                 # basic lists m distinct columns, all BASIC, and no other
@@ -715,19 +704,15 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
     Returns
     -------
     LpSolution
-        ``status`` is OPTIMAL / INFEASIBLE / UNBOUNDED; on OPTIMAL,
-        ``x`` is feasible within ``TOL`` and no feasible point beats
+        ``status`` is OPTIMAL or INFEASIBLE; on OPTIMAL, ``x`` is
+        feasible within ``TOL`` and no feasible point beats
         ``objective_value`` by more than ``TOL``.  Degenerate streaks
-        longer than ``BLAND_AFTER`` pivots switch to Bland's rule.
+        longer than ``BLAND_AFTER`` pivots switch to Bland's rule.  A
+        ray that no bound blocks raises :class:`NumericalBreakdown`.
 
     Notes
     -----
-    The basis is factored with a COLAMD order and without relaxed
-    supernodes, which makes each ftran/btran 2-4x cheaper on the
-    sparse simplex bases than SuperLU's defaults (figures in the
-    module docstring).  The factor is rebuilt when the eta file reaches
-    ``REFACTOR_EVERY`` updates, after a pivot below 1e-8 in magnitude,
-    and when the etas hold more than ``max(4 m, 20_000)`` nonzeros.
+    Factorization and refactor triggers: see the module docstring.
     """
     lp.validate()
     core = _SimplexCore(lp, max_iter=max_iter)

@@ -9,10 +9,11 @@ relaxation supplies the early incumbent that the per-step deadline
 needs (for the shedding models it is almost always feasible).
 Branching picks the most-fractional relaxation value, ties broken by
 lowest variable index, which keeps replays deterministic.  The root
-starts from the problem's ``basis_hint``, repaired structurally by the
-simplex; children warm-start from their parent's optimal basis as it
-is.  The solution hands back the root relaxation's optimal basis, which
-a receding-horizon caller shifts into the next window.
+starts from the problem's ``basis_hint`` or fallback (``MilpProblem``),
+repaired structurally by the simplex; children warm-start from their
+parent's optimal basis as it is.  The solution hands back the root
+relaxation's optimal basis, which a receding-horizon caller shifts
+into the next window.
 
 A timed-out search returns the best incumbent found, flagged TIMED_OUT;
 it is never passed off as OPTIMAL.
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import DimensionMismatch
 from .lp import AT_LOWER, AT_UPPER, Basis, LinearProgram, LpStatus, _SimplexCore
 
 
@@ -42,12 +43,13 @@ class MilpStatus(Enum):
 class MilpProblem:
     """An LP plus a per-variable integrality mask.
 
-    Integer-masked variables must carry finite integer bounds.
-    ``basis_hint`` optionally seeds the root relaxation (model builders
-    know a good crash basis).  ``fallback_basis``, when given, builds
-    the basis the root starts from instead when ``basis_hint`` proves
-    numerically singular; without it the root falls back to the slack
-    basis.
+    Integer-masked variables must carry finite integer bounds.  The
+    root relaxation starts from ``basis_hint`` when given (a receding-
+    horizon builder shifts the previous window's basis into it).
+    ``fallback_basis``, when given, builds the basis the root starts
+    from when there is no hint or the hint proves numerically singular
+    (model builders know a good crash basis); it is called only then.
+    The slack basis comes last.
     """
 
     lp: LinearProgram
@@ -243,8 +245,6 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         status, x, obj, _, basis = solve_node(lo, up, warm)
         if status is None:
             return cut_short(x)
-        if status is LpStatus.UNBOUNDED:
-            raise NumericalBreakdown("LP relaxation unbounded despite variable boxes")
         if status is not LpStatus.OPTIMAL:
             continue
         if root_bound is None:

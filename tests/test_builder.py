@@ -218,7 +218,7 @@ def test_crash_basis_solves_faster_than_cold():
                   [battery(0, soc=0.35), supercap(1, soc=0.6)], demand)
     state = sc.initial_state()
     prob, layout = build_window_milp(sc, state, ObjectiveWeights(0.005, 0.03, 0.05), 30)
-    crash_lp = solve_lp(prob.lp, basis=prob.basis_hint)
+    crash_lp = solve_lp(prob.lp, basis=prob.fallback_basis())
     cold_lp = solve_lp(prob.lp)
     assert crash_lp.status is cold_lp.status is LpStatus.OPTIMAL
     assert crash_lp.iterations < cold_lp.iterations
@@ -240,7 +240,7 @@ def test_crash_basis_starts_primal_feasible():
     sc, _ = parse_scenario(synth_scenario(42))
     weights = ObjectiveWeights(0.005, 0.03, 0.05)
     prob, _ = build_window_milp(sc, sc.initial_state(), weights, sc.steps)
-    lp, basis = prob.lp, prob.basis_hint
+    lp, basis = prob.lp, prob.fallback_basis()
     n, m = lp.n_vars, lp.n_rows
     lo = np.concatenate([lp.lower, lp.rg_lower])
     up = np.concatenate([lp.upper, lp.rg_upper])
@@ -254,7 +254,7 @@ def test_crash_basis_starts_primal_feasible():
 
 
 def window_arrays(problem):
-    lp, basis = problem.lp, problem.basis_hint
+    lp, basis = problem.lp, problem.fallback_basis()
     return {"indptr": lp.a_rg.indptr, "indices": lp.a_rg.indices,
             "data": lp.a_rg.data, "rg_lower": lp.rg_lower,
             "rg_upper": lp.rg_upper, "lower": lp.lower, "upper": lp.upper,

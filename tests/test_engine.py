@@ -376,10 +376,10 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     assert all(a is b for a, b in zip(templates[:8], templates[1:8]))
     distinct = list({id(tpl): tpl for tpl in templates}.values())
     assert [tpl.horizon for tpl in distinct] == [5, 4, 3, 2, 1]
-    assert windows[0][0].fallback_basis is None      # nothing to shift
+    assert windows[0][0].basis_hint is None      # nothing to shift
     repaired = 0
     for t, (problem, _) in enumerate(windows[1:], start=1):
-        assert problem.fallback_basis is not None, f"step {t} was not shifted"
+        assert problem.basis_hint is not None, f"step {t} was not shifted"
         crash = _SimplexCore(problem.lp).solve(warm=problem.fallback_basis())
         core = _SimplexCore(problem.lp)
         lo = np.concatenate([core.col_lo, core.row_lo])

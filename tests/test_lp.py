@@ -131,6 +131,26 @@ def test_rejects_bad_row_data(field, index, value, message):
         solve_lp(lp)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("given, omitted, open_value, sense", [
+    ("rg_upper", "rg_lower", -np.inf, 1.0),     # maximize against x <= 1
+    ("rg_lower", "rg_upper", np.inf, -1.0),     # minimize against x >= 1
+], ids=["upper_given", "lower_given"])
+def test_omitted_row_side_is_open(rows, given, omitted, open_value, sense):
+    # as in scipy's LinearConstraint, a side left out is open
+    lp = make_lp(np.full(rows, sense), a_rg=np.eye(rows), **{given: np.ones(rows)})
+    np.testing.assert_array_equal(getattr(lp, omitted), np.full(rows, open_value))
+    sol = solve_lp(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.x, np.ones(rows), atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["rg_lower", "rg_upper"])
+def test_row_sides_without_rows_are_rejected(side):
+    with pytest.raises(DimensionMismatch, match=f"{side} has length 1, expected 0"):
+        make_lp([1.0], **{side: [1.0]})
+
+
 def _random_lp(rng, force_tight=False):
     n = rng.integers(1, 7)
     m = rng.integers(0, 7)

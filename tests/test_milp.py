@@ -5,7 +5,7 @@ import pytest
 
 from shipems import io as sio
 from shipems.builder import build_window_milp, decode_plan
-from shipems.lp import LinearProgram, LpStatus, solve_lp
+from shipems.lp import Basis, LinearProgram, LpStatus, _SimplexCore, solve_lp
 from shipems.milp import MilpProblem, MilpSolution, MilpStatus, SolverConfig, solve_milp
 from shipems.model import ObjectiveWeights, SystemState
 from shipems.plant import violations
@@ -37,6 +37,53 @@ def lp_backend(c, a_ub, b_ub, lower, upper):
 def make_milp(c, a_ub, b_ub, lower, upper, is_int, hint=None):
     return MilpProblem(lp=le_lp(c, a_ub, b_ub, lower, upper), integrality=is_int,
                        basis_hint=hint)
+
+
+def test_fallback_starts_the_root_without_a_hint(monkeypatch):
+    # max 3x + 2y, 2x + 2y <= 7, x + 3y <= 6 over the integers: the
+    # root relaxation (3.5, 0) branches; the fallback is the LP's optimal
+    # basis, so the root takes no pivot, and no other node asks for it
+    lp = le_lp([3.0, 2.0], [[2.0, 2.0], [1.0, 3.0]], [7.0, 6.0], [0.0, 0.0], [10.0, 10.0])
+    optimal = solve_lp(lp).basis
+    calls = []
+
+    def fallback():
+        calls.append(1)
+        return Basis(optimal.vstat.copy(), optimal.basic.copy())
+
+    pivots = []
+    solve = _SimplexCore.solve
+
+    def spy(self, *args, **kwargs):
+        out = solve(self, *args, **kwargs)
+        pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(_SimplexCore, "solve", spy)
+    cold = solve_milp(MilpProblem(lp=lp, integrality=[True, True]))
+    assert pivots[0] > 0
+    pivots.clear()
+    sol = solve_milp(MilpProblem(lp=lp, integrality=[True, True], basis_hint=None,
+                                 fallback_basis=fallback))
+    for res in (cold, sol):
+        assert res.status is MilpStatus.OPTIMAL
+        assert res.objective_value == pytest.approx(9.0, abs=1e-9)
+    assert sol.nodes_explored > 1
+    assert calls == [1] and pivots[0] == 0
+
+
+def test_zero_row_milp_solves_at_the_root():
+    # no rows: the relaxation optimum is a box corner, integral on
+    # integer bounds, and its 0 x 0 basis warm-starts the LP in 0 pivots
+    lp = le_lp([2.0, -1.0, 0.5], None, None, [0.0, -2.0, 1.0], [3.0, 4.0, 5.0])
+    sol = solve_milp(MilpProblem(lp=lp, integrality=[True, True, False]))
+    assert sol.status is MilpStatus.OPTIMAL and sol.nodes_explored == 1
+    np.testing.assert_array_equal(sol.x, [3.0, -2.0, 5.0])
+    assert sol.objective_value == pytest.approx(10.5, abs=1e-12)
+    assert sol.basis.basic.size == 0
+    warm = solve_lp(lp, basis=sol.basis)
+    assert warm.status is LpStatus.OPTIMAL and warm.iterations == 0
+    assert warm.objective_value == sol.objective_value
 
 
 def random_milp(rng, max_combos=1024):
