@@ -55,15 +55,17 @@ def _positive_int(text):
     return value
 
 
-def _resolve_weights(args):
-    if args.weights is not None:
-        return args.weights
-    return ObjectiveWeights(*FALLBACK_WEIGHTS)
+def _mission(args):
+    """The scenario, weights and window length that ``run`` and
+    ``compare`` read from their arguments."""
+    scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
+    weights = args.weights or ObjectiveWeights(*FALLBACK_WEIGHTS)
+    return scenario, weights, file_horizon if args.np is None else args.np
 
 
-def _rho_config(args):
+def _solver_config(args):
     """The engine's default solver settings, with ``--deadline-ms`` as the
-    per-step wall budget."""
+    per-step wall budget (FHO has one step: the whole mission)."""
     deadline = None if args.deadline_ms is None else args.deadline_ms / 1e3
     return SolverConfig(gap_tol=ENGINE_GAP, deadline_s=deadline)
 
@@ -81,13 +83,11 @@ def _print_timing(label, result):
 
 
 def cmd_run(args):
-    scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
-    weights = _resolve_weights(args)
-    horizon = file_horizon if args.np is None else args.np
+    scenario, weights, horizon = _mission(args)
     if args.mode == "rho":
-        result = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
+        result = run_rho(scenario, weights, horizon, cfg=_solver_config(args))
     else:
-        result = run_fho(scenario, weights)
+        result = run_fho(scenario, weights, cfg=_solver_config(args))
     out = sio.write_result_bundle(result, scenario, _out_dir(args) / args.mode)
     print(f"{args.mode} run of {args.scenario}: steps={result.steps} "
           f"horizon={result.horizon}")
@@ -97,11 +97,9 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    scenario, file_horizon = sio.load_scenario_with_horizon(args.scenario)
-    weights = _resolve_weights(args)
-    horizon = file_horizon if args.np is None else args.np
+    scenario, weights, horizon = _mission(args)
     fho = run_fho(scenario, weights)
-    rho = run_rho(scenario, weights, horizon, cfg=_rho_config(args))
+    rho = run_rho(scenario, weights, horizon, cfg=_solver_config(args))
     delta = compare_f1(fho, rho)
     base = _out_dir(args)
     sio.write_result_bundle(fho, scenario, base / "fho",

@@ -1,12 +1,16 @@
 """Scenario ingestion, synthetic scenario generation, result persistence.
 
-Scenario files are YAML documents mirroring :class:`ScenarioSpec`; the
-demand matrix is either inline (per-load arrays), constant (per-load
-scalars plus a step count), or a separate CSV table whose header row
-carries the load ids and whose rows are mission steps.  All times are
-seconds, powers MW, energy MJ, and SoC a fraction in [0, 1]; files
-using percent-style SoC values are rejected outright to avoid the
-80-vs-0.8 ambiguity.
+Scenario files are YAML documents mirroring :class:`ScenarioSpec`.  The
+spec classes are the schema: a load, generator or storage entry has one
+key per field of its class (a storage unit's ``kind`` is written
+``class``), required where the class gives no default.  The one file
+default a class does not declare is in ``_FILE_DEFAULTS``: a generator
+without ``p_min_mw`` has a 0 MW floor.  The demand matrix is either
+inline (per-load arrays), constant (per-load scalars plus a step
+count), or a separate CSV table whose header row carries the load ids
+and whose rows are mission steps.  All times are seconds, powers MW,
+energy MJ, and SoC a fraction in [0, 1]; files using percent-style SoC
+values are rejected outright to avoid the 80-vs-0.8 ambiguity.
 
 Result bundles pair a ``summary.json`` with a ``trajectory.csv`` whose
 columns are stable: step, time_s, one service column per load, one
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +34,15 @@ import yaml
 from .engine import MissionResult, validate_trajectory
 from .errors import (BundleInvariantError, DimensionError, ParseError,
                      SchemaError)
-from .model import (DEFAULT_SOC_MAX, DEFAULT_SOC_MIN, GeneratorSpec, LoadSpec,
-                    ScenarioSpec, StorageClass, StorageSpec)
+from .model import (GeneratorSpec, LoadSpec, ScenarioSpec, StorageClass,
+                    StorageSpec)
 
 DEFAULT_DT_S = 0.5
 DEFAULT_HORIZON_STEPS = 60
 DEFAULT_MISSION_S = 600.0
+
+#: File defaults that the spec classes do not declare (module docstring)
+_FILE_DEFAULTS = {GeneratorSpec: {"p_min_mw": 0.0}}
 
 
 def _require(cond, path, message):
@@ -63,12 +71,19 @@ def _numbers(seq, path) -> list:
     return [float(val) for val in seq]
 
 
-def _get_num(doc, key, path, default=None, required=False):
+def _string(val, path) -> str:
+    _require(isinstance(val, str), path, "expected a string")
+    return val
+
+
+def _get(doc, key, path, default=None, required=False, convert=_number):
+    """``doc[key]`` through ``convert``; a missing or null key gives
+    ``default``, or a schema error when ``required``."""
     if key not in doc or doc[key] is None:
         if required:
             raise SchemaError(f"{path}.{key}: missing required field")
         return default
-    return _number(doc[key], f"{path}.{key}")
+    return convert(doc[key], f"{path}.{key}")
 
 
 def _is_count(val) -> bool:
@@ -76,13 +91,20 @@ def _is_count(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= 1
 
 
-def _get_str(doc, key, path, default=None, required=False):
-    if key not in doc or doc[key] is None:
-        if required:
-            raise SchemaError(f"{path}.{key}: missing required field")
-        return default
-    _require(isinstance(doc[key], str), f"{path}.{key}", "expected a string")
-    return doc[key]
+def _parse_spec(cls, doc, path, **given):
+    """A ``cls`` spec from the same-named keys of the mapping ``doc``:
+    ``given`` fields are taken as passed, ``str`` fields read as strings
+    and the rest as numbers, required where no default is known."""
+    defaults = _FILE_DEFAULTS.get(cls, {})
+    for f in fields(cls):
+        if f.name not in given:
+            default = defaults.get(f.name, f.default)
+            given[f.name] = _get(doc, f.name, path, default, default is MISSING,
+                                 _string if f.type in ("str", str) else _number)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}")
 
 
 def _parse_load(doc, idx):
@@ -92,29 +114,13 @@ def _parse_load(doc, idx):
     if steps is not None:
         _require(_is_count(steps), f"{path}.steps",
                  "expected a positive integer step count")
-    try:
-        return LoadSpec(id=_get_str(doc, "id", path, required=True),
-                        rated_mw=_get_num(doc, "rated_mw", path, required=True),
-                        weight=_get_num(doc, "weight", path, required=True),
-                        steps=steps, name=_get_str(doc, "name", path, default=""))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}")
+    return _parse_spec(LoadSpec, doc, path, steps=steps)
 
 
 def _parse_generator(doc, idx, dt, steps):
     path = f"generators[{idx}]"
     _require(isinstance(doc, dict), path, "expected a mapping")
-    try:
-        gen = GeneratorSpec(
-            id=_get_str(doc, "id", path, required=True),
-            p_min_mw=_get_num(doc, "p_min_mw", path, default=0.0),
-            p_max_mw=_get_num(doc, "p_max_mw", path, required=True),
-            ramp_down_mw_s=_get_num(doc, "ramp_down_mw_s", path, required=True),
-            ramp_up_mw_s=_get_num(doc, "ramp_up_mw_s", path, required=True),
-            initial_mw=_get_num(doc, "initial_mw", path, default=0.0),
-            name=_get_str(doc, "name", path, default=""))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}")
+    gen = _parse_spec(GeneratorSpec, doc, path)
     avail = np.ones(steps, dtype=bool)
     if "available" in doc and doc["available"] is not None:
         seq = doc["available"]
@@ -144,57 +150,44 @@ def _parse_generator(doc, idx, dt, steps):
 def _parse_storage(doc, idx):
     path = f"storage[{idx}]"
     _require(isinstance(doc, dict), path, "expected a mapping")
-    kind_raw = _get_str(doc, "class", path, required=True)
+    kind_raw = _get(doc, "class", path, required=True, convert=_string)
     try:
         kind = StorageClass(kind_raw.lower())
     except ValueError:
         raise SchemaError(f"{path}.class: unknown storage class {kind_raw!r} "
                           f"(battery or supercapacitor)")
     for key in ("soc_min", "soc_max", "initial_soc"):
-        val = _get_num(doc, key, path)
+        val = _get(doc, key, path)
         if val is not None and val > 1.0:
             raise SchemaError(f"{path}.{key}: SoC values are fractions in "
                               f"[0, 1], got {val} (percent-style rejected)")
-    try:
-        return StorageSpec(
-            id=_get_str(doc, "id", path, required=True),
-            kind=kind,
-            p_min_mw=_get_num(doc, "p_min_mw", path, required=True),
-            p_max_mw=_get_num(doc, "p_max_mw", path, required=True),
-            ramp_down_mw_s=_get_num(doc, "ramp_down_mw_s", path, required=True),
-            ramp_up_mw_s=_get_num(doc, "ramp_up_mw_s", path, required=True),
-            capacity_mj=_get_num(doc, "capacity_mj", path, required=True),
-            soc_min=_get_num(doc, "soc_min", path, default=DEFAULT_SOC_MIN),
-            soc_max=_get_num(doc, "soc_max", path, default=DEFAULT_SOC_MAX),
-            initial_soc=_get_num(doc, "initial_soc", path, default=0.5),
-            terminal_priority=_get_num(doc, "terminal_priority", path),
-            initial_mw=_get_num(doc, "initial_mw", path, default=0.0),
-            name=_get_str(doc, "name", path, default=""))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}")
+    return _parse_spec(StorageSpec, doc, path, kind=kind)
 
 
 def _read_demand_csv(path: Path, load_ids):
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        # utf-8-sig: a spreadsheet export may open with a byte-order mark
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"demand.file: cannot read {path}: {exc}")
-    if not rows:
-        raise DimensionError(f"demand.file: {path} is empty")
+    while rows and not "".join(rows[-1]).strip():
+        rows.pop()
+    if len(rows) < 2:
+        raise DimensionError(f"demand.file {path.name}: no demand rows")
     header = [h.strip() for h in rows[0]]
     if header != list(load_ids):
         raise DimensionError(
             f"demand.file {path.name}: header {header} does not match "
             f"declared load ids {list(load_ids)}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DimensionError(f"demand.file {path.name}: line {line} has "
+                                 f"{len(row)} entries, expected {len(header)}")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise ParseError(f"demand.file {path.name}: non-numeric entry: {exc}")
-    if data.ndim != 2 or data.shape[1] != len(load_ids):
-        raise DimensionError(
-            f"demand.file {path.name}: expected {len(load_ids)} columns")
     return data.T  # (n_loads, steps)
 
 
@@ -241,8 +234,8 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
     """
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected a mapping")
-    dt = _get_num(doc, "dt_s", "top level", default=DEFAULT_DT_S)
-    _require(dt > 0, "dt_s", "must be > 0")
+    dt = _get(doc, "dt_s", "top level", default=DEFAULT_DT_S)
+    _require(np.isfinite(dt) and dt > 0, "dt_s", "must be finite and > 0")
     horizon = doc.get("horizon_steps", DEFAULT_HORIZON_STEPS)
     _require(_is_count(horizon), "horizon_steps",
              "expected a positive integer")
@@ -254,7 +247,7 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
 
     declared_steps = doc.get("steps")
     if declared_steps is None and doc.get("mission_s") is not None:
-        declared_steps = int(round(_get_num(doc, "mission_s", "top level") / dt))
+        declared_steps = int(round(_get(doc, "mission_s", "top level") / dt))
     if declared_steps is not None:
         _require(_is_count(declared_steps), "steps", "expected a positive integer")
 
@@ -293,7 +286,7 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
                             storage=storage, demand_mw=demand,
                             generator_available=availability,
                             weight_override=weight_override,
-                            name=_get_str(doc, "name", "top level", default=""))
+                            name=_get(doc, "name", "top level", "", convert=_string))
     except ValueError as exc:
         raise SchemaError(str(exc))
     return spec, horizon
@@ -318,44 +311,30 @@ def load_scenario_with_horizon(path):
     return parse_scenario(doc, base_dir=path.parent)
 
 
+def _spec_entry(spec) -> dict:
+    """The file entry of a load, generator or storage spec: its fields in
+    order, ``kind`` written as ``class``, unset (None or "") ones left out."""
+    entry = {}
+    for f in fields(spec):
+        val = getattr(spec, f.name)
+        if isinstance(val, StorageClass):
+            entry["class"] = val.value
+        elif val is not None and val != "":
+            entry[f.name] = val
+    return entry
+
+
 def scenario_document(spec: ScenarioSpec, horizon_steps: int = DEFAULT_HORIZON_STEPS) -> dict:
     """Round-trippable plain document for a spec (demand kept inline)."""
     doc = {"name": spec.name, "dt_s": spec.dt_s, "horizon_steps": horizon_steps,
-           "steps": spec.steps}
-    doc["loads"] = []
-    for ld in spec.loads:
-        entry = {"id": ld.id, "rated_mw": ld.rated_mw, "weight": ld.weight}
-        if ld.steps is not None:
-            entry["steps"] = ld.steps
-        if ld.name:
-            entry["name"] = ld.name
-        doc["loads"].append(entry)
-    doc["generators"] = []
-    avail = spec.availability()
-    for g, gen in enumerate(spec.generators):
-        entry = {"id": gen.id, "p_min_mw": gen.p_min_mw, "p_max_mw": gen.p_max_mw,
-                 "ramp_down_mw_s": gen.ramp_down_mw_s,
-                 "ramp_up_mw_s": gen.ramp_up_mw_s, "initial_mw": gen.initial_mw}
-        if gen.name:
-            entry["name"] = gen.name
-        if spec.generator_available is not None and not avail[g].all():
-            entry["available"] = [int(v) for v in avail[g]]
-        doc["generators"].append(entry)
-    doc["storage"] = []
-    for sto in spec.storage:
-        entry = {"id": sto.id, "class": sto.kind.value,
-                 "p_min_mw": sto.p_min_mw, "p_max_mw": sto.p_max_mw,
-                 "ramp_down_mw_s": sto.ramp_down_mw_s,
-                 "ramp_up_mw_s": sto.ramp_up_mw_s,
-                 "capacity_mj": sto.capacity_mj, "soc_min": sto.soc_min,
-                 "soc_max": sto.soc_max, "initial_soc": sto.initial_soc,
-                 "terminal_priority": sto.terminal_priority,
-                 "initial_mw": sto.initial_mw}
-        if sto.name:
-            entry["name"] = sto.name
-        doc["storage"].append(entry)
-    doc["demand"] = {"inline": {ld.id: [float(v) for v in spec.demand_mw[i]]
-                                for i, ld in enumerate(spec.loads)}}
+           "steps": spec.steps, "loads": [_spec_entry(ld) for ld in spec.loads],
+           "generators": [_spec_entry(gen) for gen in spec.generators],
+           "storage": [_spec_entry(sto) for sto in spec.storage],
+           "demand": {"inline": {ld.id: [float(v) for v in spec.demand_mw[i]]
+                                 for i, ld in enumerate(spec.loads)}}}
+    for entry, row in zip(doc["generators"], spec.availability()):
+        if not row.all():
+            entry["available"] = [int(v) for v in row]
     if spec.weight_override is not None:
         doc["weight_override"] = {ld.id: float(w) for ld, w in
                                   zip(spec.loads, spec.weight_override)}
@@ -504,14 +483,9 @@ def write_result_bundle(result: MissionResult, scenario: ScenarioSpec,
         "horizon": result.horizon,
         "steps": result.steps,
         "dt_s": scenario.dt_s,
-        "weights": {"throughput": result.weights.throughput,
-                    "imbalance": result.weights.imbalance,
-                    "terminal": result.weights.terminal},
+        "weights": asdict(result.weights),
         "operability": result.operability,
-        "terms": {"served": result.terms.served,
-                  "throughput": result.terms.throughput,
-                  "imbalance": result.terms.imbalance,
-                  "terminal_soc": result.terms.terminal_soc},
+        "terms": asdict(result.terms),
         "objective": result.objective(),
         "solve_time": {"total_s": float(result.solve_times.sum()),
                        "max_ms": float(times_ms.max()),

@@ -52,8 +52,8 @@ class LoadSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.rated_mw > 0:
-            raise ValueError(f"load {self.id}: rated_mw must be > 0")
+        if not (np.isfinite(self.rated_mw) and self.rated_mw > 0):
+            raise ValueError(f"load {self.id}: rated_mw must be finite and > 0")
         if not (np.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"load {self.id}: weight must be finite and >= 0")
         if self.steps is not None and (int(self.steps) != self.steps or self.steps < 1):
@@ -80,8 +80,8 @@ class GeneratorSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.p_min_mw > self.p_max_mw:
-            raise ValueError(f"generator {self.id}: p_min > p_max")
+        if not -np.inf < self.p_min_mw <= self.p_max_mw < np.inf:
+            raise ValueError(f"generator {self.id}: need finite p_min_mw <= p_max_mw")
         if not (self.ramp_down_mw_s < 0 < self.ramp_up_mw_s):
             raise ValueError(
                 f"generator {self.id}: need ramp_down < 0 < ramp_up")
@@ -108,12 +108,12 @@ class StorageSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not (self.p_min_mw < 0 < self.p_max_mw):
-            raise ValueError(f"storage {self.id}: need p_min < 0 < p_max")
+        if not -np.inf < self.p_min_mw < 0 < self.p_max_mw < np.inf:
+            raise ValueError(f"storage {self.id}: need finite p_min_mw < 0 < p_max_mw")
         if not (self.ramp_down_mw_s < 0 < self.ramp_up_mw_s):
             raise ValueError(f"storage {self.id}: need ramp_down < 0 < ramp_up")
-        if not self.capacity_mj > 0:
-            raise ValueError(f"storage {self.id}: capacity_mj must be > 0")
+        if not (np.isfinite(self.capacity_mj) and self.capacity_mj > 0):
+            raise ValueError(f"storage {self.id}: capacity_mj must be finite and > 0")
         if not (0 <= self.soc_min < self.soc_max <= 1):
             raise ValueError(f"storage {self.id}: need 0 <= soc_min < soc_max <= 1")
         if not (self.soc_min <= self.initial_soc <= self.soc_max):
@@ -121,8 +121,8 @@ class StorageSpec:
         if self.terminal_priority is None:
             object.__setattr__(self, "terminal_priority",
                                DEFAULT_TERMINAL_PRIORITY[self.kind])
-        if self.terminal_priority < 0:
-            raise ValueError(f"storage {self.id}: terminal_priority must be >= 0")
+        if not (np.isfinite(self.terminal_priority) and self.terminal_priority >= 0):
+            raise ValueError(f"storage {self.id}: terminal_priority must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,8 @@ class ScenarioSpec:
         object.__setattr__(self, "storage", tuple(self.storage))
         demand = np.asarray(self.demand_mw, dtype=np.float64)
         object.__setattr__(self, "demand_mw", demand)
-        if self.dt_s <= 0:
-            raise ValueError("dt_s must be > 0")
+        if not (np.isfinite(self.dt_s) and self.dt_s > 0):
+            raise ValueError("dt_s must be finite and > 0")
         if demand.ndim != 2 or demand.shape[0] != len(self.loads):
             raise ValueError(
                 f"demand matrix is {demand.shape}, expected "

@@ -164,17 +164,17 @@ def make_mission_evaluator(scenario: ScenarioSpec, mode: str = "fho",
     trajectory with ``default_norms(scenario)``.  Tuning is expensive,
     so point it at a reduced scenario.
     """
+    if mode not in ("fho", "rho"):
+        raise ValueError(f"unknown evaluator mode {mode!r}")
     norms = default_norms(scenario)
 
     def evaluate(w):
         weights = ObjectiveWeights(*np.clip(w, 0.0, None))
         if mode == "fho":
             res = run_fho(scenario, weights)
-        elif mode == "rho":
+        else:
             res = run_rho(scenario, weights,
                           min(scenario.steps, 60) if horizon is None else horizon)
-        else:
-            raise ValueError(f"unknown evaluator mode {mode!r}")
         return normalized_merit(res.terms, norms)
 
     return evaluate

@@ -73,6 +73,14 @@ def test_run_fho_defaults_from_file(small_scenario, tmp_path):
     assert summary["steps"] == 16
 
 
+def test_run_fho_honours_the_deadline(small_scenario, tmp_path, capsys):
+    # the whole-mission solve is the one step the deadline budgets
+    rc = main(["run", "--scenario", str(small_scenario), "--mode", "fho",
+               "--deadline-ms", "0.001", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "no incumbent" in capsys.readouterr().err
+
+
 def test_compare_full_horizon_matches(small_scenario, tmp_path, capsys):
     # with the window spanning the mission, the printed service error
     # vanishes (deterministic equivalence of the two modes)

@@ -1,17 +1,20 @@
 """Scenario files, demand tables, synthetic missions, result bundles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
 
-from shipems.engine import run_fho, run_rho
+from shipems.engine import run_fho, run_rho, validate_trajectory
 from shipems.errors import (BundleInvariantError, DimensionError, ParseError,
                             SchemaError)
 from shipems.io import (load_scenario, load_scenario_with_horizon,
                         parse_scenario, read_summary, save_scenario,
                         scenario_document, scenarios_equal, synth_scenario,
                         write_result_bundle, write_tuner_trace)
-from shipems.model import ObjectiveWeights, StorageClass
+from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
+                           ScenarioSpec, StorageClass, StorageSpec)
 
 MINIMAL = """
 loads:
@@ -42,6 +45,18 @@ storage:
      ramp_down_mw_s: -100.0, ramp_up_mw_s: 100.0, capacity_mj: 200.0, initial_soc: 0.7}
 demand:
   constant: {L1: 12.0}
+"""
+
+ONE_OF_EACH = """
+loads:
+  - {id: L1, rated_mw: 5.0, weight: 1.0}
+generators:
+  - {id: G1, p_max_mw: 10.0, ramp_down_mw_s: -1.0, ramp_up_mw_s: 1.0, initial_mw: 4.0}
+storage:
+  - {id: B1, class: battery, p_min_mw: -2.0, p_max_mw: 2.0,
+     ramp_down_mw_s: -1.0, ramp_up_mw_s: 1.0, capacity_mj: 50.0}
+demand:
+  inline: {L1: [4.0, 1.0, 5.0, 5.0, 1.0, 4.0]}
 """
 
 
@@ -100,6 +115,27 @@ demand: {file: demand.csv}
         with pytest.raises(DimensionError) as err:
             load_scenario(write(tmp_path, text))
         assert "demand.csv" in str(err.value)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("L1\n4.0\n4.0\n\n", 2),                  # blank line at the end
+        ("L1\r\n4.0\r\n4.0\r\n\r\n", 2),
+        ("\ufeffL1\n4.0\n4.0\n", 2),               # spreadsheet byte-order mark
+        ("L1\n", "no demand rows"),
+        ("", "no demand rows"),
+        ("L1\n4.0\n\n4.0\n", "line 3 has 0 entries, expected 1"),
+        ("L1\n4.0\n4.0,5.0\n", "line 3 has 2 entries, expected 1"),
+    ], ids=["blank-end", "crlf-blank-end", "bom", "header-only", "empty",
+            "blank-middle", "wide-row"])
+    def test_demand_csv_rows(self, tmp_path, text, expected):
+        # each problem row is named by its line, not by a numpy message
+        (tmp_path / "demand.csv").write_text(text, encoding="utf-8", newline="")
+        scenario = write(tmp_path, MINIMAL.replace("constant: {L1: 4.0}", "").replace(
+            "demand:", "demand: {file: demand.csv}"))
+        if isinstance(expected, int):
+            assert load_scenario(scenario).steps == expected
+        else:
+            with pytest.raises(DimensionError, match=expected):
+                load_scenario(scenario)
 
     def test_inline_length_mismatch(self, tmp_path):
         text = """
@@ -209,6 +245,35 @@ demand:
             load_scenario(write(tmp_path, text))
         assert path in str(err.value)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("loads", "rated_mw", ".inf"),
+        ("generators", "p_max_mw", ".inf"),
+        ("generators", "p_min_mw", "-.inf"),
+        ("storage", "p_max_mw", ".inf"),
+        ("storage", "p_min_mw", "-.inf"),
+        ("storage", "capacity_mj", ".inf"),
+        ("storage", "terminal_priority", ".inf"),
+        (None, "dt_s", ".inf"),
+    ])
+    def test_infinite_box_is_a_schema_error(self, section, field, value):
+        # an infinite box is no plant limit: the file is refused by field
+        doc = yaml.safe_load(ONE_OF_EACH)
+        target = doc if section is None else doc[section][0]
+        target[field] = yaml.safe_load(value)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert field in str(err.value)
+        assert section is None or f"{section}[0]" in str(err.value)
+
+    def test_infinite_ramps_mean_no_limit(self):
+        doc = yaml.safe_load(ONE_OF_EACH)
+        for unit in doc["generators"] + doc["storage"]:
+            unit["ramp_down_mw_s"], unit["ramp_up_mw_s"] = -np.inf, np.inf
+        spec, _ = parse_scenario(doc)
+        weights = ObjectiveWeights(0.005, 0.02, 0.05)
+        for res in (run_rho(spec, weights, horizon=3), run_fho(spec, weights)):
+            assert validate_trajectory(res, spec) == []
+
 
 class TestRoundTrip:
     def test_document_round_trip(self, tmp_path):
@@ -229,6 +294,35 @@ class TestRoundTrip:
         path = tmp_path / "rt.yaml"
         save_scenario(spec, path)
         assert scenarios_equal(spec, load_scenario(path))
+
+    def test_every_field_round_trips(self, tmp_path):
+        # every spec field away from its default, so the writer and the
+        # parser must both carry it
+        loads = [LoadSpec("L1", 5.0, 0.7, steps=3, name="pump"),
+                 LoadSpec("L2", 4.0, 0.2)]
+        gens = [GeneratorSpec("G1", p_min_mw=1.5, p_max_mw=20.0,
+                              ramp_down_mw_s=-2.0, ramp_up_mw_s=3.0,
+                              initial_mw=4.0, name="main")]
+        storage = [StorageSpec("B1", StorageClass.SUPERCAPACITOR, -8.0, 9.0,
+                               -4.0, 6.0, 500.0, soc_min=0.2, soc_max=0.9,
+                               initial_soc=0.6, terminal_priority=0.3,
+                               initial_mw=1.0, name="aft")]
+        avail = np.ones((1, 6), dtype=bool)
+        avail[0, 2:4] = False
+        spec = ScenarioSpec(dt_s=0.25, loads=loads, generators=gens,
+                            storage=storage, demand_mw=np.arange(12.0).reshape(2, 6) / 4,
+                            generator_available=avail, weight_override=[0.9, 0.1],
+                            name="every-field")
+        implied = {"p_min_mw": 0.0, "terminal_priority": 1.0}  # file, class
+        for unit in (loads[0], gens[0], storage[0]):
+            for f in dataclasses.fields(unit):
+                default = implied.get(f.name, f.default)
+                assert getattr(unit, f.name) != default, f.name
+        path = tmp_path / "rt.yaml"
+        save_scenario(spec, path, horizon_steps=4)
+        spec2, horizon = load_scenario_with_horizon(path)
+        assert horizon == 4
+        assert scenarios_equal(spec, spec2)
 
 
 class TestSynth:
@@ -291,6 +385,9 @@ class TestResultBundle:
         assert summary["mode"] == "rho"
         assert summary["steps"] == 20
         assert 0 <= summary["operability"] <= 1
+        assert list(summary["weights"]) == ["throughput", "imbalance", "terminal"]
+        assert list(summary["terms"]) == ["served", "throughput", "imbalance",
+                                          "terminal_soc"]
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 21  # header + one row per step
         header = lines[0].split(",")

@@ -145,6 +145,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             self.make(demand_mw=-np.ones((2, 4)))
 
+    @pytest.mark.parametrize("dt", [0.0, np.inf, np.nan])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt_s"):
+            self.make(dt_s=dt)
+
     def test_rejects_bad_availability(self):
         with pytest.raises(ValueError):
             self.make(generator_available=np.ones((2, 4), dtype=bool))

@@ -162,3 +162,9 @@ def test_rho_evaluator_takes_horizon_zero_as_given():
     default = make_mission_evaluator(sc, mode="rho")(np.full(3, 0.02))
     assert default == make_mission_evaluator(sc, mode="rho", horizon=sc.steps)(
         np.full(3, 0.02))
+
+
+def test_unknown_evaluator_mode_fails_when_made():
+    # a bad mode fails before any tuning work is spent
+    with pytest.raises(ValueError, match="bogus"):
+        make_mission_evaluator(tiny_scenario(), mode="bogus")
