@@ -58,8 +58,10 @@ so the widened row acts as no row, and finite, so a shifted basis may
 leave its slack at a bound.  The template is also the window's layout:
 ``build_window_milp`` returns it with the problem, and the next step
 of a receding-horizon run passes it back as ``previous`` with the root
-basis, so a run of windows of one length builds one template and each
-shorter window at mission end builds its own.
+basis and the simplex core the window ran on, so a run of windows of
+one length builds one template and one core (the solver patches each
+window's values into it), and each shorter window at mission end
+builds its own.
 
 The rows come in the order generator ramp rows unit by unit, then each
 storage unit's rows, the balance rows and the pair rows.  The template
@@ -349,14 +351,16 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     """Build the dispatch MILP for the window starting at state.step_index.
 
     The window shrinks at mission end.  ``previous`` is the
-    (WindowTemplate, optimal root Basis or None) of the step before, if
-    any, built for the same scenario and weights.  A window of its
-    length reuses its template; any other window (the first, each
-    shrinking window at mission end, a lone window) builds its own.
-    Returns (MilpProblem, WindowTemplate).  The basis hint is
-    ``previous``'s basis shifted one step (``shifted_basis``; None when
-    there is nothing to shift or the shift cannot balance), and the
-    fallback basis builds the crash basis when a solve asks for it.
+    (WindowTemplate, optimal root Basis or None, simplex core or None)
+    of the step before, if any, built for the same scenario and
+    weights.  A window of its length reuses its template and hands the
+    core on as ``MilpProblem.core``, for the solver to patch; any other
+    window (the first, each shrinking window at mission end, a lone
+    window) builds its own template and gets a fresh core.  Returns
+    (MilpProblem, WindowTemplate).  The basis hint is ``previous``'s
+    basis shifted one step (``shifted_basis``; None when there is
+    nothing to shift or the shift cannot balance), and the fallback
+    basis builds the crash basis when a solve asks for it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -364,7 +368,7 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     if not 0 <= t0 < scenario.steps:
         raise ValueError(f"step_index {t0} outside mission of {scenario.steps} steps")
     h = min(horizon, scenario.steps - t0)
-    prev, basis = previous or (None, None)
+    prev, basis, core = previous or (None, None, None)
     if prev is not None and (prev.scenario is not scenario or prev.weights != weights):
         raise ValueError("previous window was built for another scenario or weights")
     reuse = prev is not None and prev.horizon == h
@@ -393,7 +397,8 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     problem = MilpProblem(
         lp=lp, integrality=tpl.integrality.copy(),
         basis_hint=None if basis is None else shifted_basis(prev, basis, tpl),
-        fallback_basis=partial(_crash_basis, tpl, upper, demand, soc0))
+        fallback_basis=partial(_crash_basis, tpl, upper, demand, soc0),
+        core=core if reuse else None)
     return problem, tpl
 
 

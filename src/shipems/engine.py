@@ -4,7 +4,8 @@ plant propagation, and the mission-level resilience metrics.
 ``run_rho`` solves a window at every step, applies only the first-step
 actions, propagates the state through the storage kinematics, and
 repeats, starting each window's simplex from the previous window's
-optimal root basis shifted one step; ``run_fho`` solves one window
+optimal root basis shifted one step, on the simplex core of the
+previous window of its length; ``run_fho`` solves one window
 spanning the whole mission and applies it open loop.  With the horizon
 equal to the mission length and no measurement perturbations the two
 produce the same objective on deterministic scenarios, which the tests
@@ -119,8 +120,8 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
     ``tick``: the solver gets what the build left of it, less a 10 ms
     reserve for the decode and bookkeeping.  ``previous`` is the
     ``root`` of the step before (see ``build_window_milp``): ``root`` is
-    this window's template and optimal root basis, the basis None when
-    the root relaxation stopped short of optimality.
+    this window's template, optimal root basis (None when the root
+    relaxation stopped short of optimality) and simplex core.
     """
     problem, template = build_window_milp(scenario, state, weights, horizon,
                                           previous=previous)
@@ -131,7 +132,7 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
     if sol.status is MilpStatus.INFEASIBLE:
         raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")
     plan = decode_plan(sol, template, scenario, state) if sol.has_incumbent else None
-    return sol.status.value, plan, (template, sol.basis)
+    return sol.status.value, plan, (template, sol.basis, sol.core)
 
 
 def run_fho(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -189,9 +190,9 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
 
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
-    # the previous window's template and root basis: the next window
-    # reuses the template when it has the same length and starts from
-    # the basis, shifted one step
+    # the previous window's template, root basis and simplex core: the
+    # next window of the same length reuses the template, starts from
+    # the basis shifted one step and is patched into the core
     root = None
     t_start = time.perf_counter()
 

@@ -247,7 +247,10 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
 
     declared_steps = doc.get("steps")
     if declared_steps is None and doc.get("mission_s") is not None:
-        declared_steps = int(round(_get(doc, "mission_s", "top level") / dt))
+        mission_s = _get(doc, "mission_s", "top level")
+        _require(np.isfinite(mission_s) and mission_s > 0, "mission_s",
+                 "must be finite and > 0")
+        declared_steps = int(round(mission_s / dt))
     if declared_steps is not None:
         _require(_is_count(declared_steps), "steps", "expected a positive integer")
 

@@ -49,14 +49,17 @@ reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU
 may crash the process on it instead of raising, as it does with its
 default options.
 
-A simplex core prepares one problem once for any number of solves: it
+A simplex core prepares one problem for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
 and lays out the columns of G = [A, -I] as CSC arrays, A's columns then
 one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
 matrix, whatever its mix of columns, is one gather over them.  A basis
 the core returned itself (branch and bound warm-starts each child from
 its parent's) was checked when its solve started and every pivot kept
-it well formed, so it is neither checked again nor repaired.
+it well formed, so it is neither checked again nor repaired.  A core
+also serves the next problem with the same row pattern (the next
+receding-horizon window of the same length): a patch rewrites its
+values in place and keeps what depends on the pattern alone.
 
 ``solve_lp`` is a pure function of its inputs; independent problems may
 be solved concurrently.
@@ -206,82 +209,123 @@ class LpSolution:
     basis: Optional[Basis] = None
 
 
-class _SimplexCore:
-    """Prepared simplex state reusable across bound overrides.
+def _row_runs(indptr):
+    """Row lengths of a CSR pattern, its nonempty rows and where they
+    start."""
+    counts = indptr[1:] - indptr[:-1]
+    rows = np.flatnonzero(counts)
+    return counts, rows, indptr[rows]
 
-    Branch-and-bound creates one core per MILP and re-solves with node
+
+def _row_scale(data, runs):
+    """Power-of-two row equilibration, which keeps pivots well scaled
+    without perturbing representable data: each row of the pattern
+    ``runs`` (``_row_runs``) with entries ``data`` is scaled to a
+    largest magnitude near one.  Empty or all-zero rows keep scale one."""
+    counts, rows, starts = runs
+    scale = np.ones(counts.size)
+    if data.size:
+        # reduceat segments end at the next nonempty row's start
+        row_max = np.maximum.reduceat(np.abs(data), starts)
+        pos = row_max > 0
+        scale[rows[pos]] = np.exp2(-np.round(np.log2(row_max[pos])))
+    return scale
+
+
+class _SimplexCore:
+    """Prepared simplex state reusable across bound overrides and, by
+    ``patch``, across problems with one row pattern.
+
+    Branch-and-bound runs each MILP on one core and re-solves with node
     bounds and a warm basis; every solve factors its starting basis
     afresh, and nothing here mutates the owning problem, which the
     caller has validated.  ``fallback`` builds the start that follows
     a missing or numerically singular warm basis; the slack basis is
     the last (module docstring).
 
-    Built once per core: the scaled rows (``a_csr``), G = [A, -I] as CSC
-    arrays (``_gp``, ``_gi``, ``_gd``; column lengths ``_glen``), the
-    CSR view ``a_t_csr`` of A^T over them, and the cost vector over all
-    ``n + m`` variables.  An outside warm basis is validated and
-    repaired; one this core returned skips both (``_initial_basis``).
+    Kept for the core's life, as they depend on the row pattern alone:
+    the row runs, the CSC order of A's entries and G = [A, -I]'s index
+    arrays (``_gp``, ``_gi``, ``_glen``).  Rewritten by each problem
+    (``_load``): the scaled entries (``a_csr``'s data and ``_gd``, which
+    the CSR view ``a_t_csr`` of A^T shares), the scaled row sides, the
+    boxes, the costs and the fallback.  An outside warm basis is
+    validated and repaired; one this core returned skips both
+    (``_initial_basis``), also after a patch.
     """
 
     def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None,
                  fallback: Optional[Callable[[], Basis]] = None):
-        self.fallback = fallback
         # the bases this core returned, which need no checks and no repair
         self._returned = weakref.WeakValueDictionary()
         self.n = n = lp.n_vars
-        a, row_lo, row_up = lp.a_rg, lp.rg_lower, lp.rg_upper
+        a = lp.a_rg
         self.m = m = a.shape[0]
         default_cap = 10_000 + 25 * (n + m)
         self.max_iter = int(max_iter) if max_iter is not None else default_cap
 
-        # Row equilibration with powers of two keeps pivots well scaled
-        # without perturbing representable data.  The scaled rows go into
-        # fresh arrays (the caller's matrix is only read), with what a
-        # product with diag(scale) drops: duplicates summed, explicit
-        # zeros removed.
-        scale = np.ones(m)
-        counts = a.indptr[1:] - a.indptr[:-1]
-        if a.nnz:
-            row_max = np.zeros(m)
-            nz_rows = np.flatnonzero(counts)
-            # reduceat segments end at the next nonempty row's start
-            row_max[nz_rows] = np.maximum.reduceat(np.abs(a.data), a.indptr[nz_rows])
-            pos = row_max > 0
-            scale[pos] = np.exp2(-np.round(np.log2(row_max[pos])))
-            if not a.has_canonical_format:
-                a = a.copy()
-                a.sum_duplicates()
-                counts = a.indptr[1:] - a.indptr[:-1]
-            data = a.data * np.repeat(scale, counts)
-            a = sp.csr_matrix((data, a.indices, a.indptr), shape=(m, n))
-            if not data.all():
-                a = a.copy()                # not the caller's structure
-                a.eliminate_zeros()
-                counts = a.indptr[1:] - a.indptr[:-1]
-        self.a_csr = a
-        self.row_lo = row_lo * scale
-        self.row_up = row_up * scale
+        # scales from the caller's entries as given; the scaled rows keep
+        # what a product with diag(scale) keeps, duplicates summed and
+        # zeros dropped, in fresh arrays (the caller's are only read)
+        self._runs = _row_runs(a.indptr)
+        scale = _row_scale(a.data, self._runs)
+        if not (a.has_canonical_format and a.data.all()):
+            a = a.copy()
+            a.sum_duplicates()
+            a.eliminate_zeros()
+            self._runs = _row_runs(a.indptr)
+        counts = self._runs[0]
+        self.a_csr = sp.csr_matrix((np.empty(a.nnz), a.indices, a.indptr), shape=(m, n))
         # the columns of G = [A, -I]: A's CSC arrays, then one -1 per
         # logical, so the basis matrix of any mix of columns is one gather
         cols = a.indices
-        by_col = np.argsort(cols, kind="stable")    # rows ascend in a column
+        self._by_col = np.argsort(cols, kind="stable")    # rows ascend in a column
         col_ptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
         nnz = int(col_ptr[-1])
         logicals = np.arange(m, dtype=np.int32)
         self._gp = np.concatenate([col_ptr, nnz + 1 + logicals])
-        self._gi = np.concatenate([np.repeat(logicals, counts)[by_col],
+        self._gi = np.concatenate([np.repeat(logicals, counts)[self._by_col],
                                    logicals])
-        self._gd = np.concatenate([a.data[by_col], np.full(m, -1.0)])
+        self._gd = np.concatenate([np.empty(nnz), np.full(m, -1.0)])
         self._glen = self._gp[1:] - self._gp[:-1]
-        # A^T as CSR is A's CSC, viewed from G's arrays
+        # A^T as CSR is A's CSC, viewed from G's arrays; its data is set
+        # after construction, which copies a view of a much larger array
         self.a_t_csr = sp.csr_matrix((self._gd[:nnz], self._gi[:nnz], col_ptr),
                                      shape=(n, m))
+        self.a_t_csr.data = self._gd[:nnz]
+        self._cobj = np.zeros(n + m)
+        self.c = self._cobj[:n]
+        self.row_lo, self.row_up = np.empty(m), np.empty(m)
+        self.col_lo, self.col_up = np.empty(n), np.empty(n)
+        self._load(lp, a.data, scale, fallback)
 
-        self.c = lp.objective.copy()
-        self.col_lo = lp.lower.copy()
-        self.col_up = lp.upper.copy()
-        self._cobj = np.concatenate([self.c, np.zeros(m)])
+    def patch(self, lp: LinearProgram,
+              fallback: Optional[Callable[[], Basis]] = None) -> bool:
+        """Load ``lp`` into this core and return True, or return False,
+        the core untouched, when its rows differ from the core's in
+        pattern (a zero entry, which a fresh core drops, included) or in
+        which row sides are open.  The bases the core returned stay
+        trusted: each keeps its structural rank and finite nonbasics."""
+        a, mine = lp.a_rg, self.a_csr
+        if not (a.shape == mine.shape and np.array_equal(a.indptr, mine.indptr)
+                and np.array_equal(a.indices, mine.indices) and a.data.all()
+                and np.array_equal(np.isinf(lp.rg_lower), np.isinf(self.row_lo))
+                and np.array_equal(np.isinf(lp.rg_upper), np.isinf(self.row_up))):
+            return False
+        self._load(lp, a.data, _row_scale(a.data, self._runs), fallback)
+        return True
+
+    def _load(self, lp, data, scale, fallback):
+        """Write ``lp``'s values into the core's arrays: ``data`` are the
+        entries of the core's pattern, unscaled."""
+        np.multiply(data, np.repeat(scale, self._runs[0]), out=self.a_csr.data)
+        np.take(self.a_csr.data, self._by_col, out=self._gd[:self.a_csr.nnz])
+        np.multiply(lp.rg_lower, scale, out=self.row_lo)
+        np.multiply(lp.rg_upper, scale, out=self.row_up)
+        self.c[:] = lp.objective
+        self.col_lo[:] = lp.lower
+        self.col_up[:] = lp.upper
+        self.fallback = fallback
         # structural reduced costs of the last optimal solve (for
         # reduced-cost bound fixing in branch and bound)
         self.last_reduced_costs = None
@@ -652,8 +696,9 @@ class _SimplexCore:
         basis when ``warm`` is None or malformed.  A basis this core
         returned is taken as it is: it passed these checks when its
         solve started, pivots keep it well formed, and its nonbasics sit
-        on finite bounds (column bounds always are; row bounds do not
-        change), so checking it again could only repeat itself."""
+        on finite bounds (column bounds always are; an open row side
+        stays open through a patch), so checking it again could only
+        repeat itself."""
         n, m, nm = self.n, self.m, self.n + self.m
         if warm is not None:
             vstat = np.array(warm.vstat, dtype=np.int8)

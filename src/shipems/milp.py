@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -49,13 +49,17 @@ class MilpProblem:
     ``fallback_basis``, when given, builds the basis the root starts
     from when there is no hint or the hint proves numerically singular
     (model builders know a good crash basis); it is called only then.
-    The slack basis comes last.
+    The slack basis comes last.  ``core``, when given, is the simplex
+    core of an earlier problem with the same row pattern (a receding-
+    horizon window of the same length): ``solve_milp`` patches this
+    problem's values into it instead of building a core.
     """
 
     lp: LinearProgram
     integrality: np.ndarray
     basis_hint: Optional[Basis] = None
     fallback_basis: Optional[Callable[[], Basis]] = None
+    core: Optional[_SimplexCore] = None
 
     def __post_init__(self):
         self.integrality = np.asarray(self.integrality, dtype=bool).ravel()
@@ -78,7 +82,9 @@ class MilpSolution:
 
     ``basis`` is the optimal basis of the root relaxation, whichever
     node supplied the incumbent; it is None when the root relaxation
-    did not reach optimality.
+    did not reach optimality.  ``core`` is the simplex core the search
+    ran on, which the next problem of the same row pattern may patch
+    (``MilpProblem.core``).
     """
 
     status: MilpStatus
@@ -86,6 +92,7 @@ class MilpSolution:
     objective_value: float
     nodes_explored: int
     basis: Optional[Basis] = None
+    core: Optional[_SimplexCore] = field(default=None, repr=False, compare=False)
 
     @property
     def has_incumbent(self) -> bool:
@@ -140,7 +147,9 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     lp = problem.lp
     int_idx = np.flatnonzero(problem.integrality)
-    core = _SimplexCore(lp, fallback=problem.fallback_basis)
+    core = problem.core
+    if core is None or not core.patch(lp, problem.fallback_basis):
+        core = _SimplexCore(lp, fallback=problem.fallback_basis)
 
     def timed_out():
         return deadline is not None and time.perf_counter() > deadline
@@ -219,11 +228,11 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     def result(status_):
         if incumbent_x is None:
-            return MilpSolution(status_, None, -np.inf, nodes, root_basis)
+            return MilpSolution(status_, None, -np.inf, nodes, root_basis, core)
         # snap against the original problem bounds: the search bounds may
         # have been tightened past an older (still optimal) incumbent
         xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
-        return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis)
+        return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis, core)
 
     def cut_short(x):
         """The one exit for a relaxation stopped by the deadline: a

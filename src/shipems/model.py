@@ -118,6 +118,8 @@ class StorageSpec:
             raise ValueError(f"storage {self.id}: need 0 <= soc_min < soc_max <= 1")
         if not (self.soc_min <= self.initial_soc <= self.soc_max):
             raise ValueError(f"storage {self.id}: initial_soc outside SoC box")
+        if not (self.p_min_mw <= self.initial_mw <= self.p_max_mw):
+            raise ValueError(f"storage {self.id}: initial power outside box")
         if self.terminal_priority is None:
             object.__setattr__(self, "terminal_priority",
                                DEFAULT_TERMINAL_PRIORITY[self.kind])

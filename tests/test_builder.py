@@ -297,7 +297,7 @@ def test_reused_template_builds_the_fresh_window():
     for state in states:
         shared, layout = build_window_milp(sc, state, weights, horizon,
                                            previous=previous)
-        previous = (layout, None)
+        previous = (layout, None, None)
         templates.add(layout)
         fresh, _ = build_window_milp(sc, state, weights, horizon)
         for name, value in window_arrays(fresh).items():
@@ -316,7 +316,7 @@ def test_reused_template_builds_the_fresh_window():
     bad_seam.prev_generator_power = np.array([4.0, 20.0])
     full = next(tpl for tpl in templates if tpl.horizon == horizon)
     with pytest.raises(InfeasibleWindow, match="generator G1 at step 2"):
-        build_window_milp(sc, bad_seam, weights, horizon, previous=(full, None))
+        build_window_milp(sc, bad_seam, weights, horizon, previous=(full, None, None))
 
 
 @pytest.mark.parametrize("other", ["scenario", "weights"])
@@ -330,10 +330,12 @@ def test_previous_window_of_another_mission_is_rejected(other):
 
     sc, weights = mission(), ObjectiveWeights(0.005, 0.03, 0.05)
     prob, tpl = build_window_milp(sc, sc.initial_state(), weights, 3)
-    previous = (tpl, solve_milp(prob).basis)
+    sol = solve_milp(prob)
+    previous = (tpl, sol.basis, sol.core)
     state = sc.initial_state()
     state.step_index = 1
-    build_window_milp(sc, state, weights, 3, previous=previous)
+    # a window of the same length hands the core on, for the solver to patch
+    assert build_window_milp(sc, state, weights, 3, previous=previous)[0].core is sol.core
     if other == "scenario":
         sc = mission()
     else:

@@ -161,6 +161,25 @@ def test_synth_sizes_must_be_positive(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+def test_non_finite_mission_length_is_a_schema_error(tmp_path, capsys, command, value):
+    path = tmp_path / "mission.yaml"
+    path.write_text(f"""
+loads:
+  - {{id: L1, rated_mw: 5.0, weight: 1.0}}
+generators:
+  - {{id: G1, p_max_mw: 10.0, ramp_down_mw_s: -1.0, ramp_up_mw_s: 1.0, initial_mw: 5.0}}
+demand:
+  constant: {{L1: 4.0}}
+mission_s: {value}
+""")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    rc = main([command, "--scenario", str(path), *out])
+    assert rc == 2
+    assert "mission_s" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_is_scenario_error(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--mode", "fho",
                "--out", str(tmp_path)])

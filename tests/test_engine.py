@@ -367,7 +367,20 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
         return problem, layout
 
     monkeypatch.setattr(engine, "build_window_milp", spy)
+    cores = []
+    init = _SimplexCore.__init__
+
+    def count(core, *args, **kwargs):
+        cores.append(core)
+        init(core, *args, **kwargs)
+
+    monkeypatch.setattr(_SimplexCore, "__init__", count)
     res = run_rho(sc, ObjectiveWeights(0.005, 0.03, 0.05), horizon)
+    monkeypatch.setattr(_SimplexCore, "__init__", init)
+    # one core per window length: each window of the previous window's
+    # length is patched into the core the previous window ran on
+    assert len(cores) == 5
+    assert [p.core for p, _ in windows[1:8]] == [cores[0]] * 7
     assert validate_trajectory(res, sc) == []
     assert [layout.horizon for _, layout in windows] == [5] * 8 + [4, 3, 2, 1]
     # a window of the previous window's length reuses its template; each
@@ -392,6 +405,39 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
         assert crash[0] is shifted[0] is LpStatus.OPTIMAL
         assert shifted[2] == pytest.approx(crash[2], abs=1e-7), f"step {t}"
     assert repaired == 3
+
+
+def test_zero_demand_window_builds_a_fresh_core(monkeypatch):
+    # a zero demand entry is dropped from a fresh core's rows, so the
+    # windows that hold it, and the one after, cannot patch the kept core
+    from shipems import engine
+    from shipems.lp import _SimplexCore
+
+    T, horizon, zero_at = 12, 4, 6
+    demand = np.random.default_rng(5).uniform(1.0, 6.0, (2, T))
+    demand[0, zero_at] = 0.0
+    sc = scenario([load(0, rated=6.0), load(1, rated=6.0, steps=2)],
+                  [gen(0, p_max=8.0, ramp=1.0, initial=4.0)],
+                  [battery(0, soc=0.5, cap=60.0)], demand)
+    weights = ObjectiveWeights(0.005, 0.03, 0.05)
+    cores = []
+    solve = engine.solve_milp
+
+    def spy(problem, cfg=None):
+        sol = solve(problem, cfg)
+        cores.append(sol.core)
+        return sol
+
+    monkeypatch.setattr(engine, "solve_milp", spy)
+    kept = run_rho(sc, weights, horizon)
+    fresh_at = [t for t in range(T) if t == 0 or cores[t] is not cores[t - 1]]
+    assert fresh_at == [0, 3, 4, 5, 6, 7, 9, 10, 11]
+    monkeypatch.setattr(_SimplexCore, "patch", lambda core, lp, fallback=None: False)
+    fresh = run_rho(sc, weights, horizon)
+    assert len(set(map(id, cores[T:]))) == T
+    for name in ("load_fraction", "gen_power", "storage_power", "soc"):
+        assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
+    assert kept.statuses == fresh.statuses
 
 
 def test_rho_feedback_hook_perturbs_state():

@@ -265,6 +265,20 @@ demand:
         assert field in str(err.value)
         assert section is None or f"{section}[0]" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["5.0", ".inf", ".nan"])
+    def test_storage_initial_power_outside_box_is_a_schema_error(self, value):
+        doc = yaml.safe_load(ONE_OF_EACH)
+        doc["storage"][0]["initial_mw"] = yaml.safe_load(value)
+        with pytest.raises(SchemaError, match=r"storage\[0\].*initial power outside box"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("value", [".inf", ".nan", "0.0", "-3.0"])
+    def test_mission_length_must_be_finite_and_positive(self, value):
+        doc = yaml.safe_load(MINIMAL)
+        doc["mission_s"] = yaml.safe_load(value)
+        with pytest.raises(SchemaError, match="mission_s"):
+            parse_scenario(doc)
+
     def test_infinite_ramps_mean_no_limit(self):
         doc = yaml.safe_load(ONE_OF_EACH)
         for unit in doc["generators"] + doc["storage"]:

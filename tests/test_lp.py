@@ -343,6 +343,75 @@ def test_basis_matrix_gathers_scaled_columns(case):
         assert np.array_equal(was, now)
 
 
+def _window_lp():
+    """A 4-step dispatch window and its template (``demand_at``)."""
+    from shipems.builder import build_window_milp
+    from shipems.io import parse_scenario, synth_scenario
+    from shipems.model import ObjectiveWeights
+
+    spec, _ = parse_scenario(synth_scenario(seed=3, n_loads=3, n_generators=2,
+                                            n_storage=2, steps=8))
+    problem, tpl = build_window_milp(spec, spec.initial_state(),
+                                     ObjectiveWeights(0.005, 0.03, 0.05), 4)
+    return problem.lp, tpl
+
+
+_WINDOW = _window_lp()
+# demand around every power of two from 1/8 to 64 MW, so the balance
+# rows' largest entries (and with them their scales) cross powers of
+# two; and zero, which a patch must refuse
+_DEMAND = st.one_of(
+    st.just(0.0),
+    st.builds(lambda e, f: f * 2.0 ** e, st.integers(-3, 6),
+              st.floats(0.7, 1.45)))
+
+
+@given(st.lists(_DEMAND, min_size=_WINDOW[1].demand_at.size,
+                max_size=_WINDOW[1].demand_at.size),
+       st.floats(-1.0, 1.0))
+@settings(max_examples=80, deadline=None)
+def test_patched_core_equals_a_fresh_core(demand, shift):
+    lp, tpl = _WINDOW
+    data = lp.a_rg.data.copy()
+    data[tpl.demand_at.ravel()] = demand
+    patched = LinearProgram(objective=lp.objective, lower=lp.lower - shift,
+                            upper=lp.upper + abs(shift),
+                            a_rg=sp.csr_matrix((data, lp.a_rg.indices, lp.a_rg.indptr),
+                                               shape=lp.a_rg.shape),
+                            rg_lower=lp.rg_lower + shift, rg_upper=lp.rg_upper + shift)
+    core = _SimplexCore(lp)
+    kept = core.a_t_csr
+    fallback = object()
+    fresh = _SimplexCore(patched if all(demand) else lp)
+    assert core.patch(patched, fallback) is all(demand)
+    assert (core.fallback is fallback) is all(demand)
+    for mine, theirs in ((core.a_csr.data, fresh.a_csr.data),
+                         (core.a_csr.indices, fresh.a_csr.indices),
+                         (core.a_csr.indptr, fresh.a_csr.indptr),
+                         (core._gd, fresh._gd), (core.row_lo, fresh.row_lo),
+                         (core.row_up, fresh.row_up), (core.col_lo, fresh.col_lo),
+                         (core.col_up, fresh.col_up), (core._cobj, fresh._cobj)):
+        assert np.array_equal(mine, theirs)
+    # A^T stays a view of G's arrays
+    assert core.a_t_csr is kept
+    assert np.array_equal(kept.toarray(), fresh.a_t_csr.toarray())
+
+
+def test_patch_refuses_another_pattern_or_open_sides():
+    lp, tpl = _WINDOW
+    core = _SimplexCore(lp)
+    before = core._gd.copy()
+    other = make_lp(np.ones(lp.n_vars), a_ub=sp.eye(3, lp.n_vars, format="csr"),
+                    b_ub=np.ones(3))
+    assert not core.patch(other)
+    closed = np.where(np.isinf(lp.rg_lower), -1e3, lp.rg_lower)
+    assert not core.patch(LinearProgram(objective=lp.objective, lower=lp.lower,
+                                        upper=lp.upper, a_rg=lp.a_rg,
+                                        rg_lower=closed, rg_upper=lp.rg_upper))
+    assert np.array_equal(core._gd, before)
+    assert core.patch(lp)
+
+
 @pytest.mark.parametrize("vstat_basic, basic", [
     ([0], [0, 0]),              # a column listed twice
     ([0, 1], [0, 0]),

@@ -97,6 +97,15 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             make_storage(capacity_mj=-5.0)
 
+    @pytest.mark.parametrize("initial_mw", [10.5, -10.5, np.inf, np.nan])
+    def test_storage_initial_power_must_lie_in_box(self, initial_mw):
+        # the previous step's power starts the ramp seam: outside the box
+        # the first window has no feasible point
+        with pytest.raises(ValueError, match="B1: initial power outside box"):
+            make_storage(initial_mw=initial_mw)
+        make_storage(initial_mw=10.0)
+        make_storage(initial_mw=-10.0)
+
     def test_storage_class_priorities(self):
         bat = make_storage()
         sc = make_storage(id="S1", kind=StorageClass.SUPERCAPACITOR,
