@@ -36,30 +36,31 @@ magnitude, or the etas hold more than ``max(4 m, 20_000)`` nonzeros
 pivots, because each eta there carries about 1,400 nonzeros.
 
 Every solve takes one path, a problem without rows included (its
-basis is 0 x 0).  It starts from the warm basis if there is one, else
-the caller's fallback basis if there is one, else the slack basis; a
-start that proves numerically singular gives way to the next.  A basis
-supplied from outside the simplex (``solve_lp(basis=)``, a MILP's
-``basis_hint`` or fallback) is repaired structurally before its first
-factorization: a maximum bipartite matching pairs rows with basic
-columns, and each column left unmatched is swapped for the slack of a
-row left unmatched (Suhl & Suhl 1990).  The repaired basis matrix has
-full structural rank.  Without the repair a structurally singular basis
-reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU
-may crash the process on it instead of raising, as it does with its
-default options.
+basis is 0 x 0).  It tries the warm basis if there is one, then the
+caller's fallback basis if there is one, then the slack basis, and
+checks each start the same way.  A malformed start gives way to the
+next.  A nonbasic column on an infinite bound moves to its finite one.
+The basis is then repaired structurally before it is factored: a
+maximum bipartite matching pairs rows with basic columns, and each
+column left unmatched is swapped for the slack of a row left unmatched
+(Suhl & Suhl 1990).  The repaired basis matrix has full structural
+rank.  Without the repair a structurally singular basis reaches
+SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU may
+crash the process on it instead of raising, as it does with its default
+options.  A start that still proves numerically singular gives way to
+the next.
 
 A simplex core prepares one problem for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
 and lays out the columns of G = [A, -I] as CSC arrays, A's columns then
 one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
-matrix, whatever its mix of columns, is one gather over them.  A basis
-the core returned itself (branch and bound warm-starts each child from
-its parent's) was checked when its solve started and every pivot kept
-it well formed, so it is neither checked again nor repaired.  A core
-also serves the next problem with the same row pattern (the next
-receding-horizon window of the same length): a patch rewrites its
-values in place and keeps what depends on the pattern alone.
+matrix, whatever its mix of columns, is one gather over them.  A core
+keeps no start state: a basis it returned (branch and bound warm-starts
+each child from its parent's) starts the next solve as any other basis
+does, checked and repaired.  A core also serves the next problem with
+the same row pattern (the next receding-horizon window of the same
+length): a patch rewrites its values in place and keeps what depends on
+the pattern alone.
 
 ``solve_lp`` is a pure function of its inputs; independent problems may
 be solved concurrently.
@@ -68,7 +69,6 @@ be solved concurrently.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -237,26 +237,19 @@ class _SimplexCore:
     ``patch``, across problems with one row pattern.
 
     Branch-and-bound runs each MILP on one core and re-solves with node
-    bounds and a warm basis; every solve factors its starting basis
-    afresh, and nothing here mutates the owning problem, which the
-    caller has validated.  ``fallback`` builds the start that follows
-    a missing or numerically singular warm basis; the slack basis is
-    the last (module docstring).
+    bounds, a warm basis and a fallback; every solve checks, repairs and
+    factors its starting basis afresh (module docstring), and nothing
+    here mutates the owning problem, which the caller has validated.
 
     Kept for the core's life, as they depend on the row pattern alone:
     the row runs, the CSC order of A's entries and G = [A, -I]'s index
     arrays (``_gp``, ``_gi``, ``_glen``).  Rewritten by each problem
     (``_load``): the scaled entries (``a_csr``'s data and ``_gd``, which
     the CSR view ``a_t_csr`` of A^T shares), the scaled row sides, the
-    boxes, the costs and the fallback.  An outside warm basis is
-    validated and repaired; one this core returned skips both
-    (``_initial_basis``), also after a patch.
+    boxes and the costs.
     """
 
-    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None,
-                 fallback: Optional[Callable[[], Basis]] = None):
-        # the bases this core returned, which need no checks and no repair
-        self._returned = weakref.WeakValueDictionary()
+    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
         self.n = n = lp.n_vars
         a = lp.a_rg
         self.m = m = a.shape[0]
@@ -297,25 +290,20 @@ class _SimplexCore:
         self.c = self._cobj[:n]
         self.row_lo, self.row_up = np.empty(m), np.empty(m)
         self.col_lo, self.col_up = np.empty(n), np.empty(n)
-        self._load(lp, a.data, scale, fallback)
+        self._load(lp, a.data, scale)
 
-    def patch(self, lp: LinearProgram,
-              fallback: Optional[Callable[[], Basis]] = None) -> bool:
+    def patch(self, lp: LinearProgram) -> bool:
         """Load ``lp`` into this core and return True, or return False,
         the core untouched, when its rows differ from the core's in
-        pattern (a zero entry, which a fresh core drops, included) or in
-        which row sides are open.  The bases the core returned stay
-        trusted: each keeps its structural rank and finite nonbasics."""
+        pattern (a zero entry, which a fresh core drops, included)."""
         a, mine = lp.a_rg, self.a_csr
         if not (a.shape == mine.shape and np.array_equal(a.indptr, mine.indptr)
-                and np.array_equal(a.indices, mine.indices) and a.data.all()
-                and np.array_equal(np.isinf(lp.rg_lower), np.isinf(self.row_lo))
-                and np.array_equal(np.isinf(lp.rg_upper), np.isinf(self.row_up))):
+                and np.array_equal(a.indices, mine.indices) and a.data.all()):
             return False
-        self._load(lp, a.data, _row_scale(a.data, self._runs), fallback)
+        self._load(lp, a.data, _row_scale(a.data, self._runs))
         return True
 
-    def _load(self, lp, data, scale, fallback):
+    def _load(self, lp, data, scale):
         """Write ``lp``'s values into the core's arrays: ``data`` are the
         entries of the core's pattern, unscaled."""
         np.multiply(data, np.repeat(scale, self._runs[0]), out=self.a_csr.data)
@@ -325,7 +313,6 @@ class _SimplexCore:
         self.c[:] = lp.objective
         self.col_lo[:] = lp.lower
         self.col_up[:] = lp.upper
-        self.fallback = fallback
         # structural reduced costs of the last optimal solve (for
         # reduced-cost bound fixing in branch and bound)
         self.last_reduced_costs = None
@@ -364,14 +351,15 @@ class _SimplexCore:
     # -- main solve ------------------------------------------------------
 
     def solve(self, col_lo=None, col_up=None, warm: Optional[Basis] = None,
+              fallback: Optional[Callable[[], Basis]] = None,
               deadline: Optional[float] = None):
         """Solve with optional bound overrides and warm basis.
 
         ``deadline`` (absolute perf_counter time) aborts a long solve
         between pivots; the caller receives status None to signal an
-        unfinished relaxation.  The start is ``warm``, else the core's
-        fallback, else the slack basis (see the module docstring); a
-        basis this core returned is factored as it stands.
+        unfinished relaxation.  The start is ``warm``, else the basis
+        ``fallback`` builds (called only then), else the slack basis
+        (see the module docstring).
         """
         n, m = self.n, self.m
         nm = n + m
@@ -426,17 +414,18 @@ class _SimplexCore:
         def starts():
             if warm is not None:
                 yield warm
-            if self.fallback is not None:
-                yield self.fallback()
+            if fallback is not None:
+                yield fallback()
             yield None
 
         for start in starts():
-            vstat, basic = self._initial_basis(lo, up, start)
-            mat = self._basis_matrix(basic)
-            if start is not None and not self._trusts(start):
-                mat = self._repair(vstat, basic, lo, up, mat)
+            begun = self._initial_basis(lo, up, start)
+            if begun is None:
+                continue
+            vstat, basic = begun
             try:
-                refactor(mat)
+                refactor(self._repair(vstat, basic, lo, up,
+                                      self._basis_matrix(basic)))
                 break
             except RuntimeError:
                 if start is None:
@@ -456,9 +445,7 @@ class _SimplexCore:
             return x[:n]
 
         def snapshot():
-            out = Basis(vstat.copy(), basic.copy())
-            self._returned[id(out)] = out
-            return out
+            return Basis(vstat.copy(), basic.copy())
 
         iters = 0
         degen_streak = 0
@@ -687,40 +674,29 @@ class _SimplexCore:
         vstat[basic[out]] = BASIC
         return self._basis_matrix(basic)
 
-    def _trusts(self, basis: Basis) -> bool:
-        """True for a basis this core returned."""
-        return self._returned.get(id(basis)) is basis
-
-    def _initial_basis(self, lo, up, warm: Optional[Basis]):
-        """Working copies of the starting basis: ``warm``, or the slack
-        basis when ``warm`` is None or malformed.  A basis this core
-        returned is taken as it is: it passed these checks when its
-        solve started, pivots keep it well formed, and its nonbasics sit
-        on finite bounds (column bounds always are; an open row side
-        stays open through a patch), so checking it again could only
-        repeat itself."""
+    def _initial_basis(self, lo, up, start: Optional[Basis]):
+        """Working copies of ``start``, or of the slack basis when
+        ``start`` is None; None when ``start`` is malformed.  A nonbasic
+        column of ``start`` on an infinite bound moves to its other
+        bound."""
         n, m, nm = self.n, self.m, self.n + self.m
-        if warm is not None:
-            vstat = np.array(warm.vstat, dtype=np.int8)
-            basic = np.array(warm.basic, dtype=np.int64)
-            if self._trusts(warm):
-                return vstat, basic
-            ok = (vstat.size == nm and basic.size == m
-                  and ((basic >= 0) & (basic < nm)).all())
-            if ok:
-                # m distinct positions marked, exactly the BASIC ones:
-                # basic lists m distinct columns, all BASIC, and no other
-                # column is BASIC
-                mark = np.zeros(nm, dtype=bool)
-                mark[basic] = True
-                is_basic = vstat == BASIC
-                ok = (np.count_nonzero(mark) == m
-                      and np.array_equal(mark, is_basic))
-            if ok:
-                # nonbasic entries must sit on a finite bound
-                vstat[~is_basic & (vstat == AT_LOWER) & ~np.isfinite(lo)] = AT_UPPER
-                vstat[~is_basic & (vstat == AT_UPPER) & ~np.isfinite(up)] = AT_LOWER
-                return vstat, basic
+        if start is not None:
+            vstat = np.array(start.vstat, dtype=np.int8)
+            basic = np.array(start.basic, dtype=np.int64)
+            if not (vstat.size == nm and basic.size == m
+                    and ((basic >= 0) & (basic < nm)).all()):
+                return None
+            # m distinct positions marked, exactly the BASIC ones: basic
+            # lists m distinct columns, all BASIC, and no other column is
+            # BASIC
+            mark = np.zeros(nm, dtype=bool)
+            mark[basic] = True
+            is_basic = vstat == BASIC
+            if not (np.count_nonzero(mark) == m and np.array_equal(mark, is_basic)):
+                return None
+            vstat[~is_basic & (vstat == AT_LOWER) & ~np.isfinite(lo)] = AT_UPPER
+            vstat[~is_basic & (vstat == AT_UPPER) & ~np.isfinite(up)] = AT_LOWER
+            return vstat, basic
         vstat = np.empty(nm, dtype=np.int8)
         nearer_low = np.abs(lo[:n]) <= np.abs(up[:n])
         vstat[:n] = np.where(nearer_low, AT_LOWER, AT_UPPER)
@@ -742,9 +718,9 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
         Defaults to ``10_000 + 25 * (variables + rows)``.
     basis : Basis, optional
         Warm-start basis from a previous solve of a problem with the
-        same rows (bounds may differ).  It is repaired structurally
-        before it is factored; a numerically singular one gives way to
-        the slack basis.
+        same rows (bounds may differ).  It is checked and repaired
+        structurally before it is factored; a malformed or numerically
+        singular one gives way to the slack basis.
 
     Returns
     -------

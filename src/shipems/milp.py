@@ -9,9 +9,10 @@ relaxation supplies the early incumbent that the per-step deadline
 needs (for the shedding models it is almost always feasible).
 Branching picks the most-fractional relaxation value, ties broken by
 lowest variable index, which keeps replays deterministic.  The root
-starts from the problem's ``basis_hint`` or fallback (``MilpProblem``),
-repaired structurally by the simplex; children warm-start from their
-parent's optimal basis as it is.  The solution hands back the root
+starts from the problem's ``basis_hint`` and each child from its
+parent's optimal basis; every node passes the problem's fallback, and
+the simplex checks and repairs whichever start it takes (one start rule,
+``lp`` module docstring).  The solution hands back the root
 relaxation's optimal basis, which a receding-horizon caller shifts
 into the next window.
 
@@ -46,8 +47,8 @@ class MilpProblem:
     Integer-masked variables must carry finite integer bounds.  The
     root relaxation starts from ``basis_hint`` when given (a receding-
     horizon builder shifts the previous window's basis into it).
-    ``fallback_basis``, when given, builds the basis the root starts
-    from when there is no hint or the hint proves numerically singular
+    ``fallback_basis``, when given, builds the basis a node starts from
+    when its warm basis is missing, malformed or numerically singular
     (model builders know a good crash basis); it is called only then.
     The slack basis comes last.  ``core``, when given, is the simplex
     core of an earlier problem with the same row pattern (a receding-
@@ -148,8 +149,8 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
     lp = problem.lp
     int_idx = np.flatnonzero(problem.integrality)
     core = problem.core
-    if core is None or not core.patch(lp, problem.fallback_basis):
-        core = _SimplexCore(lp, fallback=problem.fallback_basis)
+    if core is None or not core.patch(lp):
+        core = _SimplexCore(lp)
 
     def timed_out():
         return deadline is not None and time.perf_counter() > deadline
@@ -182,7 +183,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             return LpStatus.INFEASIBLE, None, -np.inf, 0, None
         nodes += 1
         return core.solve(col_lo=lo, col_up=up, warm=warm,
-                          deadline=deadline)
+                          fallback=problem.fallback_basis, deadline=deadline)
 
     incumbent_x = None
     incumbent_obj = -np.inf

@@ -331,6 +331,25 @@ def test_inconsistent_state_is_a_hard_error():
         run_rho(sc, ObjectiveWeights(), horizon=3, feedback=corrupt)
 
 
+def test_unreachable_storage_state_aborts_the_mission():
+    # a measured storage power three ramp steps above its box leaves the
+    # window's ramp seam no feasible power; the builder lets it through
+    # and the solve reports the window infeasible
+    from shipems import io as sio
+    from shipems.errors import InfeasibleWindow
+    sc, _ = sio.parse_scenario(sio.synth_scenario(seed=3, n_loads=3, n_generators=2,
+                                                  n_storage=2, steps=12))
+    unit = sc.storage[0]
+
+    def corrupt(state):
+        if state.step_index == 5:
+            state.prev_storage_power[0] = unit.p_max_mw + 3 * unit.ramp_up_mw_s * sc.dt_s
+        return state
+
+    with pytest.raises(InfeasibleWindow, match="window at step 5 infeasible"):
+        run_rho(sc, ObjectiveWeights(0.005, 0.03, 0.05), horizon=4, feedback=corrupt)
+
+
 def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     # every window after the first starts from the previous root basis
     # shifted one step; through a generator trip and its recovery, a
@@ -432,7 +451,7 @@ def test_zero_demand_window_builds_a_fresh_core(monkeypatch):
     kept = run_rho(sc, weights, horizon)
     fresh_at = [t for t in range(T) if t == 0 or cores[t] is not cores[t - 1]]
     assert fresh_at == [0, 3, 4, 5, 6, 7, 9, 10, 11]
-    monkeypatch.setattr(_SimplexCore, "patch", lambda core, lp, fallback=None: False)
+    monkeypatch.setattr(_SimplexCore, "patch", lambda core, lp: False)
     fresh = run_rho(sc, weights, horizon)
     assert len(set(map(id, cores[T:]))) == T
     for name in ("load_fraction", "gen_power", "storage_power", "soc"):

@@ -381,10 +381,8 @@ def test_patched_core_equals_a_fresh_core(demand, shift):
                             rg_lower=lp.rg_lower + shift, rg_upper=lp.rg_upper + shift)
     core = _SimplexCore(lp)
     kept = core.a_t_csr
-    fallback = object()
     fresh = _SimplexCore(patched if all(demand) else lp)
-    assert core.patch(patched, fallback) is all(demand)
-    assert (core.fallback is fallback) is all(demand)
+    assert core.patch(patched) is all(demand)
     for mine, theirs in ((core.a_csr.data, fresh.a_csr.data),
                          (core.a_csr.indices, fresh.a_csr.indices),
                          (core.a_csr.indptr, fresh.a_csr.indptr),
@@ -397,19 +395,32 @@ def test_patched_core_equals_a_fresh_core(demand, shift):
     assert np.array_equal(kept.toarray(), fresh.a_t_csr.toarray())
 
 
-def test_patch_refuses_another_pattern_or_open_sides():
+def test_patch_refuses_another_pattern():
     lp, tpl = _WINDOW
     core = _SimplexCore(lp)
     before = core._gd.copy()
     other = make_lp(np.ones(lp.n_vars), a_ub=sp.eye(3, lp.n_vars, format="csr"),
                     b_ub=np.ones(3))
     assert not core.patch(other)
-    closed = np.where(np.isinf(lp.rg_lower), -1e3, lp.rg_lower)
-    assert not core.patch(LinearProgram(objective=lp.objective, lower=lp.lower,
-                                        upper=lp.upper, a_rg=lp.a_rg,
-                                        rg_lower=closed, rg_upper=lp.rg_upper))
     assert np.array_equal(core._gd, before)
     assert core.patch(lp)
+
+
+def test_returned_basis_restarts_after_a_patch_opens_its_side():
+    # max x + y over [0, 2]^2 with x + y <= 1 ends with the slack on its
+    # upper side; the patch to x + y >= 0.5 opens that side, so the next
+    # start moves the slack to the side left and reaches (2, 2)
+    lp = make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], upper=[2.0, 2.0])
+    core = _SimplexCore(lp)
+    status, _, obj, _, basis = core.solve()
+    assert status is LpStatus.OPTIMAL and obj == pytest.approx(1.0, abs=1e-12)
+    assert basis.vstat[2] == AT_UPPER
+    assert core.patch(LinearProgram(objective=lp.objective, lower=lp.lower,
+                                    upper=lp.upper, a_rg=lp.a_rg,
+                                    rg_lower=[0.5], rg_upper=[np.inf]))
+    status, x, obj, _, _ = core.solve(warm=basis)
+    assert status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(x, [2.0, 2.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("vstat_basic, basic", [
@@ -429,10 +440,7 @@ def test_malformed_outside_basis_starts_from_slacks(vstat_basic, basic):
     core = _SimplexCore(lp)
     lo = np.concatenate([core.col_lo, core.row_lo])
     up = np.concatenate([core.col_up, core.row_up])
-    start_vstat, start_basic = core._initial_basis(lo, up, bad)
-    assert start_basic.tolist() == [3, 4]
-    assert start_vstat[3:].tolist() == [BASIC, BASIC]
-    assert BASIC not in start_vstat[:3]
+    assert core._initial_basis(lo, up, bad) is None
     warm = solve_lp(lp, basis=bad)
     assert warm.status is cold.status is LpStatus.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
@@ -448,6 +456,54 @@ def test_iteration_cap_raises_breakdown():
     with pytest.raises(NumericalBreakdown):
         solve_lp(make_lp(c, a_ub=a, b_ub=b, lower=lower, upper=upper),
                  max_iter=1)
+
+
+@pytest.fixture(scope="module")
+def mission_window():
+    """The 60-step window of synth seed 42 from its initial state: its
+    crash basis is primal feasible and takes 60 pivots, the slack basis
+    over 1,500, most of them in phase 1."""
+    from shipems.builder import build_window_milp
+    from shipems.io import parse_scenario, synth_scenario
+    from shipems.model import ObjectiveWeights
+
+    spec, _ = parse_scenario(synth_scenario(42))
+    problem, _ = build_window_milp(spec, spec.initial_state(),
+                                   ObjectiveWeights(0.005, 0.03, 0.05), 60)
+    return problem
+
+
+def _clock_past_deadline_at_pivot_16(monkeypatch):
+    """The simplex reads the clock every 16 pivots, from pivot 0; this
+    clock reads 0 at pivot 0 and 1 at pivot 16, past a deadline of 0.5."""
+    from types import SimpleNamespace
+    ticks = iter(range(2))
+    monkeypatch.setattr("shipems.lp.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    return 0.5
+
+
+def test_deadline_in_phase_2_returns_the_feasible_iterate(mission_window, monkeypatch):
+    core = _SimplexCore(mission_window.lp)
+    cold = core.solve()
+    deadline = _clock_past_deadline_at_pivot_16(monkeypatch)
+    status, x, obj, iters, basis = core.solve(warm=mission_window.fallback_basis(),
+                                              deadline=deadline)
+    assert status is None and iters == 16
+    assert core.point_feasible(x)
+    assert obj == core.c @ x
+    assert obj <= cold[2] + 1e-7
+    resumed = core.solve(warm=basis)
+    assert resumed[0] is LpStatus.OPTIMAL
+    assert resumed[2] == pytest.approx(cold[2], abs=1e-7)
+
+
+def test_deadline_in_phase_1_returns_no_point(mission_window, monkeypatch):
+    core = _SimplexCore(mission_window.lp)
+    deadline = _clock_past_deadline_at_pivot_16(monkeypatch)
+    status, x, obj, iters, _ = core.solve(deadline=deadline)
+    assert status is None and iters == 16
+    assert x is None and obj == -np.inf
 
 
 def test_degenerate_cycling_guard():

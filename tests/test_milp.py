@@ -39,6 +39,20 @@ def make_milp(c, a_ub, b_ub, lower, upper, is_int, hint=None):
                        basis_hint=hint)
 
 
+def _pivot_spy(monkeypatch):
+    """The pivot count of every simplex solve from now on, in order."""
+    pivots = []
+    solve = _SimplexCore.solve
+
+    def spy(self, *args, **kwargs):
+        out = solve(self, *args, **kwargs)
+        pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(_SimplexCore, "solve", spy)
+    return pivots
+
+
 def test_fallback_starts_the_root_without_a_hint(monkeypatch):
     # max 3x + 2y, 2x + 2y <= 7, x + 3y <= 6 over the integers: the
     # root relaxation (3.5, 0) branches; the fallback is the LP's optimal
@@ -51,15 +65,7 @@ def test_fallback_starts_the_root_without_a_hint(monkeypatch):
         calls.append(1)
         return Basis(optimal.vstat.copy(), optimal.basic.copy())
 
-    pivots = []
-    solve = _SimplexCore.solve
-
-    def spy(self, *args, **kwargs):
-        out = solve(self, *args, **kwargs)
-        pivots.append(out[3])
-        return out
-
-    monkeypatch.setattr(_SimplexCore, "solve", spy)
+    pivots = _pivot_spy(monkeypatch)
     cold = solve_milp(MilpProblem(lp=lp, integrality=[True, True]))
     assert pivots[0] > 0
     pivots.clear()
@@ -70,6 +76,20 @@ def test_fallback_starts_the_root_without_a_hint(monkeypatch):
         assert res.objective_value == pytest.approx(9.0, abs=1e-9)
     assert sol.nodes_explored > 1
     assert calls == [1] and pivots[0] == 0
+
+
+def test_malformed_hint_gives_way_to_the_fallback(monkeypatch):
+    # the problem above with a hint of the wrong size: the root takes
+    # the next start, the fallback (the LP's optimal basis), not slacks
+    lp = le_lp([3.0, 2.0], [[2.0, 2.0], [1.0, 3.0]], [7.0, 6.0], [0.0, 0.0], [10.0, 10.0])
+    optimal = solve_lp(lp).basis
+    malformed = Basis(optimal.vstat[:-1], optimal.basic)
+    pivots = _pivot_spy(monkeypatch)
+    sol = solve_milp(MilpProblem(lp=lp, integrality=[True, True], basis_hint=malformed,
+                                 fallback_basis=lambda: optimal))
+    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(9.0, abs=1e-9)
+    assert pivots[0] == 0
 
 
 def test_zero_row_milp_solves_at_the_root():
@@ -246,7 +266,8 @@ def test_root_deadline_rounds_the_partial_iterate(monkeypatch):
     # floored point is feasible, and takes it as it is with no integers
     from shipems.lp import _SimplexCore
 
-    def stopped(self, col_lo=None, col_up=None, warm=None, deadline=None):
+    def stopped(self, col_lo=None, col_up=None, warm=None, fallback=None,
+                deadline=None):
         x = np.array([0.5, 1.75])
         return None, x, self.objective_of(x), 3, None
 
