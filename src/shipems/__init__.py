@@ -23,7 +23,7 @@ from .milp import (MilpProblem, MilpSolution, MilpStatus, SolverConfig,
                    solve_milp)
 from .model import (DispatchPlan, GeneratorSpec, LoadSpec, ObjectiveTerms,
                     ObjectiveWeights, ScenarioSpec, StorageClass, StorageSpec,
-                    SystemState, normalized_weight, soc_step)
+                    SystemState, soc_step)
 from .tuning import (TunerConfig, TunerResult, default_norms,
                      make_mission_evaluator, normalized_merit, tune_weights)
 

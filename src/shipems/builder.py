@@ -102,10 +102,6 @@ def window_variable_count(n_loads: int, n_generators: int, n_storage: int,
     return horizon * (n_loads + n_generators + 3 * n_storage + pairs)
 
 
-def _unit_values(units, attr) -> np.ndarray:
-    return np.array([getattr(u, attr) for u in units], dtype=float)
-
-
 def _triplets(rows, cols, vals):
     """COO triplets of the rows ``rows``: row ``rows[i]`` holds the
     columns ``cols[i]`` (last axis), coefficients ``vals`` broadcast."""
@@ -147,7 +143,6 @@ class WindowTemplate:
     charge_cols: np.ndarray    # (n_storage, h)
     soc_cols: np.ndarray       # (n_storage, h)
     soc_gap_cols: np.ndarray   # (n_pairs, h)
-    w_hat: np.ndarray          # per-load weight * rated power (unscaled)
     step_sizes: np.ndarray     # per-load decode granularity
     lower: np.ndarray          # generator columns hold their boxes
     upper: np.ndarray
@@ -162,7 +157,6 @@ class WindowTemplate:
     patched: np.ndarray        # storage seams, then first recurrences
     rec_rows: np.ndarray       # (n_storage, h) SoC recurrence
     gap_rows: np.ndarray       # (2, n_pairs, h) u >= soc_l - soc_m, u >= soc_m - soc_l
-    pair_units: np.ndarray     # (2, n_pairs) storage indices l, m
     row_at: np.ndarray         # (row slots, h)
     gen_ramp: np.ndarray       # (2, n_generators) MW per step, down then up
     gen_free: np.ndarray       # (2, n_generators) ramp row bounds off the ramp
@@ -177,6 +171,11 @@ class WindowTemplate:
     def n_cols(self) -> int:
         return self.lower.size
 
+    @property
+    def w_hat(self) -> np.ndarray:
+        """The scenario's per-load weight * rated power (unscaled)."""
+        return self.scenario.w_hat
+
     @cached_property
     def shift_maps(self):
         """``_shift_maps`` to the next window of this length."""
@@ -190,8 +189,8 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     h = horizon
     loads, gens, stos = scenario.loads, scenario.generators, scenario.storage
     nl, ng, ne = len(loads), len(gens), len(stos)
-    pair_units = scenario.pair_index
-    npairs = pair_units.shape[1]
+    first, second = scenario.pair_index
+    npairs = first.size
     stride = nl + ng + 3 * ne + npairs
     n = h * stride
     dt = scenario.dt_s
@@ -208,10 +207,9 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     soc_cols = cols_of(nl + ng + 2 * ne, ne)
     us_cols = cols_of(nl + ng + 3 * ne, npairs)
 
-    w_hat = scenario.normalized_weights()
-    step_sizes = np.array([ld.step_size for ld in loads], dtype=float)
+    step_sizes = plant.unit_values(loads, "step_size")
     stepped = np.array([ld.is_stepped for ld in loads], dtype=bool)
-    soc_max = _unit_values(stos, "soc_max")
+    soc_max = plant.unit_values(stos, "soc_max")
     soc_rate = dt / scenario.capacities
 
     lower = np.zeros(n)
@@ -225,24 +223,24 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     upper[load_cols] = np.array([ld.steps if ld.is_stepped else 1.0
                                  for ld in loads], dtype=float)[:, None]
     integrality[load_cols[stepped]] = True
-    objective[load_cols] = (w_hat * step_sizes)[:, None]
-    lower[gen_cols] = _unit_values(gens, "p_min_mw")[:, None]
-    upper[gen_cols] = _unit_values(gens, "p_max_mw")[:, None]
+    objective[load_cols] = (scenario.w_hat * step_sizes)[:, None]
+    lower[gen_cols] = plant.unit_values(gens, "p_min_mw")[:, None]
+    upper[gen_cols] = plant.unit_values(gens, "p_max_mw")[:, None]
 
     # storage: net power split into discharge (>= 0) and charge (>= 0)
     # columns; the linearized objective penalizes their sum, which
     # equals |P| at any optimum with a positive throughput weight.  SoC
     # columns are boxed directly and tied to the net power through one
     # recurrence equality per step; ramp limits couple the net powers.
-    upper[dis_cols] = _unit_values(stos, "p_max_mw")[:, None]
-    upper[chg_cols] = -_unit_values(stos, "p_min_mw")[:, None]
+    upper[dis_cols] = plant.unit_values(stos, "p_max_mw")[:, None]
+    upper[chg_cols] = -plant.unit_values(stos, "p_min_mw")[:, None]
     objective[dis_cols] = -weights.throughput
     objective[chg_cols] = -weights.throughput
-    lower[soc_cols] = _unit_values(stos, "soc_min")[:, None]
+    lower[soc_cols] = plant.unit_values(stos, "soc_min")[:, None]
     upper[soc_cols] = soc_max[:, None]
     # terminal SoC reward lands directly on the final SoC column
     objective[soc_cols[:, h - 1]] += weights.terminal * scenario.terminal_priorities
-    upper[us_cols] = np.maximum(soc_max[pair_units[0]], soc_max[pair_units[1]])[:, None]
+    upper[us_cols] = np.maximum(soc_max[first], soc_max[second])[:, None]
     objective[us_cols] = -weights.imbalance
 
     # generator ramp rows p_k - p_{k-1}, unit by unit, at steps 1..h-1
@@ -266,7 +264,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     balance_rows = sto_end + np.arange(h)
     gap_rows = (sto_end + h + 2 * np.arange(npairs * h).reshape(npairs, h)
                 + np.array([0, 1])[:, None, None])
-    pair_cols = np.stack([soc_cols[pair_units[0]], soc_cols[pair_units[1]], us_cols], -1)
+    pair_cols = np.stack([soc_cols[first], soc_cols[second], us_cols], -1)
     bal_cols = np.concatenate([dis_cols, chg_cols, gen_cols]).T
     bal_sign = np.concatenate([-np.ones(ne), np.ones(ne), -np.ones(ng)])
     blocks = [
@@ -301,14 +299,14 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     order = np.lexsort((cols, rows))       # CSR order: by row, then column
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
-    gen_ramp = np.stack([_unit_values(gens, "ramp_down_mw_s") * dt,
-                         _unit_values(gens, "ramp_up_mw_s") * dt])
-    sto_ramp = np.stack([_unit_values(stos, "ramp_down_mw_s") * dt,
-                         _unit_values(stos, "ramp_up_mw_s") * dt])
+    gen_ramp = np.stack([plant.unit_values(gens, "ramp_down_mw_s") * dt,
+                         plant.unit_values(gens, "ramp_up_mw_s") * dt])
+    sto_ramp = np.stack([plant.unit_values(stos, "ramp_down_mw_s") * dt,
+                         plant.unit_values(stos, "ramp_up_mw_s") * dt])
     # off the ramp a generator row widens to one MW past any move its box
     # allows, a tripped step at zero included (see the module docstring)
-    reach = (np.maximum(_unit_values(gens, "p_max_mw"), 0.0)
-             - np.minimum(_unit_values(gens, "p_min_mw"), 0.0) + 1.0)
+    reach = (np.maximum(plant.unit_values(gens, "p_max_mw"), 0.0)
+             - np.minimum(plant.unit_values(gens, "p_min_mw"), 0.0) + 1.0)
     # recurrences are equalities and seams are patched; balance and
     # pair rows are <= 0
     row_lo = np.full(m, -np.inf)
@@ -333,7 +331,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
     return WindowTemplate(
         scenario=scenario, weights=weights, horizon=h, load_cols=load_cols,
         gen_cols=gen_cols, discharge_cols=dis_cols, charge_cols=chg_cols,
-        soc_cols=soc_cols, soc_gap_cols=us_cols, w_hat=w_hat, step_sizes=step_sizes,
+        soc_cols=soc_cols, soc_gap_cols=us_cols, step_sizes=step_sizes,
         lower=lower, upper=upper, objective=objective, integrality=integrality,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]
                               ).astype(np.int32),
@@ -341,7 +339,7 @@ def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
         demand_at=position[order.size - nl * h:].reshape(nl, h),
         row_lo=row_lo, row_up=row_up,
         patched=np.concatenate([seam_rows, rec_rows[:, 0]]),
-        rec_rows=rec_rows, gap_rows=gap_rows, pair_units=pair_units, row_at=row_at,
+        rec_rows=rec_rows, gap_rows=gap_rows, row_at=row_at,
         gen_ramp=gen_ramp, gen_free=np.stack([-reach, reach]), sto_ramp=sto_ramp)
 
 
@@ -419,7 +417,7 @@ def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
     inconsistent input data alone brings about.
     """
     scenario, h, gc = tpl.scenario, tpl.horizon, tpl.gen_cols
-    avail = scenario.availability()[:, t0:t0 + h]
+    avail = scenario.generator_available[:, t0:t0 + h]
     linked = plant.ramp_linked(scenario, t0, h)
     prev = np.asarray(state.prev_generator_power, dtype=float)
     rdn, rup = tpl.gen_ramp.tolist()
@@ -543,7 +541,8 @@ def _crash_basis(tpl: WindowTemplate, upper: np.ndarray, demand: np.ndarray,
             if used + by_step[k][i] <= cap + 1e-12:
                 serve[i, k] = True
                 used += by_step[k][i]
-    gap = soc0[tpl.pair_units[0]] - soc0[tpl.pair_units[1]]
+    first, second = tpl.scenario.pair_index
+    gap = soc0[first] - soc0[second]
     spread = np.abs(gap) > 1e-12
 
     n, m = tpl.lower.size, tpl.row_lo.size
@@ -593,7 +592,7 @@ def decode_plan(solution: MilpSolution, layout: WindowTemplate,
     if soc.size and np.max(np.abs(soc - x[layout.soc_cols])) > 1e-7:
         raise DecodeMismatch("SoC recursion diverged from window columns")
 
-    terms = plant.objective_terms(scenario, layout.w_hat, frac, sto_power, soc)
+    terms = plant.objective_terms(scenario, frac, sto_power, soc)
     recombined = terms.combined(layout.weights)
     if abs(recombined - solution.objective_value) > 1e-6:
         raise DecodeMismatch(

@@ -139,7 +139,7 @@ def cmd_validate(args):
     print(f"  loads={scenario.n_loads} generators={scenario.n_generators} "
           f"storage={scenario.n_storage} steps={scenario.steps} "
           f"dt={scenario.dt_s}s horizon={horizon}")
-    trips = (~scenario.availability()).sum()
+    trips = (~scenario.generator_available).sum()
     if trips:
         print(f"  generator outage steps: {int(trips)}")
     return EXIT_OK

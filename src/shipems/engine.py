@@ -79,11 +79,10 @@ def operability(result: MissionResult, scenario: ScenarioSpec) -> float:
     O = sum_t sum_i w_hat_i o_i^t / sum_t sum_i w_hat_i (the commanded
     service level is one everywhere).
     """
-    w_hat = scenario.normalized_weights()
-    denom = w_hat.sum() * result.steps
+    denom = scenario.w_hat.sum() * result.steps
     if denom <= 0.0:
         raise ZeroDenominator("all load weights are zero")
-    return float(w_hat @ result.load_fraction.sum(axis=1)) / denom
+    return float(scenario.w_hat @ result.load_fraction.sum(axis=1)) / denom
 
 
 def compare_f1(fho: MissionResult, rho: MissionResult) -> float:
@@ -102,8 +101,7 @@ def _mission_result(scenario: ScenarioSpec, weights: ObjectiveWeights,
         scenario_name=scenario.name, mode=mode, horizon=horizon,
         weights=weights, load_fraction=frac, gen_power=pgen,
         storage_power=psto, soc=soc, operability=0.0,
-        terms=plant.objective_terms(scenario, scenario.normalized_weights(),
-                                    frac, psto, soc),
+        terms=plant.objective_terms(scenario, frac, psto, soc),
         solve_times=times, statuses=statuses,
         total_wall_s=time.perf_counter() - t_start, **extra)
     result.operability = operability(result, scenario)
@@ -249,7 +247,7 @@ def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
 def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
     """Hold previous powers, then serve loads in descending weight order."""
     dt = scenario.dt_s
-    avail = scenario.availability()[:, t] if scenario.n_generators else np.zeros(0, bool)
+    avail = scenario.generator_available[:, t]
     pg = np.zeros(scenario.n_generators)
     for g, gen in enumerate(scenario.generators):
         if avail[g]:
@@ -273,9 +271,8 @@ def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
         pe[e] = v
     supply = pg.sum() + pe.sum()
     demand = scenario.demand_mw[:, t]
-    w_hat = scenario.normalized_weights()
     o_t = np.zeros(scenario.n_loads)
-    for i in np.argsort(-w_hat):
+    for i in np.argsort(-scenario.w_hat):
         d = demand[i]
         if d <= 1e-12:
             o_t[i] = 1.0
@@ -321,7 +318,7 @@ def audit_shedding_order(result: MissionResult, scenario: ScenarioSpec,
     while the balance is in MW, so a raw weight comparison alone would
     flag legitimate optima.
     """
-    w_hat = scenario.normalized_weights()
+    w_hat = scenario.w_hat
     demand = scenario.demand_mw
     violations = []
     for t in range(result.steps):

@@ -10,7 +10,13 @@ inline (per-load arrays), constant (per-load scalars plus a step
 count), or a separate CSV table whose header row carries the load ids
 and whose rows are mission steps.  All times are seconds, powers MW,
 energy MJ, and SoC a fraction in [0, 1]; files using percent-style SoC
-values are rejected outright to avoid the 80-vs-0.8 ambiguity.
+values are rejected outright to avoid the 80-vs-0.8 ambiguity.  An
+optional ``weight_override`` mapping (load id to weight) replaces the
+weights of the loads it names when the file is parsed, so the spec
+carries each load's weight once, on its ``LoadSpec``; a written file
+carries the applied weights on its loads.  Generator availability is
+always a full (generators, steps) matrix on the spec; a written file
+lists ``available`` only for a generator that trips.
 
 Result bundles pair a ``summary.json`` with a ``trajectory.csv`` whose
 columns are stable: step, time_s, one service column per load, one
@@ -25,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,28 +273,28 @@ def parse_scenario(doc: dict, base_dir: Path = Path(".")):
         gen, avail = _parse_generator(d, i, dt, steps)
         gens.append(gen)
         avail_rows.append(avail)
-    availability = np.array(avail_rows) if gens else None
-    if availability is not None and availability.all():
-        availability = None
 
     storage = [_parse_storage(d, i) for i, d in enumerate(doc.get("storage") or [])]
 
-    weight_override = None
     if doc.get("weight_override") is not None:
         table = doc["weight_override"]
         _require(isinstance(table, dict), "weight_override", "expected a mapping")
         extra = [i for i in table if i not in load_ids]
         if extra:
             raise DimensionError(f"weight_override: unknown load ids {extra}")
-        weight_override = np.array([
-            _number(table[i], f"weight_override.{i}") if i in table else loads[k].weight
-            for k, i in enumerate(load_ids)])
+        for k, i in enumerate(load_ids):
+            if i in table:
+                path = f"weight_override.{i}"
+                weight = _number(table[i], path)
+                try:
+                    loads[k] = replace(loads[k], weight=weight)
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: {exc}")
 
     try:
         spec = ScenarioSpec(dt_s=dt, loads=loads, generators=gens,
                             storage=storage, demand_mw=demand,
-                            generator_available=availability,
-                            weight_override=weight_override,
+                            generator_available=np.reshape(avail_rows, (len(gens), steps)),
                             name=_get(doc, "name", "top level", "", convert=_string))
     except ValueError as exc:
         raise SchemaError(str(exc))
@@ -335,12 +341,9 @@ def scenario_document(spec: ScenarioSpec, horizon_steps: int = DEFAULT_HORIZON_S
            "storage": [_spec_entry(sto) for sto in spec.storage],
            "demand": {"inline": {ld.id: [float(v) for v in spec.demand_mw[i]]
                                  for i, ld in enumerate(spec.loads)}}}
-    for entry, row in zip(doc["generators"], spec.availability()):
+    for entry, row in zip(doc["generators"], spec.generator_available):
         if not row.all():
             entry["available"] = [int(v) for v in row]
-    if spec.weight_override is not None:
-        doc["weight_override"] = {ld.id: float(w) for ld, w in
-                                  zip(spec.loads, spec.weight_override)}
     return doc
 
 
@@ -355,13 +358,8 @@ def scenarios_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
     if (a.dt_s, a.loads, a.generators, a.storage, a.name) != \
             (b.dt_s, b.loads, b.generators, b.storage, b.name):
         return False
-    if not np.array_equal(a.demand_mw, b.demand_mw):
-        return False
-    if not np.array_equal(a.availability(), b.availability()):
-        return False
-    wa = a.weight_override if a.weight_override is not None else np.empty(0)
-    wb = b.weight_override if b.weight_override is not None else np.empty(0)
-    return np.array_equal(wa, wb)
+    return (np.array_equal(a.demand_mw, b.demand_mw)
+            and np.array_equal(a.generator_available, b.generator_available))
 
 
 def synth_scenario(seed: int, n_loads: int = 8, n_generators: int = 2,

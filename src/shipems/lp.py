@@ -39,16 +39,17 @@ Every solve takes one path, a problem without rows included (its
 basis is 0 x 0).  It tries the warm basis if there is one, then the
 caller's fallback basis if there is one, then the slack basis, and
 checks each start the same way.  A malformed start gives way to the
-next.  A nonbasic column on an infinite bound moves to its finite one.
-The basis is then repaired structurally before it is factored: a
-maximum bipartite matching pairs rows with basic columns, and each
-column left unmatched is swapped for the slack of a row left unmatched
-(Suhl & Suhl 1990).  The repaired basis matrix has full structural
-rank.  Without the repair a structurally singular basis reaches
-SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU may
-crash the process on it instead of raising, as it does with its default
-options.  A start that still proves numerically singular gives way to
-the next.
+next, and so does one that leaves a column with no finite bound (a
+free row's slack) nonbasic.  A nonbasic column on an infinite bound
+moves to its finite one.  The basis is then repaired structurally
+before it is factored: a maximum bipartite matching pairs rows with
+basic columns, and each column left unmatched is swapped for the slack
+of a row left unmatched (Suhl & Suhl 1990).  The repaired basis matrix
+has full structural rank.  Without the repair a structurally singular
+basis reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17)
+SuperLU may crash the process on it instead of raising, as it does
+with its default options.  A start that still proves numerically
+singular gives way to the next.
 
 A simplex core prepares one problem for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
@@ -678,7 +679,8 @@ class _SimplexCore:
         """Working copies of ``start``, or of the slack basis when
         ``start`` is None; None when ``start`` is malformed.  A nonbasic
         column of ``start`` on an infinite bound moves to its other
-        bound."""
+        bound; one with no finite bound (the slack of a free row) makes
+        ``start`` malformed."""
         n, m, nm = self.n, self.m, self.n + self.m
         if start is not None:
             vstat = np.array(start.vstat, dtype=np.int8)
@@ -694,8 +696,11 @@ class _SimplexCore:
             is_basic = vstat == BASIC
             if not (np.count_nonzero(mark) == m and np.array_equal(mark, is_basic)):
                 return None
-            vstat[~is_basic & (vstat == AT_LOWER) & ~np.isfinite(lo)] = AT_UPPER
-            vstat[~is_basic & (vstat == AT_UPPER) & ~np.isfinite(up)] = AT_LOWER
+            no_lo, no_up = ~is_basic & ~np.isfinite(lo), ~is_basic & ~np.isfinite(up)
+            if (no_lo & no_up).any():
+                return None
+            vstat[no_lo & (vstat == AT_LOWER)] = AT_UPPER
+            vstat[no_up & (vstat == AT_UPPER)] = AT_LOWER
             return vstat, basic
         vstat = np.empty(nm, dtype=np.int8)
         nearer_low = np.abs(lo[:n]) <= np.abs(up[:n])

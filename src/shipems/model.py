@@ -6,7 +6,13 @@ Positive storage power is discharge (supply side of the power balance),
 so discharging lowers the state of charge.
 
 Scenario objects are immutable after construction; builders treat them
-as read-only, which makes concurrent window builds safe.
+as read-only, which makes concurrent window builds safe.  A
+``ScenarioSpec`` holds each scenario fact once: it keeps read-only
+copies of its demand and availability arrays and derives ``w_hat``,
+``capacities``, ``terminal_priorities`` and ``pair_index`` from its
+units when it is built.  A load's weight lives on its ``LoadSpec``
+alone; a scenario file's ``weight_override`` section is applied to the
+loads when the file is parsed (see ``io``).
 """
 
 from __future__ import annotations
@@ -170,14 +176,17 @@ class ObjectiveTerms:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A full mission: fleet, per-step demand, weights and trip events.
+    """A full mission: fleet, per-step demand and trip events.
 
     ``demand_mw`` is (n_loads, steps).  ``generator_available`` is an
-    optional (n_generators, steps) boolean matrix; a False entry trips
-    the unit for that step (its power is forced to zero).  The
-    commanded service level is 1 for every load at every step.
-    ``capacities``, ``terminal_priorities`` and ``pair_index`` are
-    read-only arrays derived from ``storage`` at construction.
+    (n_generators, steps) boolean matrix, all True when not given; a
+    False entry trips the unit for that step (its power is forced to
+    zero).  The commanded service level is 1 for every load at every
+    step.  Both are kept as read-only copies of what the caller passed.
+    Derived once at construction, also read-only: ``w_hat`` (per load,
+    weight times rated power), ``capacities`` and
+    ``terminal_priorities`` (per storage unit) and ``pair_index``, the
+    (2, n_pairs) unit indices l < m of each unordered storage pair.
     """
 
     dt_s: float
@@ -186,10 +195,8 @@ class ScenarioSpec:
     storage: tuple
     demand_mw: np.ndarray
     generator_available: Optional[np.ndarray] = None
-    weight_override: Optional[np.ndarray] = None
     name: str = ""
-    # derived from ``storage`` once: per unit, and the (2, n_pairs) unit
-    # indices of ``storage_pairs``
+    w_hat: np.ndarray = field(init=False, repr=False, compare=False)
     capacities: np.ndarray = field(init=False, repr=False, compare=False)
     terminal_priorities: np.ndarray = field(init=False, repr=False, compare=False)
     pair_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -198,8 +205,7 @@ class ScenarioSpec:
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "storage", tuple(self.storage))
-        demand = np.asarray(self.demand_mw, dtype=np.float64)
-        object.__setattr__(self, "demand_mw", demand)
+        demand = np.array(self.demand_mw, dtype=np.float64)
         if not (np.isfinite(self.dt_s) and self.dt_s > 0):
             raise ValueError("dt_s must be finite and > 0")
         if demand.ndim != 2 or demand.shape[0] != len(self.loads):
@@ -210,26 +216,22 @@ class ScenarioSpec:
             raise ValueError("mission must have at least one step")
         if np.any(demand < 0) or not np.all(np.isfinite(demand)):
             raise ValueError("demand entries must be finite and >= 0")
-        if self.generator_available is not None:
-            avail = np.asarray(self.generator_available, dtype=bool)
-            if avail.shape != (len(self.generators), demand.shape[1]):
-                raise ValueError(
-                    f"generator availability is {avail.shape}, expected "
-                    f"({len(self.generators)}, {demand.shape[1]})")
-            object.__setattr__(self, "generator_available", avail)
-        if self.weight_override is not None:
-            wo = np.asarray(self.weight_override, dtype=np.float64)
-            if wo.shape != (len(self.loads),):
-                raise ValueError("weight_override must have one entry per load")
-            if np.any(wo < 0) or not np.all(np.isfinite(wo)):
-                raise ValueError("weight_override entries must be finite and >= 0")
-            object.__setattr__(self, "weight_override", wo)
-        derived = {
+        shape = (len(self.generators), demand.shape[1])
+        if self.generator_available is None:
+            avail = np.ones(shape, dtype=bool)
+        else:
+            avail = np.array(self.generator_available, dtype=bool)
+        if avail.shape != shape:
+            raise ValueError(f"generator availability is {avail.shape}, expected {shape}")
+        arrays = {
+            "demand_mw": demand,
+            "generator_available": avail,
+            "w_hat": np.array([ld.weight * ld.rated_mw for ld in self.loads], dtype=float),
             "capacities": np.array([u.capacity_mj for u in self.storage], dtype=float),
             "terminal_priorities": np.array([u.terminal_priority for u in self.storage],
                                             dtype=float),
-            "pair_index": np.array(self.storage_pairs(), dtype=np.int64).reshape(-1, 2).T}
-        for name, values in derived.items():
+            "pair_index": np.array(np.triu_indices(len(self.storage), 1), dtype=np.int64)}
+        for name, values in arrays.items():
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         ids = [u.id for u in self.loads] + [u.id for u in self.generators] \
@@ -252,28 +254,6 @@ class ScenarioSpec:
     @property
     def n_storage(self) -> int:
         return len(self.storage)
-
-    def effective_load_weights(self) -> np.ndarray:
-        """Per-load weights after any scenario override."""
-        if self.weight_override is not None:
-            return self.weight_override.copy()
-        return np.array([ld.weight for ld in self.loads])
-
-    def normalized_weights(self) -> np.ndarray:
-        """w_hat per load: weight times rated power."""
-        w = self.effective_load_weights()
-        return np.array([normalized_weight(ld, wi)
-                         for ld, wi in zip(self.loads, w)])
-
-    def availability(self) -> np.ndarray:
-        if self.generator_available is not None:
-            return self.generator_available
-        return np.ones((self.n_generators, self.steps), dtype=bool)
-
-    def storage_pairs(self) -> list:
-        """Unordered (l, m) index pairs across all storage units."""
-        n = self.n_storage
-        return [(l, m) for l in range(n) for m in range(l + 1, n)]
 
     def initial_state(self) -> "SystemState":
         return SystemState(
@@ -318,13 +298,6 @@ class DispatchPlan:
     @property
     def horizon(self) -> int:
         return self.load_fraction.shape[1]
-
-
-def normalized_weight(load: LoadSpec, scenario_weight: float) -> float:
-    """Weight-per-unit-service of a load: w_hat = w * rated power."""
-    if not (np.isfinite(scenario_weight) and scenario_weight >= 0):
-        raise ValueError("scenario weight must be finite and >= 0")
-    return scenario_weight * load.rated_mw
 
 
 def soc_step(soc, power_mw, dt_s: float, capacity_mj: float):

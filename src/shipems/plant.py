@@ -29,7 +29,7 @@ def ramp_linked(scenario: ScenarioSpec, t0: int, h: int) -> np.ndarray:
     the step after it carry no ramp limit, whether the recovery falls
     inside a window or on a window seam.
     """
-    avail = scenario.availability()
+    avail = scenario.generator_available
     before = (avail[:, t0 - 1:t0] if t0
               else np.ones((scenario.n_generators, 1), dtype=bool))
     return avail[:, t0:t0 + h] & np.concatenate(
@@ -49,12 +49,16 @@ def soc_path(scenario: ScenarioSpec, soc0, storage_power) -> np.ndarray:
     return np.add.accumulate(path, axis=1)[:, 1:]
 
 
-def _per_unit(units, attr) -> np.ndarray:
-    return np.array([getattr(u, attr) for u in units], dtype=float)[:, None]
+def unit_values(units, attr) -> np.ndarray:
+    """The float ``attr`` of each of ``units``, in order."""
+    return np.array([getattr(u, attr) for u in units], dtype=float)
 
 
-def _outside(x, lo, up, slack):
-    return (x < lo - slack) | (x > up + slack)
+def _outside(x, units, lo, up, slack):
+    """Where ``x`` (unit, step) leaves the box that the ``units``
+    attributes named ``lo`` and ``up`` give."""
+    return ((x < unit_values(units, lo)[:, None] - slack)
+            | (x > unit_values(units, up)[:, None] + slack))
 
 
 def violations(scenario: ScenarioSpec, state: SystemState, frac, gen_power,
@@ -79,34 +83,29 @@ def violations(scenario: ScenarioSpec, state: SystemState, frac, gen_power,
         bad.append(f"step {t0 + k}: balance violated "
                    f"({served[k]:.6f} > {supply[k]:.6f})")
 
-    avail = scenario.availability()[:, t0:t0 + h]
+    avail = scenario.generator_available[:, t0:t0 + h]
     gen_rate = np.diff(gen_power, axis=1,
                        prepend=np.reshape(state.prev_generator_power, (-1, 1))) / dt
     sto_rate = np.diff(storage_power, axis=1,
                        prepend=np.reshape(state.prev_storage_power, (-1, 1))) / dt
-    level = frac / _per_unit(loads, "step_size")
-    off_grid = (_per_unit(loads, "is_stepped") > 0) \
+    level = frac / unit_values(loads, "step_size")[:, None]
+    off_grid = (unit_values(loads, "is_stepped")[:, None] > 0) \
         & (np.abs(level - np.round(level)) > slack)
     checks = (
         (gens, ~avail & (np.abs(gen_power) > slack),
          "tripped generator {} at {:.4f} MW", gen_power),
-        (gens, avail & _outside(gen_power, _per_unit(gens, "p_min_mw"),
-                                _per_unit(gens, "p_max_mw"), slack),
+        (gens, avail & _outside(gen_power, gens, "p_min_mw", "p_max_mw", slack),
          "generator {} power {:.4f} outside box", gen_power),
         (gens, ramp_linked(scenario, t0, h)
-         & _outside(gen_rate, _per_unit(gens, "ramp_down_mw_s"),
-                    _per_unit(gens, "ramp_up_mw_s"), slack),
+         & _outside(gen_rate, gens, "ramp_down_mw_s", "ramp_up_mw_s", slack),
          "generator {} ramp {:.4f} MW/s", gen_rate),
-        (stos, _outside(storage_power, _per_unit(stos, "p_min_mw"),
-                        _per_unit(stos, "p_max_mw"), slack),
+        (stos, _outside(storage_power, stos, "p_min_mw", "p_max_mw", slack),
          "storage {} power {:.4f} outside box", storage_power),
-        (stos, _outside(sto_rate, _per_unit(stos, "ramp_down_mw_s"),
-                        _per_unit(stos, "ramp_up_mw_s"), slack),
+        (stos, _outside(sto_rate, stos, "ramp_down_mw_s", "ramp_up_mw_s", slack),
          "storage {} ramp {:.4f} MW/s", sto_rate),
-        (stos, _outside(soc, _per_unit(stos, "soc_min"), _per_unit(stos, "soc_max"),
-                        slack),
+        (stos, _outside(soc, stos, "soc_min", "soc_max", slack),
          "storage {} SoC {:.6f} outside box", soc),
-        (loads, _outside(frac, 0.0, 1.0, slack),
+        (loads, (frac < -slack) | (frac > 1.0 + slack),
          "load {} service {:.6f} outside [0, 1]", frac),
         (loads, off_grid, "load {} service {:.6f} off its stepped grid", frac),
     )
@@ -154,10 +153,10 @@ def unwind_guards(unit: StorageSpec, dt: float) -> list:
             for j in unwind_breakpoints(p_max, step)]
 
 
-def objective_terms(scenario: ScenarioSpec, w_hat, frac, storage_power,
+def objective_terms(scenario: ScenarioSpec, frac, storage_power,
                     soc) -> ObjectiveTerms:
     """The four raw objective terms of a trajectory (see ObjectiveTerms)."""
-    served = float(w_hat @ frac.sum(axis=1))
+    served = float(scenario.w_hat @ frac.sum(axis=1))
     throughput = float(np.abs(storage_power).sum())
     imbalance = 0.0
     first, second = scenario.pair_index

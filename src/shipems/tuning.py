@@ -86,10 +86,10 @@ def default_norms(scenario: ScenarioSpec):
     Empty fleets fall back to 1.0 so the merit stays defined.
     """
     T = scenario.steps
-    n1 = scenario.normalized_weights().sum() * T
+    n1 = scenario.w_hat.sum() * T
     n2 = sum(s.p_max_mw for s in scenario.storage) * T
     n3 = sum(max(scenario.storage[l].soc_max, scenario.storage[m].soc_max)
-             for l, m in scenario.storage_pairs()) * T
+             for l, m in scenario.pair_index.T.tolist()) * T
     n4 = sum(s.terminal_priority * s.soc_max for s in scenario.storage)
     return (max(n1, 1e-12), n2 or 1.0, n3 or 1.0, n4 or 1.0)
 

@@ -20,7 +20,7 @@ from shipems.model import ObjectiveWeights, StorageClass
 from shipems.tuning import TunerConfig, make_mission_evaluator, tune_weights
 
 from oracles import milp_enum_oracle
-from test_engine import fake_result, gen, load, scenario
+from test_engine import fake_result, gen, load, reweighted, scenario
 from test_milp import lp_backend, make_milp, random_milp
 
 REFERENCE_WEIGHTS = ObjectiveWeights(0.005, 0.03, 0.05)
@@ -251,9 +251,7 @@ def test_criterion_10_operability_metric():
     base = fake_result(sc, frac).operability
     worst = 0.0
     for lam in (7.3, 0.0042, 1913.0):
-        scaled = scenario(sc.loads, sc.generators, sc.storage, sc.demand_mw,
-                          weight_override=lam * np.array([1.0, 3.0]))
-        val = fake_result(scaled, frac).operability
+        val = fake_result(reweighted(sc, lam), frac).operability
         worst = max(worst, abs(val - base) / base)
     assert worst <= 1e-12
     report(10, f"unit identities exact; weight-scaling drift {worst:.2e} "

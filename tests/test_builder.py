@@ -1,5 +1,7 @@
 """Window construction, decode, and formulation-level invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from shipems.builder import build_window_milp, decode_plan, window_variable_coun
 from shipems.errors import DecodeMismatch, InfeasibleWindow
 from shipems.io import parse_scenario, synth_scenario
 from shipems.lp import AT_UPPER, TOL, LpStatus, solve_lp
-from shipems.milp import MilpStatus, SolverConfig, solve_milp
+from shipems.milp import MilpSolution, MilpStatus, SolverConfig, solve_milp
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
                            ScenarioSpec, StorageClass, StorageSpec)
 
@@ -93,7 +95,7 @@ def test_ample_generation_serves_everything():
     plan, sol, _ = solve_window(sc)
     np.testing.assert_allclose(plan.load_fraction, 1.0, atol=1e-9)
     # with zero penalty weights and ample generation f1 hits its ceiling
-    assert plan.terms.served == pytest.approx(sc.normalized_weights().sum() * 6, abs=1e-7)
+    assert plan.terms.served == pytest.approx(sc.w_hat.sum() * 6, abs=1e-7)
     assert plan.terms.throughput == 0.0
     assert plan.terms.imbalance == 0.0
 
@@ -183,10 +185,32 @@ def test_decode_mismatch_detected():
     state = sc.initial_state()
     prob, layout = build_window_milp(sc, state, ObjectiveWeights(), 3)
     sol = solve_milp(prob)
-    # corrupt the layout weights so recombination cannot match
-    bad = layout.__class__(**{**layout.__dict__, "w_hat": layout.w_hat * 2.0})
-    with pytest.raises(DecodeMismatch):
-        decode_plan(sol, bad, sc, state)
+    # decode against doubled load weights so recombination cannot match
+    bad = scenario([load(0, weight=2.0)], sc.generators, [], sc.demand_mw)
+    with pytest.raises(DecodeMismatch, match="recombined objective"):
+        decode_plan(sol, layout, bad, state)
+
+
+def test_decode_checks_the_soc_columns():
+    sc = scenario([load(0)], [gen(0, initial=4.0)], [battery(0)], np.full((1, 3), 2.0))
+    state = sc.initial_state()
+    prob, layout = build_window_milp(sc, state, ObjectiveWeights(), 3)
+    sol = solve_milp(prob)
+    decode_plan(sol, layout, sc, state)
+    x = sol.x.copy()
+    x[layout.soc_cols[0, 1]] += 1e-6
+    with pytest.raises(DecodeMismatch, match="SoC recursion diverged"):
+        decode_plan(dataclasses.replace(sol, x=x), layout, sc, state)
+
+
+def test_decode_needs_an_incumbent():
+    sc = scenario([load(0)], [gen(0, initial=4.0)], [], np.full((1, 3), 2.0))
+    state = sc.initial_state()
+    _, layout = build_window_milp(sc, state, ObjectiveWeights(), 3)
+    empty = MilpSolution(status=MilpStatus.TIMED_OUT, x=None,
+                         objective_value=float("-inf"), nodes_explored=0)
+    with pytest.raises(ValueError, match="no incumbent"):
+        decode_plan(empty, layout, sc, state)
 
 
 def test_terminal_reward_charges_storage():

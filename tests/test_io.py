@@ -193,10 +193,14 @@ demand:
         ("inline", {"L1": "4.0"}, "demand.inline.L1"),
         ("constant", {"L1": True}, "demand.constant.L1"),
         ("constant", {"L1": "abc"}, "demand.constant.L1"),
+        ("weight_override", {"L1": -1}, "weight_override.L1"),
+        ("weight_override", {"L1": float("inf")}, "weight_override.L1"),
+        ("weight_override", {"L1": float("nan")}, "weight_override.L1"),
     ])
     def test_scenario_numbers_are_checked(self, field, value, path):
-        # a bool or a string is no number, and only booleans and 0/1 are
-        # availability flags; each failure names its field
+        # a bool or a string is no number, only booleans and 0/1 are
+        # availability flags, and a weight is finite and >= 0; each
+        # failure names its field
         doc = yaml.safe_load(MINIMAL)
         doc["steps"] = 4
         doc["demand"] = {"inline": {"L1": [4.0] * 4}}
@@ -215,7 +219,7 @@ demand:
         doc["demand"] = {"inline": {"L1": [4.0] * 4}}
         doc["generators"][0]["available"] = [1, 0, True, False]
         sc, _ = parse_scenario(doc)
-        assert sc.availability()[0].tolist() == [True, False, True, False]
+        assert sc.generator_available[0].tolist() == [True, False, True, False]
 
     def test_parse_error_on_bad_yaml(self, tmp_path):
         with pytest.raises(ParseError):
@@ -228,7 +232,7 @@ demand:
             "initial_mw: 5.0}",
             "initial_mw: 5.0, outages: [[10.0, 20.0]]}")
         sc = load_scenario(write(tmp_path, text))
-        avail = sc.availability()[0]
+        avail = sc.generator_available[0]
         assert avail[:20].all()          # 10 s / 0.5 s = step 20
         assert not avail[20:40].any()
         assert avail[40:].all()
@@ -303,11 +307,17 @@ class TestRoundTrip:
     def test_round_trip_preserves_overrides_and_trips(self, tmp_path):
         doc = synth_scenario(seed=9, n_loads=3, n_generators=2, n_storage=2,
                              steps=24)
-        doc["weight_override"] = {"L0": 2.0, "L1": 0.7, "L2": 0.1}
+        doc["weight_override"] = {"L0": 2.0, "L2": 0.1}
+        kept = doc["loads"][1]["weight"]
         spec, _ = parse_scenario(doc)
+        assert [ld.weight for ld in spec.loads] == [2.0, kept, 0.1]
         path = tmp_path / "rt.yaml"
         save_scenario(spec, path)
         assert scenarios_equal(spec, load_scenario(path))
+        # the file carries the applied weights on its loads
+        written = yaml.safe_load(path.read_text())
+        assert "weight_override" not in written
+        assert [ld["weight"] for ld in written["loads"]] == [2.0, kept, 0.1]
 
     def test_every_field_round_trips(self, tmp_path):
         # every spec field away from its default, so the writer and the
@@ -325,8 +335,7 @@ class TestRoundTrip:
         avail[0, 2:4] = False
         spec = ScenarioSpec(dt_s=0.25, loads=loads, generators=gens,
                             storage=storage, demand_mw=np.arange(12.0).reshape(2, 6) / 4,
-                            generator_available=avail, weight_override=[0.9, 0.1],
-                            name="every-field")
+                            generator_available=avail, name="every-field")
         implied = {"p_min_mw": 0.0, "terminal_priority": 1.0}  # file, class
         for unit in (loads[0], gens[0], storage[0]):
             for f in dataclasses.fields(unit):
@@ -357,7 +366,7 @@ class TestSynth:
         assert spec.n_generators == 2
         assert spec.n_storage == 4
         # high-ramp block carries the top weight
-        weights = spec.effective_load_weights()
+        weights = np.array([ld.weight for ld in spec.loads])
         assert weights[-1] == weights.max() == 1.0
         # stepped loads sit among the lowest weights
         assert spec.loads[0].is_stepped and spec.loads[1].is_stepped
@@ -375,7 +384,7 @@ class TestSynth:
         spec, _ = parse_scenario(doc)
         res = run_rho(spec, ObjectiveWeights(0.005, 0.02, 0.05), horizon=12)
         assert res.operability < 1.0
-        assert (~spec.availability()).any()
+        assert (~spec.generator_available).any()
 
     def test_surplus_variant_serves_everything(self):
         doc = synth_scenario(seed=2, n_loads=4, n_generators=2, n_storage=2,

@@ -447,6 +447,24 @@ def test_malformed_outside_basis_starts_from_slacks(vstat_basic, basic):
     assert warm.iterations == cold.iterations
 
 
+def test_outside_basis_with_a_nonbasic_free_slack_gives_way():
+    # max x0 + x1 over [0, 2]^2 with a free row x0 + x1 (both sides
+    # open) and x0 - x1 <= 1: the start leaves the free row's slack
+    # (column 2) nonbasic, on no finite bound, so it is malformed and
+    # the slack basis takes over
+    lp = LinearProgram(objective=[1.0, 1.0], lower=[0.0, 0.0], upper=[2.0, 2.0],
+                       a_rg=[[1.0, 1.0], [1.0, -1.0]], rg_upper=[np.inf, 1.0])
+    bad = Basis(vstat=np.array([BASIC, AT_LOWER, AT_LOWER, BASIC], dtype=np.int8),
+                basic=np.array([0, 3]))
+    core = _SimplexCore(lp)
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    assert core._initial_basis(lo, up, bad) is None
+    warm = solve_lp(lp, basis=bad)
+    assert warm.status is LpStatus.OPTIMAL
+    assert warm.objective_value == solve_lp(lp).objective_value == 4.0
+
+
 def test_iteration_cap_raises_breakdown():
     from shipems.errors import NumericalBreakdown
     rng = np.random.default_rng(13)

@@ -338,7 +338,7 @@ def test_windows_match_highs(seed):
     # step, plus the branching windows above, each from the initial
     # powers and SoC
     sc, _ = sio.parse_scenario(sio.synth_scenario(seed))
-    tripped = np.flatnonzero(~sc.availability().all(axis=0))
+    tripped = np.flatnonzero(~sc.generator_available.all(axis=0))
     trip, back = int(tripped[0]), int(tripped[-1]) + 1
     s0 = sc.initial_state()
     weights = ObjectiveWeights(0.005, 0.03, 0.05)

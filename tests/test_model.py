@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
-                           ScenarioSpec, StorageClass, StorageSpec,
-                           normalized_weight, soc_step)
+                           ScenarioSpec, StorageClass, StorageSpec, soc_step)
 
 
 def make_load(**kw):
@@ -31,15 +30,22 @@ def make_storage(**kw):
     return StorageSpec(**args)
 
 
+def w_hat_of(load):
+    """A one-load scenario's w_hat entry for ``load``."""
+    sc = ScenarioSpec(dt_s=0.5, loads=[load], generators=[], storage=[],
+                      demand_mw=np.ones((1, 2)))
+    return sc.w_hat[0]
+
+
 class TestNormalizedWeight:
     def test_direct_product(self):
-        assert normalized_weight(make_load(rated_mw=5.0), 1.0) == 5.0
+        assert w_hat_of(make_load(rated_mw=5.0, weight=1.0)) == 5.0
 
     def test_fractional_weight(self):
-        assert normalized_weight(make_load(rated_mw=10.0), 0.1) == pytest.approx(1.0)
+        assert w_hat_of(make_load(rated_mw=10.0, weight=0.1)) == pytest.approx(1.0)
 
     def test_zero_weight_annihilates(self):
-        assert normalized_weight(make_load(rated_mw=123.0), 0.0) == 0.0
+        assert w_hat_of(make_load(rated_mw=123.0, weight=0.0)) == 0.0
 
 
 class TestSocStep:
@@ -136,17 +142,35 @@ class TestScenarioSpec:
         sc = self.make()
         assert sc.steps == 4
         assert sc.n_loads == 2
-        assert sc.storage_pairs() == []
-        np.testing.assert_allclose(sc.normalized_weights(), [5.0, 1.0])
+        assert sc.pair_index.shape == (2, 0)
+        np.testing.assert_allclose(sc.w_hat, [5.0, 1.0])
+        assert sc.generator_available.shape == (1, 4) and sc.generator_available.all()
 
     def test_weight_override(self):
-        sc = self.make(weight_override=[0.5, 0.5])
-        np.testing.assert_allclose(sc.normalized_weights(), [2.5, 2.5])
+        # an override is applied to the loads (io does it at parse time):
+        # the spec reads each load's weight from its LoadSpec alone
+        sc = self.make(loads=[make_load(weight=0.5), make_load(id="L2", weight=0.5)])
+        np.testing.assert_allclose(sc.w_hat, [2.5, 2.5])
+        with pytest.raises(TypeError):
+            self.make(weight_override=[0.5, 0.5])
 
     def test_pair_combinatorics(self):
         units = [make_storage(id=f"E{i}") for i in range(4)]
         sc = self.make(storage=units)
-        assert len(sc.storage_pairs()) == 6
+        assert sc.pair_index.T.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+    def test_arrays_are_read_only_copies(self):
+        demand = np.ones((2, 4))
+        avail = np.ones((1, 4), dtype=bool)
+        sc = self.make(demand_mw=demand, generator_available=avail,
+                       storage=[make_storage(id=f"E{i}") for i in range(3)])
+        demand[0, 0] = 7.0
+        avail[0, 0] = False
+        assert sc.demand_mw[0, 0] == 1.0 and sc.generator_available.all()
+        for name in ("demand_mw", "generator_available", "w_hat", "capacities",
+                     "terminal_priorities", "pair_index"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sc, name)[0, ...] = 0
 
     def test_rejects_bad_demand(self):
         with pytest.raises(ValueError):

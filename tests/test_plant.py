@@ -103,7 +103,7 @@ def test_audit_and_fallback_check_agree_on_each_fault():
     frac, gen, sto = res.load_fraction, res.gen_power, res.storage_power
     dt = sc.dt_s
     t_partial = np.flatnonzero((frac[1] > 0.05) & (frac[1] < 0.95))[0]
-    t_trip = np.flatnonzero(~sc.availability()[0])[0]
+    t_trip = np.flatnonzero(~sc.generator_available[0])[0]
     t_gen = np.flatnonzero(gen[1, :-1] < 8.0 - 2 * dt)[0] + 1
     t_sto = np.flatnonzero(sto[0, :-1] < 3.0 - 2 * dt)[0] + 1
     t_grid = [np.flatnonzero(frac[i] > 0.0)[0] for i in (2, 3)]

@@ -135,7 +135,7 @@ def test_default_norms_are_positive_and_bounding():
     sc = tiny_scenario()
     n1, n2, n3, n4 = default_norms(sc)
     assert min(n1, n2, n3, n4) > 0
-    assert n1 == pytest.approx(sc.normalized_weights().sum() * sc.steps)
+    assert n1 == pytest.approx(sc.w_hat.sum() * sc.steps)
     assert n2 == pytest.approx(6.0 * sc.steps)
     assert n4 == pytest.approx(0.5 * 0.8 + 1.0 * 0.8)
 
