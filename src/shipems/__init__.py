@@ -16,8 +16,8 @@ from .errors import (BundleInvariantError, DecodeMismatch, DimensionError,
                      NumericalBreakdown, ParseError, ScenarioError,
                      SchemaError, ZeroDenominator, ZeroNorm)
 from .io import (load_scenario, load_scenario_with_horizon, read_summary,
-                 save_scenario, scenario_document, scenarios_equal,
-                 synth_scenario, write_result_bundle, write_tuner_trace)
+                 save_scenario, scenario_document, synth_scenario,
+                 write_result_bundle, write_tuner_trace)
 from .lp import Basis, LinearProgram, LpSolution, LpStatus, solve_lp
 from .milp import (MilpProblem, MilpSolution, MilpStatus, SolverConfig,
                    solve_milp)

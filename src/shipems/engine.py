@@ -125,7 +125,7 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
                                           previous=previous)
     if cfg.deadline_s is not None:
         spent = time.perf_counter() - tick
-        cfg = replace(cfg, deadline_s=cfg.deadline_s - spent - 0.01)
+        cfg = replace(cfg, deadline_s=max(cfg.deadline_s - spent - 0.01, 0.0))
     sol = solve_milp(problem, cfg)
     if sol.status is MilpStatus.INFEASIBLE:
         raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")

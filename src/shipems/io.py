@@ -353,15 +353,6 @@ def save_scenario(spec_or_doc, path, horizon_steps: int = DEFAULT_HORIZON_STEPS)
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False, width=100000))
 
 
-def scenarios_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
-    """Field-wise equality; numpy members compared exactly."""
-    if (a.dt_s, a.loads, a.generators, a.storage, a.name) != \
-            (b.dt_s, b.loads, b.generators, b.storage, b.name):
-        return False
-    return (np.array_equal(a.demand_mw, b.demand_mw)
-            and np.array_equal(a.generator_available, b.generator_available))
-
-
 def synth_scenario(seed: int, n_loads: int = 8, n_generators: int = 2,
                    n_storage: int = 4, steps: int = 240, dt_s: float = 0.5,
                    shortfall: bool = True, surplus_margin: float = 1.05,

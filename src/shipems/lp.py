@@ -29,11 +29,13 @@ whole mission, 5,467 rows (5 bases)    332 -> 99   184 -> 84   2.6 -> 1.8
 
 Between factorizations the basis inverse is kept in product form: each
 pivot appends the sparse entering column ``B^-1 a_j`` as an eta vector.
-The basis is factored afresh on any of three triggers: the eta file
-reaches ``REFACTOR_EVERY`` vectors, a pivot element is below 1e-8 in
-magnitude, or the etas hold more than ``max(4 m, 20_000)`` nonzeros
-(m rows).  On the whole-mission problem the last one fires every ~16
-pivots, because each eta there carries about 1,400 nonzeros.
+The basis is factored afresh after a pivot element below 1e-8 in
+magnitude, or once the etas hold more nonzeros than the factor itself
+(``SuperLU.nnz``), past which they cost more per solve than it does.
+The factor's fill sizes the rule to the basis: about 20,600 nonzeros on
+whole-mission bases, about 690 on 8-step windows.  The unperturbed
+benchmark missions refactor 160 times in 2,763 pivots (whole mission),
+319 in 1,075 (window 8) and 360 in 2,970 (window 60).
 
 Every solve takes one path, a problem without rows included (its
 basis is 0 x 0).  It tries the warm basis if there is one, then the
@@ -93,9 +95,6 @@ TOL = 1e-7
 #: Length of the degenerate-pivot streak after which Bland's rule takes
 #: over until a nondegenerate pivot occurs.
 BLAND_AFTER = 50
-#: Eta-file length that forces a fresh LU factorization (one of the
-#: three refactor triggers listed in the module docstring).
-REFACTOR_EVERY = 64
 
 
 class LpStatus(Enum):
@@ -208,6 +207,43 @@ class LpSolution:
     objective_value: float
     iterations: int
     basis: Optional[Basis] = None
+
+
+class _BasisFactor:
+    """A basis matrix factored by SuperLU, and the eta file of the basis
+    changes made since: per change its position, support, values on it
+    and pivot element (sparse: the support is local on staircase bases)."""
+
+    def __init__(self, mat):
+        self.lu = splu(mat, permc_spec="COLAMD", relax=1, panel_size=1,
+                       options={"SymmetricMode": False})
+        self.etas: list = []
+        self.eta_nnz = 0
+
+    def ftran(self, v):
+        """``B^-1 v`` for the current basis B."""
+        u = self.lu.solve(v)
+        for p, idx, vals, wp in self.etas:
+            piv = u[p] / wp
+            if piv != 0.0:
+                u[idx] -= vals * piv
+            u[p] = piv
+        return u
+
+    def btran(self, v):
+        """``B^-T v`` for the current basis B."""
+        y = v.copy()
+        for p, idx, vals, wp in reversed(self.etas):
+            y[p] = (y[p] - (vals @ y[idx] - wp * y[p])) / wp
+        return self.lu.solve(y, trans="T")
+
+    def update(self, r, w) -> bool:
+        """Record that the column ``w = B^-1 a_j`` replaced basis position
+        ``r``; True when the basis should be factored afresh."""
+        idx = np.flatnonzero(np.abs(w) > 1e-12)
+        self.etas.append((r, idx, w[idx].copy(), w[r]))
+        self.eta_nnz += idx.size
+        return bool(abs(w[r]) < 1e-8 or self.eta_nnz > self.lu.nnz)
 
 
 def _row_runs(indptr):
@@ -371,46 +407,7 @@ class _SimplexCore:
             # empty box: trivially infeasible
             return LpStatus.INFEASIBLE, None, -_INF, 0, None
         cobj = self._cobj
-
-        # product-form updates: eta vectors kept sparse (their support is
-        # local for staircase bases), applied sequentially around splu
-        etas: list = []   # (pivot_pos, idx array, vals array, w[pivot])
-        eta_nnz = 0
-        lu = None
         gbuf = np.empty(m)
-
-        def refactor(mat=None):
-            nonlocal lu, eta_nnz
-            etas.clear()
-            eta_nnz = 0
-            lu = splu(self._basis_matrix(basic) if mat is None else mat,
-                      permc_spec="COLAMD", relax=1, panel_size=1,
-                      options={"SymmetricMode": False})
-
-        def ftran(v):
-            u = lu.solve(v)
-            for p, idx, vals, wp in etas:
-                piv = u[p] / wp
-                if piv != 0.0:
-                    u[idx] -= vals * piv
-                u[p] = piv
-            return u
-
-        def btran(v):
-            y = v.copy()
-            for p, idx, vals, wp in reversed(etas):
-                y[p] = (y[p] - (vals @ y[idx] - wp * y[p])) / wp
-            return lu.solve(y, trans="T")
-
-        def push_eta(r, w):
-            nonlocal eta_nnz
-            idx = np.flatnonzero(np.abs(w) > 1e-12)
-            etas.append((r, idx, w[idx].copy(), w[r]))
-            eta_nnz += idx.size
-
-        def recompute_basics():
-            nonlocal xb
-            xb = ftran(z[n:] - self.a_csr @ z[:n])
 
         def starts():
             if warm is not None:
@@ -425,8 +422,8 @@ class _SimplexCore:
                 continue
             vstat, basic = begun
             try:
-                refactor(self._repair(vstat, basic, lo, up,
-                                      self._basis_matrix(basic)))
+                factor = _BasisFactor(self._repair(vstat, basic, lo, up,
+                                                   self._basis_matrix(basic)))
                 break
             except RuntimeError:
                 if start is None:
@@ -436,7 +433,7 @@ class _SimplexCore:
         # one position instead of gathering them through ``basic``
         z = np.where(vstat == AT_UPPER, up, lo)
         z[basic] = 0.0
-        recompute_basics()
+        xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
         lob = lo[basic]
         upb = up[basic]
 
@@ -463,7 +460,7 @@ class _SimplexCore:
         def price(cb, cn):
             """Reduced costs ``cn - A^T y`` of the structurals and ``y``
             of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
-            y = btran(cb)
+            y = factor.btran(cb)
             dd = np.empty(nm)
             dd[:n] = cn - self.a_t_csr @ y
             dd[n:] = y
@@ -505,7 +502,7 @@ class _SimplexCore:
                     # priced/resolved quantities before declaring
                     verify_rounds += 1
                     d_cache = None
-                    recompute_basics()
+                    xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
                     z_stale = False
                     continue
                 if infeasible:
@@ -525,7 +522,7 @@ class _SimplexCore:
                 j = int(np.argmax(score))
 
             sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
-            w = ftran(self._column(j, gbuf))
+            w = factor.ftran(self._column(j, gbuf))
 
             # ratio test over the rows that move: basic r moves as
             # xb_r - sigma * w_r * step
@@ -577,7 +574,7 @@ class _SimplexCore:
             if not infeasible:
                 e_r = np.zeros(m)
                 e_r[r] = 1.0
-                rho = btran(e_r)
+                rho = factor.btran(e_r)
                 alpha = np.empty(nm)
                 alpha[:n] = self.a_t_csr @ rho
                 alpha[n:] = -rho
@@ -607,7 +604,6 @@ class _SimplexCore:
             basic[r] = j
             lob[r] = lo[j]
             upb[r] = up[j]
-            push_eta(r, w)
             iters += 1
             verify_rounds = 0
             z_stale = True
@@ -620,13 +616,12 @@ class _SimplexCore:
                 degen_streak = 0
                 bland = False
 
-            if (len(etas) >= REFACTOR_EVERY or abs(w[r]) < 1e-8
-                    or eta_nnz > max(4 * m, 20_000)):
+            if factor.update(r, w):
                 try:
-                    refactor()
+                    factor = _BasisFactor(self._basis_matrix(basic))
                 except RuntimeError as exc:
                     raise NumericalBreakdown(f"singular basis during pivoting: {exc}")
-                recompute_basics()
+                xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
                 d_cache = None
                 z_stale = False
 
@@ -738,7 +733,9 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
 
     Notes
     -----
-    Factorization and refactor triggers: see the module docstring.
+    The basis is factored by SuperLU and updated in product form; it is
+    factored afresh after a pivot below 1e-8 or once the eta file holds
+    more nonzeros than the factor (see the module docstring).
     """
     lp.validate()
     core = _SimplexCore(lp, max_iter=max_iter)

@@ -116,14 +116,29 @@ class SolverConfig:
     relaxations solved (the root is solved even at 0) and ``deadline_s``
     is the wall budget of one ``solve_milp`` call; either stop returns
     TIMED_OUT.  The engine reads ``deadline_s`` as the budget of a whole
-    step, build and decode included (see ``engine.run_rho``).  The LP
-    tolerances are the constants of :mod:`shipems.lp`.
+    step, build and decode included (see ``engine.run_rho``); 0 is a
+    deadline already passed.  The LP tolerances are the constants of
+    :mod:`shipems.lp`.  A value outside its domain raises ValueError
+    (a NaN gap, say, would disable pruning against the incumbent).
     """
 
     gap_tol: float = 1e-6
     rel_gap: float = 0.0
     node_limit: Optional[int] = None
     deadline_s: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("gap_tol", "rel_gap", "deadline_s"):
+            value = getattr(self, name)
+            if value is None and name == "deadline_s":
+                continue
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        limit = self.node_limit
+        if limit is not None and (isinstance(limit, bool)
+                                  or not isinstance(limit, (int, np.integer))
+                                  or limit < 0):
+            raise ValueError(f"node_limit must be None or an int >= 0, got {limit!r}")
 
 
 def _round_integers(x, int_idx, lower, upper):

@@ -239,6 +239,17 @@ class ScenarioSpec:
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique across the scenario")
 
+    def __eq__(self, other):
+        """Field-wise equality; the demand and availability arrays are
+        compared entry by entry (the derived arrays follow from the
+        rest)."""
+        if not isinstance(other, ScenarioSpec):
+            return NotImplemented
+        return ((self.dt_s, self.loads, self.generators, self.storage, self.name)
+                == (other.dt_s, other.loads, other.generators, other.storage, other.name)
+                and np.array_equal(self.demand_mw, other.demand_mw)
+                and np.array_equal(self.generator_available, other.generator_available))
+
     @property
     def steps(self) -> int:
         return self.demand_mw.shape[1]

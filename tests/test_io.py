@@ -11,7 +11,7 @@ from shipems.errors import (BundleInvariantError, DimensionError, ParseError,
                             SchemaError)
 from shipems.io import (load_scenario, load_scenario_with_horizon,
                         parse_scenario, read_summary, save_scenario,
-                        scenario_document, scenarios_equal, synth_scenario,
+                        scenario_document, synth_scenario,
                         write_result_bundle, write_tuner_trace)
 from shipems.model import (GeneratorSpec, LoadSpec, ObjectiveWeights,
                            ScenarioSpec, StorageClass, StorageSpec)
@@ -302,7 +302,7 @@ class TestRoundTrip:
         save_scenario(spec, path, horizon_steps=horizon)
         spec2, horizon2 = load_scenario_with_horizon(path)
         assert horizon2 == horizon
-        assert scenarios_equal(spec, spec2)
+        assert spec == spec2
 
     def test_round_trip_preserves_overrides_and_trips(self, tmp_path):
         doc = synth_scenario(seed=9, n_loads=3, n_generators=2, n_storage=2,
@@ -313,7 +313,7 @@ class TestRoundTrip:
         assert [ld.weight for ld in spec.loads] == [2.0, kept, 0.1]
         path = tmp_path / "rt.yaml"
         save_scenario(spec, path)
-        assert scenarios_equal(spec, load_scenario(path))
+        assert spec == load_scenario(path)
         # the file carries the applied weights on its loads
         written = yaml.safe_load(path.read_text())
         assert "weight_override" not in written
@@ -345,7 +345,16 @@ class TestRoundTrip:
         save_scenario(spec, path, horizon_steps=4)
         spec2, horizon = load_scenario_with_horizon(path)
         assert horizon == 4
-        assert scenarios_equal(spec, spec2)
+        assert spec == spec2
+
+    def test_specs_differing_in_one_demand_entry_are_unequal(self):
+        doc = synth_scenario(1, steps=10)
+        spec, _ = parse_scenario(doc)
+        assert spec == parse_scenario(synth_scenario(1, steps=10))[0]
+        series = next(iter(doc["demand"]["inline"].values()))
+        series[3] += 0.5
+        other, _ = parse_scenario(doc)
+        assert spec != other
 
 
 class TestSynth:

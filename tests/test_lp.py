@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import structural_rank
 
 from shipems.errors import DimensionMismatch
 from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
-                        LpStatus, _SimplexCore, solve_lp)
+                        LpStatus, _BasisFactor, _SimplexCore, solve_lp)
 
 from oracles import lp_vertex_oracle
 
@@ -463,6 +463,48 @@ def test_outside_basis_with_a_nonbasic_free_slack_gives_way():
     warm = solve_lp(lp, basis=bad)
     assert warm.status is LpStatus.OPTIMAL
     assert warm.objective_value == solve_lp(lp).objective_value == 4.0
+
+
+def test_basis_factor_solves_with_the_current_basis():
+    # a sparse basis whose columns are replaced one by one: after each
+    # change ftran and btran solve with the basis as it now stands
+    rng = np.random.default_rng(3)
+    m = 12
+    basis = (sp.random(m, m, density=0.2, random_state=rng) + 4 * sp.eye(m)).toarray()
+    factor = _BasisFactor(sp.csc_matrix(basis))
+    for _ in range(20):
+        col = sp.random(m, 1, density=0.3, random_state=rng).toarray().ravel()
+        col[rng.integers(m)] += 1.0
+        w = factor.ftran(col.copy())
+        r = int(np.argmax(np.abs(w)))
+        factor.update(r, w)
+        basis[:, r] = col
+        v = rng.standard_normal(m)
+        assert np.allclose(factor.ftran(v.copy()), np.linalg.solve(basis, v),
+                           rtol=0, atol=1e-10)
+        assert np.allclose(factor.btran(v), np.linalg.solve(basis.T, v),
+                           rtol=0, atol=1e-10)
+
+
+def test_basis_factor_refactors_once_the_etas_outgrow_the_factor():
+    # every eta here carries three nonzeros: the factor asks for a fresh
+    # factorization at the first eta that takes their count past its own
+    m = 10
+    factor = _BasisFactor(sp.identity(m, format="csc"))
+    w = np.zeros(m)
+    w[[0, 4, 7]] = (0.5, 2.0, -1.0)
+    asks = [factor.update(4, w) for _ in range(m)]
+    first = factor.lu.nnz // 3 + 1
+    assert first <= m
+    assert asks == [k >= first for k in range(1, m + 1)]
+    assert factor.eta_nnz == 3 * m
+
+
+@pytest.mark.parametrize("pivot, asks", [(1e-9, True), (-1e-9, True), (1e-7, False)])
+def test_basis_factor_refactors_after_a_tiny_pivot(pivot, asks):
+    factor = _BasisFactor(sp.identity(4, format="csc"))
+    w = np.array([0.0, pivot, 0.0, 0.0])
+    assert factor.update(1, w) is asks
 
 
 def test_iteration_cap_raises_breakdown():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shipems import io as sio
 from shipems.builder import build_window_milp, decode_plan
+from shipems.engine import run_rho
 from shipems.lp import Basis, LinearProgram, LpStatus, _SimplexCore, solve_lp
 from shipems.milp import MilpProblem, MilpSolution, MilpStatus, SolverConfig, solve_milp
 from shipems.model import ObjectiveWeights, SystemState
@@ -250,6 +253,25 @@ def test_deterministic_replay():
     assert s1.nodes_explored == s2.nodes_explored
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gap_tol", np.nan), ("gap_tol", np.inf), ("gap_tol", -1e-6),
+    ("rel_gap", np.nan), ("rel_gap", np.inf), ("rel_gap", -1e-4),
+    ("deadline_s", np.nan), ("deadline_s", np.inf), ("deadline_s", -0.1),
+    ("node_limit", -1), ("node_limit", 2.0), ("node_limit", True),
+])
+def test_solver_config_refuses_values_outside_their_domain(field, value):
+    # a NaN gap, say, disables the bound guard, and every integral node
+    # then replaces the incumbent
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_takes_values_on_their_domain_edges():
+    cfg = SolverConfig(gap_tol=0.0, rel_gap=0.0, node_limit=np.int64(0),
+                       deadline_s=0.0)
+    assert cfg.node_limit == 0 and cfg.deadline_s == 0.0
+
+
 def test_expired_deadline_returns_timed_out():
     c = [5.0, 4.0]
     a = [[6.0, 4.0]]
@@ -356,3 +378,41 @@ def test_windows_match_highs(seed):
         plan = decode_plan(sol, layout, sc, state)
         assert violations(sc, state, plan.load_fraction, plan.gen_power,
                           plan.storage_power, plan.soc) == [], (horizon, t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n_loads=st.integers(1, 8),
+       n_generators=st.integers(1, 3), n_storage=st.integers(1, 4),
+       horizon=st.integers(2, 12), start=st.integers(0, 30),
+       soc_at=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+# a battery at its SoC floor: HiGHS at its default feasibility tolerance
+# overstated this optimum by 3e-5 (see ``oracles.highs_milp``)
+@example(seed=0, n_loads=2, n_generators=1, n_storage=1, horizon=2, start=0,
+         soc_at=[0.0] * 4)
+def test_drawn_windows_match_highs(seed, n_loads, n_generators, n_storage,
+                                   horizon, start, soc_at):
+    # differential property: a drawn synth fleet, at the state an exact
+    # receding-horizon run reaches at a drawn step, with each SoC then
+    # moved to a drawn point of its box; the window ends the mission
+    sc, _ = sio.parse_scenario(sio.synth_scenario(
+        seed, n_loads, n_generators, n_storage, steps=start + horizon))
+    weights = ObjectiveWeights(0.005, 0.03, 0.05)
+    state = sc.initial_state()
+    if start:
+        run = run_rho(sc, weights, horizon)
+        state = SystemState(run.soc[:, start - 1].copy(),
+                            run.storage_power[:, start - 1].copy(),
+                            run.gen_power[:, start - 1].copy(), start)
+    box = np.array([(u.soc_min, u.soc_max) for u in sc.storage])
+    state.soc = box[:, 0] + np.array(soc_at[:n_storage]) * (box[:, 1] - box[:, 0])
+    problem, layout = build_window_milp(sc, state, weights, horizon)
+    sol = solve_milp(problem, SolverConfig(gap_tol=1e-7, rel_gap=0.0))
+    best = highs_milp(problem)
+    if best is None:
+        assert sol.status is MilpStatus.INFEASIBLE
+        return
+    assert sol.status is MilpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(best, abs=1e-6)
+    plan = decode_plan(sol, layout, sc, state)
+    assert violations(sc, state, plan.load_fraction, plan.gen_power,
+                      plan.storage_power, plan.soc) == []
