@@ -38,8 +38,9 @@ feasible whenever each storage unit can ramp from its previous power
 to zero in one step; otherwise only that unit's seam row starts
 violated.  Every window carries it as its fallback basis, built only
 when the window has no shifted basis (a lone window, the whole-mission
-solve among them, and the first window of a receding-horizon run) or
-its shifted basis (see below) proves numerically singular.
+solve among them, the first window of a receding-horizon run and each
+window of a new length, which starts cold) or its shifted basis (see
+below) proves numerically singular.
 
 Windows of one length differ in little, so a window is a template plus
 a per-step patch.  ``window_template`` builds, once per scenario,
@@ -61,17 +62,17 @@ of a receding-horizon run passes it back as ``previous`` with the root
 basis and the simplex core the window ran on, so a run of windows of
 one length builds one template and one core (the solver patches each
 window's values into it), and each shorter window at mission end
-builds its own.
+builds its own and starts from its crash basis.
 
 The rows come in the order generator ramp rows unit by unit, then each
 storage unit's rows, the balance rows and the pair rows.  The template
 also records each row's family, unit and step (a storage unit's seam is
 its ramp row at step 0, the guards belong to the last step) in
 ``WindowTemplate.row_at``.  ``shifted_basis`` moves the previous
-window's optimal basis one step along with index arithmetic on those
-maps: step k takes the statuses of the previous window's step k + 1,
-and the last step copies the previous last step.  A template keeps
-the index maps to the next window of its length.
+window's optimal basis one step along, into the next window of its
+length, with index arithmetic on those maps: step k takes the statuses
+of the previous window's step k + 1, and the last step copies the
+previous last step.  A template keeps the index maps of that shift.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ class WindowTemplate:
 
     @cached_property
     def shift_maps(self):
-        """``_shift_maps`` to the next window of this length."""
-        return _shift_maps(self, self)
+        """``_shift_maps`` of this template."""
+        return _shift_maps(self)
 
 
 def window_template(scenario: ScenarioSpec, weights: ObjectiveWeights,
@@ -355,10 +356,11 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
     core on as ``MilpProblem.core``, for the solver to patch; any other
     window (the first, each shrinking window at mission end, a lone
     window) builds its own template and gets a fresh core.  Returns
-    (MilpProblem, WindowTemplate).  The basis hint is ``previous``'s
-    basis shifted one step (``shifted_basis``; None when there is
-    nothing to shift or the shift cannot balance), and the fallback
-    basis builds the crash basis when a solve asks for it.
+    (MilpProblem, WindowTemplate).  A window of ``previous``'s length
+    takes ``previous``'s basis shifted one step as its basis hint
+    (``shifted_basis``; None when there is nothing to shift or the
+    shift cannot balance); any other window has none and starts cold.
+    The fallback basis builds the crash basis when a solve asks for it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -394,7 +396,7 @@ def build_window_milp(scenario: ScenarioSpec, state: SystemState,
                        rg_lower=row_lo, rg_upper=row_up)
     problem = MilpProblem(
         lp=lp, integrality=tpl.integrality.copy(),
-        basis_hint=None if basis is None else shifted_basis(prev, basis, tpl),
+        basis_hint=shifted_basis(tpl, basis) if reuse and basis is not None else None,
         fallback_basis=partial(_crash_basis, tpl, upper, demand, soc0),
         core=core if reuse else None)
     return problem, tpl
@@ -444,15 +446,13 @@ def _fold_generators(tpl: WindowTemplate, state: SystemState, t0: int,
     return linked
 
 
-def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
-                  tpl: WindowTemplate) -> Optional[Basis]:
+def shifted_basis(tpl: WindowTemplate, prev_basis: Basis) -> Optional[Basis]:
     """The basis of the previous step's window moved one step along, for
-    the window of ``tpl`` in the same mission.
+    the next window of the same template.
 
     Step k of the window takes the statuses of the columns and row
     slacks of the previous window's step k + 1; the last step copies
-    the previous last step, and a window that shrinks by one at mission
-    end copies nothing twice.  A row with no counterpart gets a basic
+    the previous last step.  A row with no counterpart gets a basic
     slack.  The basic count is then fixed on the last step: surplus
     basic columns there leave at their lower bound, or nonbasic slacks
     of its rows enter, pair and balance rows first.  Returns None when
@@ -460,17 +460,16 @@ def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
     singular; the simplex repairs it, giving up positions near the end
     of the window first.
     """
-    n1 = tpl.n_cols
-    stride = n1 // tpl.horizon
-    gather, last_slacks, order = (tpl.shift_maps if prev_tpl is tpl
-                                  else _shift_maps(prev_tpl, tpl))
-    m1 = order.size - n1
+    n = tpl.n_cols
+    stride = n // tpl.horizon
+    gather, last_slacks, order = tpl.shift_maps
+    m = order.size - n
     # the last entry stands for "no counterpart": a basic slack
     vstat = np.append(prev_basis.vstat, np.int8(BASIC))[gather]
 
-    surplus = int(np.count_nonzero(vstat == BASIC)) - m1
+    surplus = int(np.count_nonzero(vstat == BASIC)) - m
     if surplus > 0:
-        cols = n1 - stride + np.flatnonzero(vstat[n1 - stride:n1] == BASIC)
+        cols = n - stride + np.flatnonzero(vstat[n - stride:n] == BASIC)
         if cols.size < surplus:
             return None
         vstat[cols[:surplus]] = AT_LOWER
@@ -482,36 +481,33 @@ def shifted_basis(prev_tpl: WindowTemplate, prev_basis: Basis,
     return Basis(vstat=vstat, basic=order[vstat[order] == BASIC])
 
 
-def _shift_maps(prev: WindowTemplate, tpl: WindowTemplate):
-    """Index maps of ``shifted_basis`` from a window of ``prev`` to the
-    next one, of ``tpl``; they depend on the two row maps and column
-    counts alone.
+def _shift_maps(tpl: WindowTemplate):
+    """Index maps of ``shifted_basis`` from a window of ``tpl`` to the
+    next one; they depend on the row map and column count alone.
 
     Returns where each column and row slack of the new window takes its
-    status from (``n0 + m0``, one past the previous basis, for none),
-    the last step's row slacks in the order they may enter, and every
-    column and slack in basic-position order.
+    status from (``n + m``, one past the previous basis, for none), the
+    last step's row slacks in the order they may enter, and every column
+    and slack in basic-position order.
     """
-    src_at, dst = prev.row_at, tpl.row_at
-    n0, n1 = prev.n_cols, tpl.n_cols
-    h0, h1 = prev.horizon, tpl.horizon
-    stride = n1 // h1
-    m1 = int(np.count_nonzero(dst >= 0))
-    step = np.minimum(np.arange(h1) + 1, h0 - 1)
-    src = src_at[:, step]
+    dst, n, h = tpl.row_at, tpl.n_cols, tpl.horizon
+    stride = n // h
+    m = int(np.count_nonzero(dst >= 0))
+    step = np.minimum(np.arange(h) + 1, h - 1)
+    src = dst[:, step]
     both = (src >= 0) & (dst >= 0)
-    gather = np.full(n1 + m1, n0 + int(np.count_nonzero(src_at >= 0)), dtype=np.int64)
-    gather[:n1] = (step[:, None] * stride + np.arange(stride)).ravel()
-    gather[n1 + dst[both]] = n0 + src[both]
+    gather = np.full(n + m, n + m, dtype=np.int64)
+    gather[:n] = (step[:, None] * stride + np.arange(stride)).ravel()
+    gather[n + dst[both]] = n + src[both]
     # from the back of the slot order: pair, balance and guard rows
     # before the recurrences and ramps
-    last = dst[::-1, h1 - 1]
-    last_slacks = n1 + last[last >= 0]
+    last = dst[::-1, h - 1]
+    last_slacks = n + last[last >= 0]
     # basic positions step by step, columns before row slacks: where the
     # basis is structurally singular, the repair gives up the last ones
-    key = np.empty(n1 + m1, dtype=np.int64)
-    key[:n1] = 2 * (np.arange(n1) // stride)
-    key[n1 + dst[dst >= 0]] = 2 * np.nonzero(dst >= 0)[1] + 1
+    key = np.empty(n + m, dtype=np.int64)
+    key[:n] = 2 * (np.arange(n) // stride)
+    key[n + dst[dst >= 0]] = 2 * np.nonzero(dst >= 0)[1] + 1
     maps = gather, last_slacks, np.argsort(key, kind="stable")
     for a in maps:
         a.setflags(write=False)

@@ -5,7 +5,9 @@ plant propagation, and the mission-level resilience metrics.
 actions, propagates the state through the storage kinematics, and
 repeats, starting each window's simplex from the previous window's
 optimal root basis shifted one step, on the simplex core of the
-previous window of its length; ``run_fho`` solves one window
+previous window of its length.  A window of a new length (the first,
+and each shorter window at mission end) starts cold, from its crash
+basis, on a fresh core.  ``run_fho`` solves one window
 spanning the whole mission and applies it open loop.  With the horizon
 equal to the mission length and no measurement perturbations the two
 produce the same objective on deterministic scenarios, which the tests
@@ -190,7 +192,8 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
     prev_plan: Optional[DispatchPlan] = None
     # the previous window's template, root basis and simplex core: the
     # next window of the same length reuses the template, starts from
-    # the basis shifted one step and is patched into the core
+    # the basis shifted one step and is patched into the core; a window
+    # of a new length starts cold
     root = None
     t_start = time.perf_counter()
 

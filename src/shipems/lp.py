@@ -65,8 +65,9 @@ the same row pattern (the next receding-horizon window of the same
 length): a patch rewrites its values in place and keeps what depends on
 the pattern alone.
 
-``solve_lp`` is a pure function of its inputs; independent problems may
-be solved concurrently.
+Every solve returns one record, an ``LpSolution``, however it ends.
+``solve_lp`` returns a fresh core's record unchanged; it is a pure
+function of its inputs, and independent problems may be solved at once.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,13 +201,18 @@ class LinearProgram:
             raise DimensionMismatch("ranged row has lower > upper")
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
+class LpSolution(NamedTuple):
+    """One simplex solve: an empty box, the deadline (``status`` None,
+    ``x`` the iterate as it stands), INFEASIBLE or OPTIMAL.  Only OPTIMAL
+    sets a finite ``objective_value`` and the structural ``reduced_costs``
+    (for bound fixing); ``basis`` is the final one."""
+
+    status: Optional[LpStatus]
     x: Optional[np.ndarray]
     objective_value: float
     iterations: int
     basis: Optional[Basis] = None
+    reduced_costs: Optional[np.ndarray] = None
 
 
 class _BasisFactor:
@@ -350,9 +356,6 @@ class _SimplexCore:
         self.c[:] = lp.objective
         self.col_lo[:] = lp.lower
         self.col_up[:] = lp.upper
-        # structural reduced costs of the last optimal solve (for
-        # reduced-cost bound fixing in branch and bound)
-        self.last_reduced_costs = None
 
     # -- factorization -------------------------------------------------
 
@@ -382,21 +385,17 @@ class _SimplexCore:
         return bool(np.all(act >= self.row_lo - TOL)
                     and np.all(act <= self.row_up + TOL))
 
-    def objective_of(self, x) -> float:
-        return float(self.c @ x)
-
     # -- main solve ------------------------------------------------------
 
     def solve(self, col_lo=None, col_up=None, warm: Optional[Basis] = None,
               fallback: Optional[Callable[[], Basis]] = None,
-              deadline: Optional[float] = None):
+              deadline: Optional[float] = None) -> LpSolution:
         """Solve with optional bound overrides and warm basis.
 
         ``deadline`` (absolute perf_counter time) aborts a long solve
-        between pivots; the caller receives status None to signal an
-        unfinished relaxation.  The start is ``warm``, else the basis
-        ``fallback`` builds (called only then), else the slack basis
-        (see the module docstring).
+        between pivots, with status None and the iterate as it stands.
+        The start is ``warm``, else the basis ``fallback`` builds (called
+        only then), else the slack basis (see the module docstring).
         """
         n, m = self.n, self.m
         nm = n + m
@@ -405,7 +404,7 @@ class _SimplexCore:
         up = np.concatenate([self.col_up if col_up is None else col_up, self.row_up])
         if (lo > up).any():
             # empty box: trivially infeasible
-            return LpStatus.INFEASIBLE, None, -_INF, 0, None
+            return LpSolution(LpStatus.INFEASIBLE, None, -_INF, 0)
         cobj = self._cobj
         gbuf = np.empty(m)
 
@@ -472,12 +471,7 @@ class _SimplexCore:
                     f"simplex exceeded iteration cap {self.max_iter}")
             if deadline is not None and iters % 16 == 0 \
                     and time.perf_counter() > deadline:
-                # hand back the current iterate: a phase-2 point is
-                # primal feasible, which lets callers build an incumbent
-                feas = not (np.any(xb < lob - tol) or np.any(xb > upb + tol))
-                x_part = point() if feas else None
-                obj_part = float(cobj[:n] @ x_part) if feas else -_INF
-                return None, x_part, obj_part, iters, snapshot()
+                return LpSolution(None, point(), -_INF, iters, snapshot())
 
             below = xb < lob - tol
             above = xb > upb + tol
@@ -506,11 +500,11 @@ class _SimplexCore:
                     z_stale = False
                     continue
                 if infeasible:
-                    return LpStatus.INFEASIBLE, None, -_INF, iters, snapshot()
+                    return LpSolution(LpStatus.INFEASIBLE, None, -_INF, iters,
+                                      snapshot())
                 x = point()
-                objective = float(cobj[:n] @ x)
-                self.last_reduced_costs = d[:n].copy()
-                return LpStatus.OPTIMAL, x, objective, iters, snapshot()
+                return LpSolution(LpStatus.OPTIMAL, x, float(cobj[:n] @ x), iters,
+                                  snapshot(), d[:n])
 
             if bland:
                 j = int(np.argmax(eligible))
@@ -725,9 +719,9 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
     Returns
     -------
     LpSolution
-        ``status`` is OPTIMAL or INFEASIBLE; on OPTIMAL, ``x`` is
-        feasible within ``TOL`` and no feasible point beats
-        ``objective_value`` by more than ``TOL``.  Degenerate streaks
+        The core's record.  ``status`` is OPTIMAL or INFEASIBLE; on
+        OPTIMAL, ``x`` is feasible within ``TOL`` and no feasible point
+        beats ``objective_value`` by more than ``TOL``.  Degenerate streaks
         longer than ``BLAND_AFTER`` pivots switch to Bland's rule.  A
         ray that no bound blocks raises :class:`NumericalBreakdown`.
 
@@ -738,7 +732,4 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
     more nonzeros than the factor (see the module docstring).
     """
     lp.validate()
-    core = _SimplexCore(lp, max_iter=max_iter)
-    status, x, obj, iters, fin = core.solve(warm=basis)
-    return LpSolution(status=status, x=x, objective_value=obj,
-                      iterations=iters, basis=fin)
+    return _SimplexCore(lp, max_iter=max_iter).solve(warm=basis)

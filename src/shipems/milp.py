@@ -16,6 +16,8 @@ the simplex checks and repairs whichever start it takes (one start rule,
 relaxation's optimal basis, which a receding-horizon caller shifts
 into the next window.
 
+The deadline is the one stop.  A relaxation it cuts short hands back
+its iterate, which only the floor rounding judges (``point_feasible``).
 A timed-out search returns the best incumbent found, flagged TIMED_OUT;
 it is never passed off as OPTIMAL.
 """
@@ -31,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lp import AT_LOWER, AT_UPPER, Basis, LinearProgram, LpStatus, _SimplexCore
+from .lp import (AT_LOWER, AT_UPPER, Basis, LinearProgram, LpSolution, LpStatus,
+                 _SimplexCore)
 
 
 class MilpStatus(Enum):
@@ -112,19 +115,16 @@ class SolverConfig:
     The effective bound-pruning gap is ``max(gap_tol, rel_gap * |best|)``;
     ``rel_gap`` stays zero by default so results are absolute-gap exact,
     and real-time callers can trade a relative sliver of objective for
-    large search-tree savings.  ``node_limit`` caps the number of node
-    relaxations solved (the root is solved even at 0) and ``deadline_s``
-    is the wall budget of one ``solve_milp`` call; either stop returns
-    TIMED_OUT.  The engine reads ``deadline_s`` as the budget of a whole
-    step, build and decode included (see ``engine.run_rho``); 0 is a
-    deadline already passed.  The LP tolerances are the constants of
+    large search-tree savings.  ``deadline_s``, the one stop, is the wall
+    budget of one ``solve_milp`` call (TIMED_OUT); the engine reads it as
+    a whole step's, build and decode included (see ``engine.run_rho``),
+    and 0 is a deadline already passed.  The LP tolerances are those of
     :mod:`shipems.lp`.  A value outside its domain raises ValueError
     (a NaN gap, say, would disable pruning against the incumbent).
     """
 
     gap_tol: float = 1e-6
     rel_gap: float = 0.0
-    node_limit: Optional[int] = None
     deadline_s: Optional[float] = None
 
     def __post_init__(self):
@@ -134,11 +134,6 @@ class SolverConfig:
                 continue
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        limit = self.node_limit
-        if limit is not None and (isinstance(limit, bool)
-                                  or not isinstance(limit, (int, np.integer))
-                                  or limit < 0):
-            raise ValueError(f"node_limit must be None or an int >= 0, got {limit!r}")
 
 
 def _round_integers(x, int_idx, lower, upper):
@@ -170,11 +165,6 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
     def timed_out():
         return deadline is not None and time.perf_counter() > deadline
 
-    def stop():
-        # the root is solved unless the deadline has already passed
-        return timed_out() or (cfg.node_limit is not None
-                               and nodes >= max(cfg.node_limit, 1))
-
     def fractional(x):
         if int_idx.size == 0:
             return None
@@ -195,7 +185,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         lo = np.maximum(lo, root_lo)
         up = np.minimum(up, root_up)
         if np.any(lo > up):
-            return LpStatus.INFEASIBLE, None, -np.inf, 0, None
+            return LpSolution(LpStatus.INFEASIBLE, None, -np.inf, 0)
         nodes += 1
         return core.solve(col_lo=lo, col_up=up, warm=warm,
                           fallback=problem.fallback_basis, deadline=deadline)
@@ -237,7 +227,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         cand[int_idx] = np.floor(cand[int_idx] + INTEGRALITY_TOL)
         np.clip(cand[int_idx], lp.lower[int_idx], lp.upper[int_idx],
                 out=cand[int_idx])
-        obj = core.objective_of(cand)
+        obj = float(core.c @ cand)
         if obj > incumbent_obj and core.point_feasible(cand):
             incumbent_x, incumbent_obj = cand, obj
             refix()
@@ -250,13 +240,6 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
         return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis, core)
 
-    def cut_short(x):
-        """The one exit for a relaxation stopped by the deadline: a
-        feasible partial iterate may still yield a rounded incumbent."""
-        if x is not None:
-            try_round_down(x)
-        return result(MilpStatus.TIMED_OUT)
-
     # open nodes, best bound first: (-bound, tiebreak, lo, up, warm
     # basis); the root enters with an infinite bound
     heap = [(-np.inf, 0, root_lo, root_up, problem.basis_hint)]
@@ -265,15 +248,16 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
         neg_bound, _, lo, up, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + prune_gap():
             continue  # pruned by bound
-        if stop():
+        if timed_out():
             return result(MilpStatus.TIMED_OUT)
-        status, x, obj, _, basis = solve_node(lo, up, warm)
+        status, x, obj, _, basis, d = solve_node(lo, up, warm)
         if status is None:
-            return cut_short(x)
+            try_round_down(x)   # the deadline's iterate, as it stands
+            return result(MilpStatus.TIMED_OUT)
         if status is not LpStatus.OPTIMAL:
             continue
         if root_bound is None:
-            root_bound, root_d, root_basis = obj, core.last_reduced_costs, basis
+            root_bound, root_d, root_basis = obj, d, basis
         if obj <= incumbent_obj + prune_gap():
             continue
         j = fractional(x)

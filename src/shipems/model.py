@@ -250,6 +250,12 @@ class ScenarioSpec:
                 and np.array_equal(self.demand_mw, other.demand_mw)
                 and np.array_equal(self.generator_available, other.generator_available))
 
+    def __hash__(self):
+        """Over the fields ``__eq__`` compares; ``+ 0.0`` gives a -0.0
+        demand entry, equal to 0.0, the bytes of 0.0."""
+        return hash((self.dt_s, self.loads, self.generators, self.storage, self.name,
+                     (self.demand_mw + 0.0).tobytes(), self.generator_available.tobytes()))
+
     @property
     def steps(self) -> int:
         return self.demand_mw.shape[1]

@@ -355,12 +355,12 @@ def test_unreachable_storage_state_aborts_the_mission():
 
 
 def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
-    # every window after the first starts from the previous root basis
-    # shifted one step; through a generator trip and its recovery, a
-    # stepped load, a battery with four unwind guard rows per side next
-    # to a supercapacitor whose guards are vacuous, and the shrinking
-    # windows at mission end, that start (repaired where it is
-    # structurally singular) reaches the crash basis's optimum
+    # every window of the previous window's length starts from the
+    # previous root basis shifted one step; through a generator trip and
+    # its recovery, a stepped load, and a battery with four unwind guard
+    # rows per side next to a supercapacitor whose guards are vacuous,
+    # that start (repaired where it is structurally singular) reaches the
+    # crash basis's optimum
     from scipy.sparse.csgraph import structural_rank
 
     from shipems import engine
@@ -412,10 +412,15 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     assert all(a is b for a, b in zip(templates[:8], templates[1:8]))
     distinct = list({id(tpl): tpl for tpl in templates}.values())
     assert [tpl.horizon for tpl in distinct] == [5, 4, 3, 2, 1]
-    assert windows[0][0].basis_hint is None      # nothing to shift
+    # a window takes a shifted basis exactly when its length is the
+    # previous window's; the first window and each shorter one start cold
+    lengths = [0] + [tpl.horizon for tpl in templates]
+    assert [problem.basis_hint is not None for problem, _ in windows] \
+        == [a == b for a, b in zip(lengths[:-1], lengths[1:])]
     repaired = 0
-    for t, (problem, _) in enumerate(windows[1:], start=1):
-        assert problem.basis_hint is not None, f"step {t} was not shifted"
+    for t, (problem, _) in enumerate(windows):
+        if problem.basis_hint is None:
+            continue
         crash = _SimplexCore(problem.lp).solve(warm=problem.fallback_basis())
         core = _SimplexCore(problem.lp)
         lo = np.concatenate([core.col_lo, core.row_lo])
@@ -425,8 +430,9 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
         repaired += structural_rank(mat) < core.m
         assert structural_rank(core._repair(vstat, basic, lo, up, mat)) == core.m
         shifted = core.solve(warm=problem.basis_hint)
-        assert crash[0] is shifted[0] is LpStatus.OPTIMAL
-        assert shifted[2] == pytest.approx(crash[2], abs=1e-7), f"step {t}"
+        assert crash.status is shifted.status is LpStatus.OPTIMAL
+        assert shifted.objective_value == pytest.approx(crash.objective_value,
+                                                        abs=1e-7), f"step {t}"
     assert repaired == 3
 
 

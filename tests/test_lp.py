@@ -9,7 +9,8 @@ from scipy.sparse.csgraph import structural_rank
 
 from shipems.errors import DimensionMismatch
 from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
-                        LpStatus, _BasisFactor, _SimplexCore, solve_lp)
+                        LpSolution, LpStatus, _BasisFactor, _SimplexCore,
+                        solve_lp)
 
 from oracles import lp_vertex_oracle
 
@@ -412,15 +413,16 @@ def test_returned_basis_restarts_after_a_patch_opens_its_side():
     # start moves the slack to the side left and reaches (2, 2)
     lp = make_lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], upper=[2.0, 2.0])
     core = _SimplexCore(lp)
-    status, _, obj, _, basis = core.solve()
-    assert status is LpStatus.OPTIMAL and obj == pytest.approx(1.0, abs=1e-12)
-    assert basis.vstat[2] == AT_UPPER
+    first = core.solve()
+    assert first.status is LpStatus.OPTIMAL
+    assert first.objective_value == pytest.approx(1.0, abs=1e-12)
+    assert first.basis.vstat[2] == AT_UPPER
     assert core.patch(LinearProgram(objective=lp.objective, lower=lp.lower,
                                     upper=lp.upper, a_rg=lp.a_rg,
                                     rg_lower=[0.5], rg_upper=[np.inf]))
-    status, x, obj, _, _ = core.solve(warm=basis)
-    assert status is LpStatus.OPTIMAL
-    np.testing.assert_allclose(x, [2.0, 2.0], atol=1e-12)
+    again = core.solve(warm=first.basis)
+    assert again.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(again.x, [2.0, 2.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("vstat_basic, basic", [
@@ -547,23 +549,49 @@ def test_deadline_in_phase_2_returns_the_feasible_iterate(mission_window, monkey
     core = _SimplexCore(mission_window.lp)
     cold = core.solve()
     deadline = _clock_past_deadline_at_pivot_16(monkeypatch)
-    status, x, obj, iters, basis = core.solve(warm=mission_window.fallback_basis(),
-                                              deadline=deadline)
-    assert status is None and iters == 16
-    assert core.point_feasible(x)
-    assert obj == core.c @ x
-    assert obj <= cold[2] + 1e-7
-    resumed = core.solve(warm=basis)
-    assert resumed[0] is LpStatus.OPTIMAL
-    assert resumed[2] == pytest.approx(cold[2], abs=1e-7)
+    cut = core.solve(warm=mission_window.fallback_basis(), deadline=deadline)
+    assert cut.status is None and cut.iterations == 16
+    assert core.point_feasible(cut.x)
+    assert core.c @ cut.x <= cold.objective_value + 1e-7
+    # only an optimum carries an objective value and reduced costs
+    assert cut.objective_value == -np.inf and cut.reduced_costs is None
+    resumed = core.solve(warm=cut.basis)
+    assert resumed.status is LpStatus.OPTIMAL
+    assert resumed.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
 
 
-def test_deadline_in_phase_1_returns_no_point(mission_window, monkeypatch):
+def test_deadline_in_phase_1_returns_the_iterate(mission_window, monkeypatch):
+    # the slack start violates rows, so pivot 16 is still in phase 1: the
+    # iterate comes back as it stands, for the caller to judge
     core = _SimplexCore(mission_window.lp)
     deadline = _clock_past_deadline_at_pivot_16(monkeypatch)
-    status, x, obj, iters, _ = core.solve(deadline=deadline)
-    assert status is None and iters == 16
-    assert x is None and obj == -np.inf
+    cut = core.solve(deadline=deadline)
+    assert cut.status is None and cut.iterations == 16
+    assert cut.x.shape == (core.n,) and not core.point_feasible(cut.x)
+    assert cut.objective_value == -np.inf and cut.reduced_costs is None
+    assert cut.basis is not None
+
+
+def test_every_exit_returns_one_record():
+    # the optimal, infeasible and empty-box exits of max 2x + y,
+    # x + y <= 1 over [0, 2]^2, optimal at (1, 0), where y's reduced cost
+    # is 1 - 2; the benchmark reads the pivot count as the fourth entry
+    lp = make_lp([2.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], upper=[2.0, 2.0])
+    core = _SimplexCore(lp)
+    optimal = core.solve()
+    assert isinstance(optimal, LpSolution)
+    assert optimal[3] == optimal.iterations > 0
+    np.testing.assert_allclose(optimal.x, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(optimal.reduced_costs, [0.0, -1.0], atol=1e-12)
+    infeasible = core.solve(col_lo=np.array([1.0, 1.0]))
+    assert infeasible.status is LpStatus.INFEASIBLE
+    assert infeasible[3] == infeasible.iterations
+    assert infeasible.x is None and infeasible.reduced_costs is None
+    assert infeasible.objective_value == -np.inf and infeasible.basis is not None
+    empty = core.solve(col_lo=np.array([3.0, 0.0]))
+    assert empty == (LpStatus.INFEASIBLE, None, -np.inf, 0, None, None)
+    # solve_lp hands the core's record on as it is
+    np.testing.assert_array_equal(solve_lp(lp).reduced_costs, optimal.reduced_costs)
 
 
 def test_degenerate_cycling_guard():

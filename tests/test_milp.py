@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shipems import io as sio
 from shipems.builder import build_window_milp, decode_plan
 from shipems.engine import run_rho
-from shipems.lp import Basis, LinearProgram, LpStatus, _SimplexCore, solve_lp
+from shipems.lp import Basis, LinearProgram, LpSolution, LpStatus, _SimplexCore, solve_lp
 from shipems.milp import MilpProblem, MilpSolution, MilpStatus, SolverConfig, solve_milp
 from shipems.model import ObjectiveWeights, SystemState
 from shipems.plant import violations
@@ -257,7 +257,6 @@ def test_deterministic_replay():
     ("gap_tol", np.nan), ("gap_tol", np.inf), ("gap_tol", -1e-6),
     ("rel_gap", np.nan), ("rel_gap", np.inf), ("rel_gap", -1e-4),
     ("deadline_s", np.nan), ("deadline_s", np.inf), ("deadline_s", -0.1),
-    ("node_limit", -1), ("node_limit", 2.0), ("node_limit", True),
 ])
 def test_solver_config_refuses_values_outside_their_domain(field, value):
     # a NaN gap, say, disables the bound guard, and every integral node
@@ -267,9 +266,8 @@ def test_solver_config_refuses_values_outside_their_domain(field, value):
 
 
 def test_solver_config_takes_values_on_their_domain_edges():
-    cfg = SolverConfig(gap_tol=0.0, rel_gap=0.0, node_limit=np.int64(0),
-                       deadline_s=0.0)
-    assert cfg.node_limit == 0 and cfg.deadline_s == 0.0
+    cfg = SolverConfig(gap_tol=0.0, rel_gap=0.0, deadline_s=0.0)
+    assert cfg.gap_tol == cfg.rel_gap == cfg.deadline_s == 0.0
 
 
 def test_expired_deadline_returns_timed_out():
@@ -283,68 +281,70 @@ def test_expired_deadline_returns_timed_out():
 
 
 def test_root_deadline_rounds_the_partial_iterate(monkeypatch):
-    # the deadline stops the root relaxation at a feasible fractional
-    # iterate; the one deadline exit floors it into an incumbent if the
-    # floored point is feasible, and takes it as it is with no integers
-    from shipems.lp import _SimplexCore
+    # the deadline stops the root relaxation; its iterate, feasible or
+    # not, becomes an incumbent only through the floor rounding, whose
+    # floored point must pass point_feasible (taken as it is with no
+    # integers)
+    iterate = []
+    judged = []
+    point_feasible = _SimplexCore.point_feasible
 
     def stopped(self, col_lo=None, col_up=None, warm=None, fallback=None,
                 deadline=None):
-        x = np.array([0.5, 1.75])
-        return None, x, self.objective_of(x), 3, None
+        return LpSolution(None, np.array(iterate), -np.inf, 3, None)
+
+    def judge(self, x):
+        judged.append((x.copy(), point_feasible(self, x)))
+        return judged[-1][1]
 
     monkeypatch.setattr(_SimplexCore, "solve", stopped)
+    monkeypatch.setattr(_SimplexCore, "point_feasible", judge)
     c, lo, up = [5.0, 4.0], [0, 0], [2, 2]
 
-    sol = solve_milp(make_milp(c, [[6.0, 4.0]], [10.0], lo, up, [True, True]))
-    assert sol.status is MilpStatus.TIMED_OUT
-    assert np.array_equal(sol.x, [0.0, 1.0])
-    assert sol.objective_value == 4.0
-    assert sol.nodes_explored == 1
+    def cut(a, b, is_int, x):
+        iterate[:] = x
+        judged.clear()
+        sol = solve_milp(make_milp(c, a, b, lo, up, is_int))
+        assert sol.status is MilpStatus.TIMED_OUT and sol.nodes_explored == 1
+        assert sol.x is None or any(np.array_equal(sol.x, p) and ok for p, ok in judged)
+        return sol
+
+    # a feasible fractional iterate floors to the feasible [0, 1]
+    sol = cut([[6.0, 4.0]], [10.0], [True, True], [0.5, 1.75])
+    assert np.array_equal(sol.x, [0.0, 1.0]) and sol.objective_value == 4.0
 
     # x + y >= 1.5 holds at the iterate but not at its floor [0, 1]
-    sol = solve_milp(make_milp(c, [[6.0, 4.0], [-1.0, -1.0]], [10.0, -1.5],
-                               lo, up, [True, True]))
-    assert sol.status is MilpStatus.TIMED_OUT
-    assert not sol.has_incumbent
+    sol = cut([[6.0, 4.0], [-1.0, -1.0]], [10.0, -1.5], [True, True], [0.5, 1.75])
+    assert not sol.has_incumbent and len(judged) == 1
 
-    sol = solve_milp(make_milp(c, [[6.0, 4.0]], [10.0], lo, up, [False, False]))
-    assert sol.status is MilpStatus.TIMED_OUT
-    assert np.array_equal(sol.x, [0.5, 1.75])
-    assert sol.objective_value == 9.5
+    # a phase-1 iterate (6x + 4y = 14.6 > 10) whose floor [0, 2] is feasible
+    sol = cut([[6.0, 4.0]], [10.0], [True, True], [0.5, 2.9])
+    assert np.array_equal(sol.x, [0.0, 2.0]) and sol.objective_value == 8.0
 
-
-def test_node_limit_keeps_incumbent_flagged():
-    rng = np.random.default_rng(77)
-    hit = False
-    for _ in range(40):
-        c, a, b, lo, up, is_int = random_milp(rng)
-        if is_int.sum() < 4:
-            continue
-        sol = solve_milp(make_milp(c, a, b, lo, up, is_int), SolverConfig(node_limit=2))
-        assert sol.status in (MilpStatus.OPTIMAL, MilpStatus.TIMED_OUT, MilpStatus.INFEASIBLE)
-        if sol.status is MilpStatus.TIMED_OUT:
-            hit = True
-            break
-    assert hit, "node limit never triggered on fractional instances"
+    # with no integers, the iterate is judged as it is
+    sol = cut([[6.0, 4.0]], [10.0], [False, False], [0.5, 1.75])
+    assert np.array_equal(sol.x, [0.5, 1.75]) and sol.objective_value == 9.5
+    sol = cut([[6.0, 4.0]], [10.0], [False, False], [0.5, 2.9])
+    assert not sol.has_incumbent and len(judged) == 1
 
 
-@pytest.mark.parametrize("node_limit", [0, 1, None])
-def test_node_limit_counts_the_root(node_limit):
+def test_deadline_after_the_root_keeps_its_floored_incumbent(monkeypatch):
     # maximize 5x + 4y, 6x + 4y <= 10, x, y in {0, 1, 2}: the root
-    # relaxation (1/3, 2) floors to the incumbent (0, 2); limits 0 and 1
-    # both stop right after the root, no limit branches to (1, 1)
+    # relaxation (1/3, 2) floors to the incumbent (0, 2).  The search
+    # clock reads 0 at the start and 1 before the root, under the
+    # deadline of 1.5, then 2 before the next node; the simplex clock
+    # stays at 0
+    from types import SimpleNamespace
+    ticks = iter(range(3))
+    monkeypatch.setattr("shipems.milp.time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr("shipems.lp.time", SimpleNamespace(perf_counter=lambda: 0.0))
     sol = solve_milp(make_milp([5.0, 4.0], [[6.0, 4.0]], [10.0], [0, 0], [2, 2],
-                               [True, True]), SolverConfig(node_limit=node_limit))
-    if node_limit is None:
-        assert sol.status is MilpStatus.OPTIMAL
-        assert np.array_equal(sol.x, [1.0, 1.0])
-        assert sol.objective_value == pytest.approx(9.0, abs=1e-9)
-    else:
-        assert sol.status is MilpStatus.TIMED_OUT
-        assert np.array_equal(sol.x, [0.0, 2.0])
-        assert sol.objective_value == pytest.approx(8.0, abs=1e-9)
-        assert sol.nodes_explored == 1
+                               [True, True]), SolverConfig(deadline_s=1.5))
+    assert sol.status is MilpStatus.TIMED_OUT
+    assert np.array_equal(sol.x, [0.0, 2.0])
+    assert sol.objective_value == pytest.approx(8.0, abs=1e-9)
+    assert sol.nodes_explored == 1
 
 
 #: horizon-8 starts, from the initial state, whose windows branch (about

@@ -172,6 +172,17 @@ class TestScenarioSpec:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(sc, name)[0, ...] = 0
 
+    def test_equal_specs_hash_equal(self):
+        from shipems.io import parse_scenario, synth_scenario
+        first, _ = parse_scenario(synth_scenario(1, steps=10))
+        second, _ = parse_scenario(synth_scenario(1, steps=10))
+        assert first is not second and first == second
+        assert len({first: 1, second: 2}) == 1
+        # -0.0 passes validation and equals 0.0, though its bytes differ
+        zero = self.make(demand_mw=np.zeros((2, 4)))
+        negative_zero = self.make(demand_mw=np.full((2, 4), -0.0))
+        assert negative_zero == zero and hash(negative_zero) == hash(zero)
+
     def test_rejects_bad_demand(self):
         with pytest.raises(ValueError):
             self.make(demand_mw=np.ones((3, 4)))
