@@ -56,7 +56,7 @@ print(f"window: {problem.lp.n_vars} columns, {problem.lp.n_rows} rows, "
       f"{int(problem.integrality.sum())} integer (the stepped load)")
 
 solution = solve_milp(problem)
-plan = decode_plan(solution, layout, scenario, scenario.initial_state())
+plan = decode_plan(solution, layout, scenario.initial_state())
 print(f"solved: {solution.status.value}, {solution.nodes_explored} nodes, "
       f"objective {solution.objective_value:.4f}\n")
 

@@ -561,17 +561,17 @@ def _crash_basis(tpl: WindowTemplate, upper: np.ndarray, demand: np.ndarray,
 
 
 def decode_plan(solution: MilpSolution, layout: WindowTemplate,
-                scenario: ScenarioSpec, state: SystemState) -> DispatchPlan:
+                state: SystemState) -> DispatchPlan:
     """Decode a solver vector into a dispatch plan and re-audit it.
 
-    ``layout`` is the window's template and ``state`` the state it was
-    built from, whose step index the plan starts at.  Stepped-load
-    integers are multiplied back by their step size; the SoC trajectory
-    is recomputed through the one-step kinematics and must match the
-    window's internal SoC columns; the objective recombined from the
-    decoded terms must match the solver objective.  Raises
-    DecodeMismatch when the audit fails (a layout bug, not a data
-    error).
+    ``layout`` is the window's template, whose scenario the plan is
+    audited against, and ``state`` the state it was built from, whose
+    step index the plan starts at.  Stepped-load integers are multiplied
+    back by their step size; the SoC trajectory is recomputed through
+    the one-step kinematics and must match the window's internal SoC
+    columns; the objective recombined from the decoded terms must match
+    the solver objective.  Raises DecodeMismatch when the audit fails (a
+    layout bug, not a data error).
     """
     if not solution.has_incumbent:
         raise ValueError("solution carries no incumbent to decode")
@@ -583,6 +583,7 @@ def decode_plan(solution: MilpSolution, layout: WindowTemplate,
     gen_power = x[layout.gen_cols]
     sto_power = x[layout.discharge_cols] - x[layout.charge_cols]
 
+    scenario = layout.scenario
     soc = plant.soc_path(scenario, state.soc, sto_power)
     # cross-check against the window's internal SoC columns
     if soc.size and np.max(np.abs(soc - x[layout.soc_cols])) > 1e-7:

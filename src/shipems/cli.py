@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .engine import ENGINE_GAP, compare_f1, run_fho, run_rho
+from .engine import ENGINE_GAP, STEP_RESERVE_S, compare_f1, run_fho, run_rho
 from .errors import (BundleInvariantError, DecodeMismatch, InfeasibleWindow,
                      NonFiniteMerit, NumericalBreakdown, ScenarioError)
 from .milp import SolverConfig
@@ -65,8 +65,13 @@ def _mission(args):
 
 def _solver_config(args):
     """The engine's default solver settings, with ``--deadline-ms`` as the
-    per-step wall budget (FHO has one step: the whole mission)."""
+    per-step wall budget (FHO has one step: the whole mission).  A budget
+    within the engine's reserve is accepted, with a warning on stderr."""
     deadline = None if args.deadline_ms is None else args.deadline_ms / 1e3
+    if deadline is not None and deadline <= STEP_RESERVE_S:
+        print(f"warning: --deadline-ms {args.deadline_ms:g} is within the engine's "
+              f"{STEP_RESERVE_S * 1e3:g} ms reserve for decode and bookkeeping: "
+              f"no window's solve gets any time", file=sys.stderr)
     return SolverConfig(gap_tol=ENGINE_GAP, deadline_s=deadline)
 
 

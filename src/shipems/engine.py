@@ -40,6 +40,9 @@ from .model import (DispatchPlan, ObjectiveTerms, ObjectiveWeights,
 #: default so per-step suboptimality cannot accumulate above the
 #: mission-level comparison tolerances over a few hundred steps.
 ENGINE_GAP = 1e-9
+#: Wall time a step's deadline keeps back from the solve for the decode
+#: and bookkeeping; a deadline at or below it leaves the solve no time.
+STEP_RESERVE_S = 0.01
 
 
 @dataclass
@@ -117,8 +120,8 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
     with ``plan`` None when the solve stopped with no incumbent.
 
     ``cfg.deadline_s`` is the wall budget of the whole step, counted from
-    ``tick``: the solver gets what the build left of it, less a 10 ms
-    reserve for the decode and bookkeeping.  ``previous`` is the
+    ``tick``: the solver gets what the build left of it, less
+    ``STEP_RESERVE_S`` for the decode and bookkeeping.  ``previous`` is the
     ``root`` of the step before (see ``build_window_milp``): ``root`` is
     this window's template, optimal root basis (None when the root
     relaxation stopped short of optimality) and simplex core.
@@ -127,11 +130,11 @@ def _window_step(scenario: ScenarioSpec, state: SystemState,
                                           previous=previous)
     if cfg.deadline_s is not None:
         spent = time.perf_counter() - tick
-        cfg = replace(cfg, deadline_s=max(cfg.deadline_s - spent - 0.01, 0.0))
+        cfg = replace(cfg, deadline_s=max(cfg.deadline_s - spent - STEP_RESERVE_S, 0.0))
     sol = solve_milp(problem, cfg)
     if sol.status is MilpStatus.INFEASIBLE:
         raise InfeasibleWindow(f"{what} infeasible: inconsistent ramp/initial data")
-    plan = decode_plan(sol, template, scenario, state) if sol.has_incumbent else None
+    plan = decode_plan(sol, template, state) if sol.has_incumbent else None
     return sol.status.value, plan, (template, sol.basis, sol.core)
 
 

@@ -37,6 +37,12 @@ whole-mission bases, about 690 on 8-step windows.  The unperturbed
 benchmark missions refactor 160 times in 2,763 pivots (whole mission),
 319 in 1,075 (window 8) and 360 in 2,970 (window 60).
 
+The pivot loop updates the basic values and phase-2 reduced costs
+incrementally; one flag, ``stale``, marks a pivot or bound flip since
+the basic values were last computed afresh (at the start and at each
+refactor).  With no eligible column and ``stale`` set, a solve
+recomputes them, re-prices once, and only then decides.
+
 Every solve takes one path, a problem without rows included (its
 basis is 0 x 0).  It tries the warm basis if there is one, then the
 caller's fallback basis if there is one, then the slack basis, and
@@ -93,8 +99,8 @@ _INF = np.inf
 #: Feasibility/optimality tolerance: reduced costs and bound violations
 #: below it are treated as zero.
 TOL = 1e-7
-#: Length of the degenerate-pivot streak after which Bland's rule takes
-#: over until a nondegenerate pivot occurs.
+#: Length of the degenerate-pivot streak past which Bland's rule picks
+#: the entering column; a nondegenerate pivot or a bound flip ends it.
 BLAND_AFTER = 50
 
 
@@ -446,14 +452,12 @@ class _SimplexCore:
 
         iters = 0
         degen_streak = 0
-        bland = False
-        verify_rounds = 0
         free_range = up - lo > 0.0
         # phase-2 reduced costs maintained incrementally through the
         # pivotal row; Devex reference weights approximate steepest edge
         d_cache = None
-        d_stale = False
-        z_stale = False
+        # a pivot or bound flip since xb was last computed afresh
+        stale = False
         gamma = np.ones(nm)
 
         def price(cb, cn):
@@ -484,20 +488,18 @@ class _SimplexCore:
             else:
                 if d_cache is None:
                     d_cache = price(cobj[basic], cobj[:n])
-                    d_stale = False
                 d = d_cache
 
             eligible = free_range & (
                 ((vstat == AT_LOWER) & (d > tol)) | ((vstat == AT_UPPER) & (d < -tol))
             )
             if not eligible.any():
-                if (d_stale or z_stale) and verify_rounds < 4:
+                if stale:
                     # incremental values can drift; confirm on freshly
-                    # priced/resolved quantities before declaring
-                    verify_rounds += 1
+                    # computed basics and prices before declaring
+                    stale = False
                     d_cache = None
                     xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
-                    z_stale = False
                     continue
                 if infeasible:
                     return LpSolution(LpStatus.INFEASIBLE, None, -_INF, iters,
@@ -506,7 +508,7 @@ class _SimplexCore:
                 return LpSolution(LpStatus.OPTIMAL, x, float(cobj[:n] @ x), iters,
                                   snapshot(), d[:n])
 
-            if bland:
+            if degen_streak > BLAND_AFTER:
                 j = int(np.argmax(eligible))
             elif infeasible:
                 score = np.where(eligible, np.abs(d), -1.0)
@@ -551,16 +553,14 @@ class _SimplexCore:
                 z[j] = up[j] if vstat[j] == AT_UPPER else lo[j]
                 iters += 1
                 degen_streak = 0
-                bland = False
-                verify_rounds = 0
-                z_stale = True
+                stale = True
                 continue
 
             # leaving choice: among near-minimal ratios take the largest |w|
             cand = ratios <= min_row_ratio + 1e-9
             k = int(np.argmax(np.where(cand, np.abs(ti), -1.0)))
             r = int(idx[k])
-            step = max(ratios[k], 0.0)
+            step = ratios[k]
             leave = basic[r]
 
             # pivotal row: maintains phase-2 reduced costs without a full
@@ -580,18 +580,13 @@ class _SimplexCore:
                 d_cache[j] = 0.0
                 gamma[leave] = max(gq / (aq * aq), 1.0)
                 gamma[j] = gq
-                d_stale = True
                 if gamma.max() > 1e10:
                     gamma[:] = 1.0   # reset the reference framework
 
             # snap the leaver exactly onto the bound it hit
-            if sigma * w[r] > 0:
-                tgt_bound = upb[r] if xb[r] > upb[r] + tol else lob[r]
-            else:
-                tgt_bound = lob[r] if xb[r] < lob[r] - tol else upb[r]
             xb -= w * (sigma * step)
-            z[leave] = tgt_bound
-            vstat[leave] = AT_UPPER if tgt_bound == upb[r] else AT_LOWER
+            z[leave] = tgt[k]
+            vstat[leave] = AT_UPPER if tgt[k] == upb[r] else AT_LOWER
             xb[r] = (lo[j] if sigma > 0 else up[j]) + sigma * step
             z[j] = 0.0
             vstat[j] = BASIC
@@ -599,16 +594,8 @@ class _SimplexCore:
             lob[r] = lo[j]
             upb[r] = up[j]
             iters += 1
-            verify_rounds = 0
-            z_stale = True
-
-            if step <= 1e-9:
-                degen_streak += 1
-                if degen_streak > BLAND_AFTER:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
+            stale = True
+            degen_streak = degen_streak + 1 if step <= 1e-9 else 0
 
             if factor.update(r, w):
                 try:
@@ -617,7 +604,7 @@ class _SimplexCore:
                     raise NumericalBreakdown(f"singular basis during pivoting: {exc}")
                 xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
                 d_cache = None
-                z_stale = False
+                stale = False
 
     def _repair(self, vstat, basic, lo, up, mat):
         """Make the basis structurally nonsingular, in place: every basic
@@ -724,12 +711,6 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
         beats ``objective_value`` by more than ``TOL``.  Degenerate streaks
         longer than ``BLAND_AFTER`` pivots switch to Bland's rule.  A
         ray that no bound blocks raises :class:`NumericalBreakdown`.
-
-    Notes
-    -----
-    The basis is factored by SuperLU and updated in product form; it is
-    factored afresh after a pivot below 1e-8 or once the eta file holds
-    more nonzeros than the factor (see the module docstring).
     """
     lp.validate()
     return _SimplexCore(lp, max_iter=max_iter).solve(warm=basis)

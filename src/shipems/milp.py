@@ -33,8 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lp import (AT_LOWER, AT_UPPER, Basis, LinearProgram, LpSolution, LpStatus,
-                 _SimplexCore)
+from .lp import AT_LOWER, AT_UPPER, Basis, LinearProgram, LpStatus, _SimplexCore
 
 
 class MilpStatus(Enum):
@@ -181,14 +180,11 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
 
     def solve_node(lo, up, warm):
         nonlocal nodes
-        # fold in globally fixed bounds (reduced-cost fixing)
-        lo = np.maximum(lo, root_lo)
-        up = np.minimum(up, root_up)
-        if np.any(lo > up):
-            return LpSolution(LpStatus.INFEASIBLE, None, -np.inf, 0)
         nodes += 1
-        return core.solve(col_lo=lo, col_up=up, warm=warm,
-                          fallback=problem.fallback_basis, deadline=deadline)
+        # fold in globally fixed bounds (reduced-cost fixing); the core
+        # reports an emptied box as INFEASIBLE
+        return core.solve(col_lo=np.maximum(lo, root_lo), col_up=np.minimum(up, root_up),
+                          warm=warm, fallback=problem.fallback_basis, deadline=deadline)
 
     incumbent_x = None
     incumbent_obj = -np.inf

@@ -50,7 +50,7 @@ def solve_window(sc, weights=None, horizon=None, state=None, gap=1e-9):
     prob, layout = build_window_milp(sc, state, weights, horizon or sc.steps)
     sol = solve_milp(prob, SolverConfig(gap_tol=gap))
     assert sol.status is MilpStatus.OPTIMAL
-    return decode_plan(sol, layout, sc, state), sol, layout
+    return decode_plan(sol, layout, state), sol, layout
 
 
 def test_minimal_instance_shape():
@@ -185,10 +185,11 @@ def test_decode_mismatch_detected():
     state = sc.initial_state()
     prob, layout = build_window_milp(sc, state, ObjectiveWeights(), 3)
     sol = solve_milp(prob)
-    # decode against doubled load weights so recombination cannot match
-    bad = scenario([load(0, weight=2.0)], sc.generators, [], sc.demand_mw)
+    decode_plan(sol, layout, state)
+    # shift the solver's objective so recombination cannot match it
+    bad = dataclasses.replace(sol, objective_value=sol.objective_value + 1e-3)
     with pytest.raises(DecodeMismatch, match="recombined objective"):
-        decode_plan(sol, layout, bad, state)
+        decode_plan(bad, layout, state)
 
 
 def test_decode_checks_the_soc_columns():
@@ -196,11 +197,11 @@ def test_decode_checks_the_soc_columns():
     state = sc.initial_state()
     prob, layout = build_window_milp(sc, state, ObjectiveWeights(), 3)
     sol = solve_milp(prob)
-    decode_plan(sol, layout, sc, state)
+    decode_plan(sol, layout, state)
     x = sol.x.copy()
     x[layout.soc_cols[0, 1]] += 1e-6
     with pytest.raises(DecodeMismatch, match="SoC recursion diverged"):
-        decode_plan(dataclasses.replace(sol, x=x), layout, sc, state)
+        decode_plan(dataclasses.replace(sol, x=x), layout, state)
 
 
 def test_decode_needs_an_incumbent():
@@ -210,7 +211,7 @@ def test_decode_needs_an_incumbent():
     empty = MilpSolution(status=MilpStatus.TIMED_OUT, x=None,
                          objective_value=float("-inf"), nodes_explored=0)
     with pytest.raises(ValueError, match="no incumbent"):
-        decode_plan(empty, layout, sc, state)
+        decode_plan(empty, layout, state)
 
 
 def test_terminal_reward_charges_storage():

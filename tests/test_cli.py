@@ -81,6 +81,19 @@ def test_run_fho_honours_the_deadline(small_scenario, tmp_path, capsys):
     assert "no incumbent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("deadline_ms, warned", [("5", True), ("40", False)])
+def test_deadline_within_the_reserve_is_reported(tmp_path, capsys, deadline_ms, warned):
+    # a budget the engine's decode reserve swallows is run, not refused,
+    # but says that no window's solve gets any time
+    mission = tmp_path / "mission.yaml"
+    assert main(["synth", "--seed", "7", "--steps", "40", "--out", str(mission)]) == 0
+    rc = main(["run", "--scenario", str(mission), "--np", "8",
+               "--deadline-ms", deadline_ms, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "rho" / "summary.json").exists()
+    assert ("no window's solve gets any time" in capsys.readouterr().err) is warned
+
+
 def test_compare_full_horizon_matches(small_scenario, tmp_path, capsys):
     # with the window spanning the mission, the printed service error
     # vanishes (deterministic equivalence of the two modes)

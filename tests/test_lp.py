@@ -11,8 +11,9 @@ from shipems.errors import DimensionMismatch
 from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
                         LpSolution, LpStatus, _BasisFactor, _SimplexCore,
                         solve_lp)
+from shipems.milp import MilpProblem
 
-from oracles import lp_vertex_oracle
+from oracles import highs_milp, lp_vertex_oracle
 
 
 def make_lp(c, a_ub=None, b_ub=None, lower=None, upper=None, **kw):
@@ -186,6 +187,67 @@ def test_random_lps_match_vertex_oracle():
         assert np.all(sol.x <= upper + 1e-9)
         solved += 1
     assert solved == 120
+
+
+@st.composite
+def integer_lps(draw):
+    """A small LP of integer data, so ties and degenerate vertices are
+    common: integer boxes, entries in {-2..2}, and rows that are <=, >=,
+    equality, ranged or free with integer sides; and one column to cut."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    lower = np.array(draw(ints(-3, 3)), dtype=float)
+    upper = lower + np.array(draw(ints(0, 4)), dtype=float)
+    c = np.array(draw(ints(-3, 3)), dtype=float)
+    a = np.array([draw(ints(-2, 2)) for _ in range(m)], dtype=float).reshape(m, n)
+    rg_lower, rg_upper = np.full(m, -np.inf), np.full(m, np.inf)
+    for i in range(m):
+        sense = draw(st.sampled_from(["<=", ">=", "==", "range", "free"]))
+        side = float(draw(st.integers(-6, 6)))
+        if sense in ("<=", "==", "range"):
+            rg_upper[i] = side
+        if sense in (">=", "=="):
+            rg_lower[i] = side
+        if sense == "range":
+            rg_lower[i] = side - draw(st.integers(1, 3))
+    lp = LinearProgram(objective=c, lower=lower, upper=upper, a_rg=a,
+                       rg_lower=rg_lower, rg_upper=rg_upper)
+    return lp, draw(st.integers(0, n - 1))
+
+
+def _highs_agrees(sol, lp):
+    """``sol`` has HiGHS's verdict on ``lp`` and, when optimal, its
+    objective within 1e-6 at a point feasible within ``TOL``."""
+    best = highs_milp(MilpProblem(lp, np.zeros(lp.n_vars, dtype=bool)))
+    if best is None:
+        assert sol.status is LpStatus.INFEASIBLE
+        return
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(best, abs=1e-6)
+    assert _SimplexCore(lp).point_feasible(sol.x)
+
+
+@given(integer_lps())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_degenerate_lps_match_highs_cold_and_warm(case):
+    # differential property on the paths the vertex-oracle LPs (inequality
+    # rows, continuous data) do not reach: equality, ranged and free rows,
+    # degenerate vertices, and a warm re-solve from the returned basis
+    # after branching cuts one column's upper bound below its value
+    lp, j = case
+    cold = solve_lp(lp)
+    _highs_agrees(cold, lp)
+    if cold.status is not LpStatus.OPTIMAL:
+        return
+    core = _SimplexCore(lp)
+    root = core.solve()
+    assert root.objective_value == cold.objective_value
+    cut_up = lp.upper.copy()
+    cut_up[j] = max(lp.lower[j], np.ceil(root.x[j] - 1e-6) - 1.0)
+    cut = LinearProgram(objective=lp.objective, lower=lp.lower, upper=cut_up,
+                        a_rg=lp.a_rg, rg_lower=lp.rg_lower, rg_upper=lp.rg_upper)
+    _highs_agrees(core.solve(col_up=cut_up, warm=root.basis), cut)
 
 
 def test_random_infeasible_detected():

@@ -375,7 +375,7 @@ def test_windows_match_highs(seed):
         assert sol.status is MilpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(highs_milp(problem), abs=1e-6), \
             (horizon, t)
-        plan = decode_plan(sol, layout, sc, state)
+        plan = decode_plan(sol, layout, state)
         assert violations(sc, state, plan.load_fraction, plan.gen_power,
                           plan.storage_power, plan.soc) == [], (horizon, t)
 
@@ -413,6 +413,6 @@ def test_drawn_windows_match_highs(seed, n_loads, n_generators, n_storage,
         return
     assert sol.status is MilpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(best, abs=1e-6)
-    plan = decode_plan(sol, layout, sc, state)
+    plan = decode_plan(sol, layout, state)
     assert violations(sc, state, plan.load_fraction, plan.gen_power,
                       plan.storage_power, plan.soc) == []
