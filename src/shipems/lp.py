@@ -34,8 +34,22 @@ magnitude, or once the etas hold more nonzeros than the factor itself
 (``SuperLU.nnz``), past which they cost more per solve than it does.
 The factor's fill sizes the rule to the basis: about 20,600 nonzeros on
 whole-mission bases, about 690 on 8-step windows.  The unperturbed
-benchmark missions refactor 160 times in 2,763 pivots (whole mission),
-319 in 1,075 (window 8) and 360 in 2,970 (window 60).
+benchmark missions call SuperLU 160 times in 2,763 pivots (whole
+mission), 158 times in 1,075 pivots and 284 solves (window 8) and 353
+times in 2,970 pivots and 240 solves (window 60).
+
+Every factorization, at a start or at a refactor, takes one path, which
+keeps the last basis matrix the core factored together with its SuperLU
+object.  A basis matrix equal to it bit for bit (index arrays and
+values) shares that object, with an empty eta file, and is not repaired:
+SuperLU factored it without a zero pivot, so it has full structural
+rank and the repair would return it unchanged.  The match is on the
+matrix, never on where the basis came from, so a start that matches
+still passes the start checks below.  A receding-horizon window often
+starts from the very matrix the window before factored last: in steady
+stretches the shifted optimal basis keeps its columns in their
+positions, and none of them holds an entry the patch rewrote.  On the
+window-8 benchmark mission that spares 161 of 319 factorizations.
 
 The pivot loop updates the basic values and phase-2 reduced costs
 incrementally; one flag, ``stale``, marks a pivot or bound flip since
@@ -57,21 +71,28 @@ has full structural rank.  Without the repair a structurally singular
 basis reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17)
 SuperLU may crash the process on it instead of raising, as it does
 with its default options.  A start that still proves numerically
-singular gives way to the next.
+singular gives way to the next, and so does one whose basis proves
+singular at a refactor while it pivots (a basis of full structural rank
+may be numerically rank deficient, and its pivots may then reach a
+structurally singular one).  The next start begins afresh; the pivots
+made so far count toward the cap and the deadline runs on.  Only a
+failure of the slack start raises.
 
 A simplex core prepares one problem for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
 and lays out the columns of G = [A, -I] as CSC arrays, A's columns then
 one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
 matrix, whatever its mix of columns, is one gather over them.  A core
-keeps no start state: a basis it returned (branch and bound warm-starts
-each child from its parent's) starts the next solve as any other basis
-does, checked and repaired.  A core also serves the next problem with
-the same row pattern (the next receding-horizon window of the same
-length): a patch rewrites its values in place and keeps what depends on
-the pattern alone.
+keeps no start basis, only its last factored matrix: a basis it
+returned (branch and bound warm-starts each child from its parent's)
+starts the next solve as any other basis does, checked, and repaired
+unless its matrix is the one last factored.  A core also serves the
+next problem with the same row pattern (the next receding-horizon
+window of the same length): a patch rewrites its values in place and
+keeps what depends on the pattern alone.
 
-Every solve returns one record, an ``LpSolution``, however it ends.
+Every solve returns one record, an ``LpSolution``, however it ends;
+it counts the pivots and the SuperLU factorizations the solve made.
 ``solve_lp`` returns a fresh core's record unchanged; it is a pure
 function of its inputs, and independent problems may be solved at once.
 """
@@ -189,7 +210,8 @@ class LinearProgram:
 
         One pass covers every entry that must be finite; which entry
         failed, for the message, is looked up only when one did.  A
-        row side may be infinite (open) but not NaN."""
+        row side may be infinite on its open side (``rg_lower = -inf``,
+        ``rg_upper = +inf``) but not NaN, nor infinite on the other."""
         ok = bool(np.isfinite(np.concatenate(
             [self.objective, self.lower, self.upper, self.a_rg.data])).all())
         if not ok and not np.isfinite(self.objective).all():
@@ -201,8 +223,12 @@ class LinearProgram:
             raise DimensionMismatch(f"variable {int(np.argmax(crossed))} has lower > upper")
         if not ok:
             raise DimensionMismatch("a_rg has non-finite coefficients")   # all that is left
-        if np.isnan(np.concatenate([self.rg_lower, self.rg_upper])).any():
-            raise DimensionMismatch("ranged row bounds contain NaN")
+        sides = np.concatenate([self.rg_lower, -self.rg_upper])
+        if not (sides < _INF).all():
+            if np.isnan(sides).any():
+                raise DimensionMismatch("ranged row bounds contain NaN")
+            raise DimensionMismatch("ranged row closed at infinity "
+                                    "(rg_lower = +inf or rg_upper = -inf)")
         if (self.rg_lower > self.rg_upper).any():
             raise DimensionMismatch("ranged row has lower > upper")
 
@@ -211,7 +237,10 @@ class LpSolution(NamedTuple):
     """One simplex solve: an empty box, the deadline (``status`` None,
     ``x`` the iterate as it stands), INFEASIBLE or OPTIMAL.  Only OPTIMAL
     sets a finite ``objective_value`` and the structural ``reduced_costs``
-    (for bound fixing); ``basis`` is the final one."""
+    (for bound fixing); ``basis`` is the final one.  ``iterations``
+    counts pivots and bound flips, ``factorizations`` the fresh SuperLU
+    factorizations (0 when the start shared the core's last factor and
+    nothing was refactored; a matrix found singular makes none)."""
 
     status: Optional[LpStatus]
     x: Optional[np.ndarray]
@@ -219,16 +248,17 @@ class LpSolution(NamedTuple):
     iterations: int
     basis: Optional[Basis] = None
     reduced_costs: Optional[np.ndarray] = None
+    factorizations: int = 0
 
 
 class _BasisFactor:
-    """A basis matrix factored by SuperLU, and the eta file of the basis
-    changes made since: per change its position, support, values on it
-    and pivot element (sparse: the support is local on staircase bases)."""
+    """A basis matrix factored by SuperLU (``lu``, which other factors of
+    the same matrix may share), and the eta file of the basis changes
+    made since: per change its position, support, values on it and
+    pivot element (sparse: the support is local on staircase bases)."""
 
-    def __init__(self, mat):
-        self.lu = splu(mat, permc_spec="COLAMD", relax=1, panel_size=1,
-                       options={"SymmetricMode": False})
+    def __init__(self, lu):
+        self.lu = lu
         self.etas: list = []
         self.eta_nnz = 0
 
@@ -286,16 +316,19 @@ class _SimplexCore:
     ``patch``, across problems with one row pattern.
 
     Branch-and-bound runs each MILP on one core and re-solves with node
-    bounds, a warm basis and a fallback; every solve checks, repairs and
-    factors its starting basis afresh (module docstring), and nothing
-    here mutates the owning problem, which the caller has validated.
+    bounds, a warm basis and a fallback; every solve checks its starting
+    basis, and repairs and factors it unless its matrix is the one the
+    core factored last (``_factor``, module docstring).  Nothing here
+    mutates the owning problem, which the caller has validated.
 
     Kept for the core's life, as they depend on the row pattern alone:
     the row runs, the CSC order of A's entries and G = [A, -I]'s index
     arrays (``_gp``, ``_gi``, ``_glen``).  Rewritten by each problem
     (``_load``): the scaled entries (``a_csr``'s data and ``_gd``, which
     the CSR view ``a_t_csr`` of A^T shares), the scaled row sides, the
-    boxes and the costs.
+    boxes and the costs.  Replaced by each fresh factorization: the last
+    basis matrix factored and its SuperLU object (``_factored``), which
+    a patch leaves alone, since a match is on the matrix's values.
     """
 
     def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
@@ -339,6 +372,8 @@ class _SimplexCore:
         self.c = self._cobj[:n]
         self.row_lo, self.row_up = np.empty(m), np.empty(m)
         self.col_lo, self.col_up = np.empty(n), np.empty(n)
+        # the last basis matrix factored and its SuperLU object (``_factor``)
+        self._factored = None
         self._load(lp, a.data, scale)
 
     def patch(self, lp: LinearProgram) -> bool:
@@ -382,6 +417,29 @@ class _SimplexCore:
         return sp.csc_matrix((self._gd[src], self._gi[src], indptr),
                              shape=(self.m, self.m))
 
+    def _factor(self, basic, repair=None):
+        """Every factorization of the core: a ``_BasisFactor`` of the
+        basis matrix of ``basic`` with an empty eta file, and the number
+        of fresh SuperLU factorizations that took (0 or 1).  A matrix
+        equal bit for bit to the last one this core factored (index
+        arrays and values) shares its SuperLU object; any other is first
+        passed through ``repair``, when given, and factored afresh.
+        Raises RuntimeError when SuperLU finds the matrix singular."""
+        mat = self._basis_matrix(basic)
+        # compared as bytes: a tenth of np.array_equal's cost, which every
+        # refactor pays
+        last = self._factored
+        if last is not None and mat.indptr.tobytes() == last[0].indptr.tobytes() \
+                and mat.indices.tobytes() == last[0].indices.tobytes() \
+                and mat.data.tobytes() == last[0].data.tobytes():
+            return _BasisFactor(last[1]), 0
+        if repair is not None:
+            mat = repair(mat)
+        lu = splu(mat, permc_spec="COLAMD", relax=1, panel_size=1,
+                  options={"SymmetricMode": False})
+        self._factored = (mat, lu)
+        return _BasisFactor(lu), 1
+
     def point_feasible(self, x) -> bool:
         """Explicit feasibility check of a candidate point against the
         problem's own boxes and (scaled) rows, within ``TOL``."""
@@ -421,190 +479,196 @@ class _SimplexCore:
                 yield fallback()
             yield None
 
+        iters = factorizations = 0
+        free_range = up - lo > 0.0
         for start in starts():
             begun = self._initial_basis(lo, up, start)
             if begun is None:
                 continue
             vstat, basic = begun
             try:
-                factor = _BasisFactor(self._repair(vstat, basic, lo, up,
-                                                   self._basis_matrix(basic)))
-                break
+                factor, fresh = self._factor(
+                    basic, lambda mat: self._repair(vstat, basic, lo, up, mat))
             except RuntimeError:
                 if start is None:
                     raise NumericalBreakdown("singular initial basis")
-        # nonbasic values sit in z (0 at the basics); the basic values
-        # and their bounds are kept in basis order, so a pivot patches
-        # one position instead of gathering them through ``basic``
-        z = np.where(vstat == AT_UPPER, up, lo)
-        z[basic] = 0.0
-        xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
-        lob = lo[basic]
-        upb = up[basic]
-
-        def point():
-            x = z.copy()
-            x[basic] = xb
-            return x[:n]
-
-        def snapshot():
-            return Basis(vstat.copy(), basic.copy())
-
-        iters = 0
-        degen_streak = 0
-        free_range = up - lo > 0.0
-        # phase-2 reduced costs maintained incrementally through the
-        # pivotal row; Devex reference weights approximate steepest edge
-        d_cache = None
-        # a pivot or bound flip since xb was last computed afresh
-        stale = False
-        gamma = np.ones(nm)
-
-        def price(cb, cn):
-            """Reduced costs ``cn - A^T y`` of the structurals and ``y``
-            of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
-            y = factor.btran(cb)
-            dd = np.empty(nm)
-            dd[:n] = cn - self.a_t_csr @ y
-            dd[n:] = y
-            return dd
-
-        while True:
-            if iters > self.max_iter:
-                raise NumericalBreakdown(
-                    f"simplex exceeded iteration cap {self.max_iter}")
-            if deadline is not None and iters % 16 == 0 \
-                    and time.perf_counter() > deadline:
-                return LpSolution(None, point(), -_INF, iters, snapshot())
-
-            below = xb < lob - tol
-            above = xb > upb + tol
-            infeasible = bool(below.any() or above.any())
-
-            if infeasible:
-                # phase 1: the cost is the total bound violation
-                d = price(below.astype(np.float64) - above, 0.0)
-                d_cache = None
-            else:
-                if d_cache is None:
-                    d_cache = price(cobj[basic], cobj[:n])
-                d = d_cache
-
-            eligible = free_range & (
-                ((vstat == AT_LOWER) & (d > tol)) | ((vstat == AT_UPPER) & (d < -tol))
-            )
-            if not eligible.any():
-                if stale:
-                    # incremental values can drift; confirm on freshly
-                    # computed basics and prices before declaring
-                    stale = False
-                    d_cache = None
-                    xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
-                    continue
-                if infeasible:
-                    return LpSolution(LpStatus.INFEASIBLE, None, -_INF, iters,
-                                      snapshot())
-                x = point()
-                return LpSolution(LpStatus.OPTIMAL, x, float(cobj[:n] @ x), iters,
-                                  snapshot(), d[:n])
-
-            if degen_streak > BLAND_AFTER:
-                j = int(np.argmax(eligible))
-            elif infeasible:
-                score = np.where(eligible, np.abs(d), -1.0)
-                j = int(np.argmax(score))
-            else:
-                score = np.where(eligible, d * d / gamma, -1.0)
-                j = int(np.argmax(score))
-
-            sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
-            w = factor.ftran(self._column(j, gbuf))
-
-            # ratio test over the rows that move: basic r moves as
-            # xb_r - sigma * w_r * step
-            idx = np.flatnonzero(np.abs(w) > 1e-10)
-            min_row_ratio = _INF
-            if idx.size:
-                ti = sigma * w[idx]
-                zi = xb[idx]
-                loi = lob[idx]
-                upi = upb[idx]
-                tgt = np.where(ti > 0,
-                               np.where(zi > upi + tol, upi, loi),
-                               np.where(zi < loi - tol, loi, upi))
-                # violated basics moving further out never block
-                block = np.where(ti > 0, zi >= loi - tol, zi <= upi + tol)
-                block &= np.isfinite(tgt)
-                rr = np.where(block, (zi - tgt) / ti, _INF)
-                ratios = np.maximum(rr, 0.0)
-                min_row_ratio = ratios.min()
-            own_range = up[j] - lo[j]
-            # every column is boxed, so only a blocking row dropped as
-            # |w| <= 1e-10 (or a NaN ratio) leaves the ray unblocked
-            if not np.isfinite(np.minimum(own_range, min_row_ratio)):
-                raise NumericalBreakdown(f"no bound blocks entering column {j}")
-
-            if own_range <= min_row_ratio:
-                step = own_range
-                # bound flip: j runs to its opposite bound, basis (and
-                # with it every reduced cost) unchanged
-                xb -= w * (sigma * step)
-                vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
-                z[j] = up[j] if vstat[j] == AT_UPPER else lo[j]
-                iters += 1
-                degen_streak = 0
-                stale = True
                 continue
+            factorizations += fresh
+            # nonbasic values sit in z (0 at the basics); the basic values
+            # and their bounds are kept in basis order, so a pivot patches
+            # one position instead of gathering them through ``basic``
+            z = np.where(vstat == AT_UPPER, up, lo)
+            z[basic] = 0.0
+            xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
+            lob = lo[basic]
+            upb = up[basic]
 
-            # leaving choice: among near-minimal ratios take the largest |w|
-            cand = ratios <= min_row_ratio + 1e-9
-            k = int(np.argmax(np.where(cand, np.abs(ti), -1.0)))
-            r = int(idx[k])
-            step = ratios[k]
-            leave = basic[r]
+            def point():
+                x = z.copy()
+                x[basic] = xb
+                return x[:n]
 
-            # pivotal row: maintains phase-2 reduced costs without a full
-            # re-pricing and feeds the Devex weight updates
-            if not infeasible:
-                e_r = np.zeros(m)
-                e_r[r] = 1.0
-                rho = factor.btran(e_r)
-                alpha = np.empty(nm)
-                alpha[:n] = self.a_t_csr @ rho
-                alpha[n:] = -rho
-                aq = w[r]
-                dq = d_cache[j]
-                gq = max(gamma[j], 1.0)
-                np.maximum(gamma, (alpha / aq) ** 2 * gq, out=gamma)
-                d_cache -= (dq / aq) * alpha
-                d_cache[j] = 0.0
-                gamma[leave] = max(gq / (aq * aq), 1.0)
-                gamma[j] = gq
-                if gamma.max() > 1e10:
-                    gamma[:] = 1.0   # reset the reference framework
+            def snapshot():
+                return Basis(vstat.copy(), basic.copy())
 
-            # snap the leaver exactly onto the bound it hit
-            xb -= w * (sigma * step)
-            z[leave] = tgt[k]
-            vstat[leave] = AT_UPPER if tgt[k] == upb[r] else AT_LOWER
-            xb[r] = (lo[j] if sigma > 0 else up[j]) + sigma * step
-            z[j] = 0.0
-            vstat[j] = BASIC
-            basic[r] = j
-            lob[r] = lo[j]
-            upb[r] = up[j]
-            iters += 1
-            stale = True
-            degen_streak = degen_streak + 1 if step <= 1e-9 else 0
+            degen_streak = 0
+            # phase-2 reduced costs maintained incrementally through the
+            # pivotal row; Devex reference weights approximate steepest edge
+            d_cache = None
+            # a pivot or bound flip since xb was last computed afresh
+            stale = False
+            gamma = np.ones(nm)
 
-            if factor.update(r, w):
-                try:
-                    factor = _BasisFactor(self._basis_matrix(basic))
-                except RuntimeError as exc:
-                    raise NumericalBreakdown(f"singular basis during pivoting: {exc}")
-                xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
-                d_cache = None
-                stale = False
+            def price(cb, cn):
+                """Reduced costs ``cn - A^T y`` of the structurals and ``y``
+                of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
+                y = factor.btran(cb)
+                dd = np.empty(nm)
+                dd[:n] = cn - self.a_t_csr @ y
+                dd[n:] = y
+                return dd
+
+            while True:
+                if iters > self.max_iter:
+                    raise NumericalBreakdown(
+                        f"simplex exceeded iteration cap {self.max_iter}")
+                if deadline is not None and iters % 16 == 0 \
+                        and time.perf_counter() > deadline:
+                    return LpSolution(None, point(), -_INF, iters, snapshot(),
+                                      factorizations=factorizations)
+
+                below = xb < lob - tol
+                above = xb > upb + tol
+                infeasible = bool(below.any() or above.any())
+
+                if infeasible:
+                    # phase 1: the cost is the total bound violation
+                    d = price(below.astype(np.float64) - above, 0.0)
+                    d_cache = None
+                else:
+                    if d_cache is None:
+                        d_cache = price(cobj[basic], cobj[:n])
+                    d = d_cache
+
+                eligible = free_range & (
+                    ((vstat == AT_LOWER) & (d > tol)) | ((vstat == AT_UPPER) & (d < -tol))
+                )
+                if not eligible.any():
+                    if stale:
+                        # incremental values can drift; confirm on freshly
+                        # computed basics and prices before declaring
+                        stale = False
+                        d_cache = None
+                        xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
+                        continue
+                    if infeasible:
+                        return LpSolution(LpStatus.INFEASIBLE, None, -_INF, iters,
+                                          snapshot(), factorizations=factorizations)
+                    x = point()
+                    return LpSolution(LpStatus.OPTIMAL, x, float(cobj[:n] @ x), iters,
+                                      snapshot(), d[:n], factorizations)
+
+                if degen_streak > BLAND_AFTER:
+                    j = int(np.argmax(eligible))
+                elif infeasible:
+                    score = np.where(eligible, np.abs(d), -1.0)
+                    j = int(np.argmax(score))
+                else:
+                    score = np.where(eligible, d * d / gamma, -1.0)
+                    j = int(np.argmax(score))
+
+                sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
+                w = factor.ftran(self._column(j, gbuf))
+
+                # ratio test over the rows that move: basic r moves as
+                # xb_r - sigma * w_r * step
+                idx = np.flatnonzero(np.abs(w) > 1e-10)
+                min_row_ratio = _INF
+                if idx.size:
+                    ti = sigma * w[idx]
+                    zi = xb[idx]
+                    loi = lob[idx]
+                    upi = upb[idx]
+                    tgt = np.where(ti > 0,
+                                   np.where(zi > upi + tol, upi, loi),
+                                   np.where(zi < loi - tol, loi, upi))
+                    # violated basics moving further out never block
+                    block = np.where(ti > 0, zi >= loi - tol, zi <= upi + tol)
+                    block &= np.isfinite(tgt)
+                    rr = np.where(block, (zi - tgt) / ti, _INF)
+                    ratios = np.maximum(rr, 0.0)
+                    min_row_ratio = ratios.min()
+                own_range = up[j] - lo[j]
+                # every column is boxed, so only a blocking row dropped as
+                # |w| <= 1e-10 (or a NaN ratio) leaves the ray unblocked
+                if not np.isfinite(np.minimum(own_range, min_row_ratio)):
+                    raise NumericalBreakdown(f"no bound blocks entering column {j}")
+
+                if own_range <= min_row_ratio:
+                    step = own_range
+                    # bound flip: j runs to its opposite bound, basis (and
+                    # with it every reduced cost) unchanged
+                    xb -= w * (sigma * step)
+                    vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
+                    z[j] = up[j] if vstat[j] == AT_UPPER else lo[j]
+                    iters += 1
+                    degen_streak = 0
+                    stale = True
+                    continue
+
+                # leaving choice: among near-minimal ratios take the largest |w|
+                cand = ratios <= min_row_ratio + 1e-9
+                k = int(np.argmax(np.where(cand, np.abs(ti), -1.0)))
+                r = int(idx[k])
+                step = ratios[k]
+                leave = basic[r]
+
+                # pivotal row: maintains phase-2 reduced costs without a full
+                # re-pricing and feeds the Devex weight updates
+                if not infeasible:
+                    e_r = np.zeros(m)
+                    e_r[r] = 1.0
+                    rho = factor.btran(e_r)
+                    alpha = np.empty(nm)
+                    alpha[:n] = self.a_t_csr @ rho
+                    alpha[n:] = -rho
+                    aq = w[r]
+                    dq = d_cache[j]
+                    gq = max(gamma[j], 1.0)
+                    np.maximum(gamma, (alpha / aq) ** 2 * gq, out=gamma)
+                    d_cache -= (dq / aq) * alpha
+                    d_cache[j] = 0.0
+                    gamma[leave] = max(gq / (aq * aq), 1.0)
+                    gamma[j] = gq
+                    if gamma.max() > 1e10:
+                        gamma[:] = 1.0   # reset the reference framework
+
+                # snap the leaver exactly onto the bound it hit
+                xb -= w * (sigma * step)
+                z[leave] = tgt[k]
+                vstat[leave] = AT_UPPER if tgt[k] == upb[r] else AT_LOWER
+                xb[r] = (lo[j] if sigma > 0 else up[j]) + sigma * step
+                z[j] = 0.0
+                vstat[j] = BASIC
+                basic[r] = j
+                lob[r] = lo[j]
+                upb[r] = up[j]
+                iters += 1
+                stale = True
+                degen_streak = degen_streak + 1 if step <= 1e-9 else 0
+
+                if factor.update(r, w):
+                    try:
+                        factor, fresh = self._factor(basic)
+                    except RuntimeError as exc:
+                        if start is None:
+                            raise NumericalBreakdown(
+                                f"singular basis during pivoting: {exc}")
+                        break   # this start ends; the next begins afresh
+                    factorizations += fresh
+                    xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
+                    d_cache = None
+                    stale = False
 
     def _repair(self, vstat, basic, lo, up, mat):
         """Make the basis structurally nonsingular, in place: every basic

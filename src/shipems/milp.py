@@ -85,9 +85,10 @@ class MilpSolution:
 
     ``basis`` is the optimal basis of the root relaxation, whichever
     node supplied the incumbent; it is None when the root relaxation
-    did not reach optimality.  ``core`` is the simplex core the search
-    ran on, which the next problem of the same row pattern may patch
-    (``MilpProblem.core``).
+    did not reach optimality.  ``pivots`` and ``factorizations`` sum
+    those of the node solves (``LpSolution``).  ``core`` is the simplex
+    core the search ran on, which the next problem of the same row
+    pattern may patch (``MilpProblem.core``).
     """
 
     status: MilpStatus
@@ -95,6 +96,8 @@ class MilpSolution:
     objective_value: float
     nodes_explored: int
     basis: Optional[Basis] = None
+    pivots: int = 0
+    factorizations: int = 0
     core: Optional[_SimplexCore] = field(default=None, repr=False, compare=False)
 
     @property
@@ -174,17 +177,20 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             return None
         return int(int_idx[k])
 
-    nodes = 0
+    nodes = pivots = factorizations = 0
     root_lo = lp.lower.copy()
     root_up = lp.upper.copy()
 
     def solve_node(lo, up, warm):
-        nonlocal nodes
+        nonlocal nodes, pivots, factorizations
         nodes += 1
         # fold in globally fixed bounds (reduced-cost fixing); the core
         # reports an emptied box as INFEASIBLE
-        return core.solve(col_lo=np.maximum(lo, root_lo), col_up=np.minimum(up, root_up),
-                          warm=warm, fallback=problem.fallback_basis, deadline=deadline)
+        sol = core.solve(col_lo=np.maximum(lo, root_lo), col_up=np.minimum(up, root_up),
+                         warm=warm, fallback=problem.fallback_basis, deadline=deadline)
+        pivots += sol.iterations
+        factorizations += sol.factorizations
+        return sol
 
     incumbent_x = None
     incumbent_obj = -np.inf
@@ -229,12 +235,12 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             refix()
 
     def result(status_):
-        if incumbent_x is None:
-            return MilpSolution(status_, None, -np.inf, nodes, root_basis, core)
         # snap against the original problem bounds: the search bounds may
         # have been tightened past an older (still optimal) incumbent
-        xr = _round_integers(incumbent_x, int_idx, lp.lower, lp.upper)
-        return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis, core)
+        xr = None if incumbent_x is None else _round_integers(
+            incumbent_x, int_idx, lp.lower, lp.upper)
+        return MilpSolution(status_, xr, incumbent_obj, nodes, root_basis,
+                            pivots, factorizations, core)
 
     # open nodes, best bound first: (-bound, tiebreak, lo, up, warm
     # basis); the root enters with an infinite bound
@@ -246,7 +252,7 @@ def solve_milp(problem: MilpProblem, cfg: Optional[SolverConfig] = None) -> Milp
             continue  # pruned by bound
         if timed_out():
             return result(MilpStatus.TIMED_OUT)
-        status, x, obj, _, basis, d = solve_node(lo, up, warm)
+        status, x, obj, _, basis, d, _ = solve_node(lo, up, warm)
         if status is None:
             try_round_down(x)   # the deadline's iterate, as it stands
             return result(MilpStatus.TIMED_OUT)

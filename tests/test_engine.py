@@ -469,6 +469,65 @@ def test_zero_demand_window_builds_a_fresh_core(monkeypatch):
     assert kept.statuses == fresh.statuses
 
 
+def test_a_start_singular_at_a_refactor_does_not_abort_the_mission():
+    # at step 94 a warm start of full structural rank but numerical rank
+    # one short pivots to a structurally singular basis, whose refactor
+    # fails; the solve begins again from the crash basis
+    from shipems.io import parse_scenario, synth_scenario
+    spec, _ = parse_scenario(synth_scenario(7, steps=120))
+    res = run_rho(spec, ObjectiveWeights(0.005, 0.03, 0.05), 8,
+                  cfg=SolverConfig(gap_tol=1e-6, rel_gap=1e-4))
+    assert res.fallbacks == [] and res.fully_optimal
+    assert validate_trajectory(res, spec) == []
+
+
+def test_chained_cores_reuse_factors_and_change_nothing(monkeypatch):
+    # a run whose every window gets a fresh core (the core dropped from
+    # the step before) factors every start afresh; the run that keeps
+    # its cores shares a factor between solves whose start matrices are
+    # equal, and applies the same trajectory bit for bit
+    from shipems import engine, lp
+    from shipems.io import parse_scenario, synth_scenario
+    spec, _ = parse_scenario(synth_scenario(42, steps=240))
+    weights = ObjectiveWeights(0.005, 0.03, 0.05)
+    cfg = SolverConfig(gap_tol=1e-6, rel_gap=1e-4)
+    calls, records = [], []
+    splu, solve, window_step = lp.splu, engine.solve_milp, engine._window_step
+
+    def counted(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        calls.append(1)             # a singular matrix raises, uncounted
+        return lu
+
+    def recorded(problem, cfg=None):
+        records.append(solve(problem, cfg))
+        return records[-1]
+
+    def coreless(*args):
+        *head, previous = args
+        return window_step(*head, previous and previous[:2] + (None,))
+
+    monkeypatch.setattr(lp, "splu", counted)
+    monkeypatch.setattr(engine, "solve_milp", recorded)
+    chained = run_rho(spec, weights, 8, cfg=cfg)
+    chained_calls, chained_records = len(calls), records[:]
+    calls.clear()
+    records.clear()
+    monkeypatch.setattr(engine, "_window_step", coreless)
+    fresh = run_rho(spec, weights, 8, cfg=cfg)
+    assert len({id(sol.core) for sol in records}) == spec.steps
+    for name in ("load_fraction", "gen_power", "storage_power", "soc"):
+        assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
+    assert chained.statuses == fresh.statuses
+    assert [(s.nodes_explored, s.pivots) for s in chained_records] \
+        == [(s.nodes_explored, s.pivots) for s in records]
+    # every factorization is on the record, and the chained run makes
+    # fewer than it solves
+    assert chained_calls == sum(s.factorizations for s in chained_records)
+    assert len(calls) == sum(s.factorizations for s in records)
+    assert chained_calls < sum(s.nodes_explored for s in chained_records) < len(calls)
+
+
 def test_rho_feedback_hook_perturbs_state():
     sc = scenario([load(0)], [gen(0, p_max=6.0, initial=2.0)],
                   [battery(0, soc=0.5, cap=100.0)], np.full((1, 6), 2.0))

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import structural_rank
+from scipy.sparse.linalg import splu
 
 from shipems.errors import DimensionMismatch
 from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
@@ -122,6 +123,8 @@ def test_rejects_bad_shapes():
     ("rg_lower", 1, np.nan, "NaN"),
     ("rg_upper", 0, np.nan, "NaN"),
     ("rg_lower", 0, 5.0, "lower > upper"),      # above its upper side of 1
+    ("rg_lower", 1, np.inf, "closed at infinity"),    # upper side open too
+    ("rg_upper", 0, -np.inf, "closed at infinity"),   # lower side open too
 ])
 def test_rejects_bad_row_data(field, index, value, message):
     lp = make_lp([1.0, 1.0], a_rg=[[1.0, 2.0], [3.0, 4.0]],
@@ -535,7 +538,7 @@ def test_basis_factor_solves_with_the_current_basis():
     rng = np.random.default_rng(3)
     m = 12
     basis = (sp.random(m, m, density=0.2, random_state=rng) + 4 * sp.eye(m)).toarray()
-    factor = _BasisFactor(sp.csc_matrix(basis))
+    factor = _BasisFactor(splu(sp.csc_matrix(basis)))
     for _ in range(20):
         col = sp.random(m, 1, density=0.3, random_state=rng).toarray().ravel()
         col[rng.integers(m)] += 1.0
@@ -554,7 +557,7 @@ def test_basis_factor_refactors_once_the_etas_outgrow_the_factor():
     # every eta here carries three nonzeros: the factor asks for a fresh
     # factorization at the first eta that takes their count past its own
     m = 10
-    factor = _BasisFactor(sp.identity(m, format="csc"))
+    factor = _BasisFactor(splu(sp.identity(m, format="csc")))
     w = np.zeros(m)
     w[[0, 4, 7]] = (0.5, 2.0, -1.0)
     asks = [factor.update(4, w) for _ in range(m)]
@@ -566,7 +569,7 @@ def test_basis_factor_refactors_once_the_etas_outgrow_the_factor():
 
 @pytest.mark.parametrize("pivot, asks", [(1e-9, True), (-1e-9, True), (1e-7, False)])
 def test_basis_factor_refactors_after_a_tiny_pivot(pivot, asks):
-    factor = _BasisFactor(sp.identity(4, format="csc"))
+    factor = _BasisFactor(splu(sp.identity(4, format="csc")))
     w = np.array([0.0, pivot, 0.0, 0.0])
     assert factor.update(1, w) is asks
 
@@ -651,7 +654,7 @@ def test_every_exit_returns_one_record():
     assert infeasible.x is None and infeasible.reduced_costs is None
     assert infeasible.objective_value == -np.inf and infeasible.basis is not None
     empty = core.solve(col_lo=np.array([3.0, 0.0]))
-    assert empty == (LpStatus.INFEASIBLE, None, -np.inf, 0, None, None)
+    assert empty == (LpStatus.INFEASIBLE, None, -np.inf, 0, None, None, 0)
     # solve_lp hands the core's record on as it is
     np.testing.assert_array_equal(solve_lp(lp).reduced_costs, optimal.reduced_costs)
 
@@ -666,3 +669,145 @@ def test_degenerate_cycling_guard():
     sol = solve_lp(make_lp(c, a_ub=a, b_ub=b, upper=[100.0] * 4))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
+
+
+def _spy_splu(monkeypatch, singular_at=None):
+    """The SuperLU calls the simplex core makes from here on, one entry
+    per call; the ``singular_at``-th (from 1), if given, finds its
+    matrix singular."""
+    from shipems import lp as lp_module
+    calls = []
+    real = lp_module.splu
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) == singular_at:
+            raise RuntimeError("Factor is exactly singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "splu", spy)
+    return calls
+
+
+def _same_record(a, b):
+    """Two solve records equal bit for bit."""
+    return (a.status is b.status and np.array_equal(a.x, b.x)
+            and a.objective_value == b.objective_value
+            and a.iterations == b.iterations
+            and np.array_equal(a.basis.vstat, b.basis.vstat)
+            and np.array_equal(a.basis.basic, b.basis.basic)
+            and np.array_equal(a.reduced_costs, b.reduced_costs)
+            and a.factorizations == b.factorizations)
+
+
+def _optimal_basis(core):
+    """An optimal basis of ``core``, whose matrix is the last the core
+    factored: the re-solve from it takes no pivot."""
+    basis = core.solve().basis
+    again = core.solve(warm=basis)
+    assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+    return basis, again
+
+
+def test_a_resolve_from_the_factored_basis_reuses_its_factor(monkeypatch):
+    lp, _ = _WINDOW
+    core = _SimplexCore(lp)
+    basis, first = _optimal_basis(core)
+    calls = _spy_splu(monkeypatch)
+    again = core.solve(warm=basis)
+    assert calls == [] and again.factorizations == 0
+    assert _same_record(again, first._replace(factorizations=0))
+
+
+def test_a_patched_basic_column_is_factored_afresh(monkeypatch):
+    # the same basis on a patched core: one entry of one of its
+    # structural columns changed, so its matrix differs from the one
+    # factored last
+    lp, _ = _WINDOW
+    core = _SimplexCore(lp)
+    basis, _ = _optimal_basis(core)
+    k = int(np.flatnonzero(np.isin(lp.a_rg.indices, basis.basic))[0])
+    data = lp.a_rg.data.copy()
+    data[k] *= 1.5
+    patched = LinearProgram(lp.objective, lp.lower, lp.upper,
+                            sp.csr_matrix((data, lp.a_rg.indices, lp.a_rg.indptr),
+                                          shape=lp.a_rg.shape),
+                            lp.rg_lower, lp.rg_upper)
+    assert core.patch(patched)
+    calls = _spy_splu(monkeypatch)
+    sol = core.solve(warm=basis)
+    assert sol.factorizations >= 1 and len(calls) == sol.factorizations
+    assert _same_record(sol, _SimplexCore(patched).solve(warm=basis))
+
+
+def test_the_same_columns_in_another_order_are_factored_afresh(monkeypatch):
+    lp, _ = _WINDOW
+    core = _SimplexCore(lp)
+    basis, first = _optimal_basis(core)
+    calls = _spy_splu(monkeypatch)
+    turned = core.solve(warm=Basis(basis.vstat, basis.basic[::-1]))
+    assert len(calls) == turned.factorizations == 1
+    assert turned.status is LpStatus.OPTIMAL
+    assert turned.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+
+def test_a_singular_start_after_a_factored_one_is_repaired(monkeypatch):
+    # the slack basis with the slack of row r swapped for a structural
+    # column with no entry in row r: structurally singular
+    lp, _ = _WINDOW
+    core = _SimplexCore(lp)
+    basis, first = _optimal_basis(core)
+    n, m = core.n, core.m
+    a = lp.a_rg.tocsc()
+    j = int(np.flatnonzero(np.diff(a.indptr))[0])
+    r = int(np.flatnonzero(~np.isin(np.arange(m), a.indices[a.indptr[j]:a.indptr[j + 1]])
+                           & np.isfinite(core.row_lo))[0])
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    vstat, basic = core._initial_basis(lo, up, None)
+    vstat[n + r], vstat[j], basic[r] = AT_LOWER, BASIC, j
+    singular = Basis(vstat, basic)
+    assert structural_rank(core._basis_matrix(basic)) == m - 1
+    ranks = []
+    repair = _SimplexCore._repair
+
+    def spy(self, vstat, basic, lo, up, mat):
+        out = repair(self, vstat, basic, lo, up, mat)
+        ranks.append((structural_rank(mat), structural_rank(out)))
+        return out
+
+    monkeypatch.setattr(_SimplexCore, "_repair", spy)
+    sol = core.solve(warm=singular)
+    assert ranks[0] == (m - 1, m)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(first.objective_value, abs=1e-7)
+
+
+def test_a_start_singular_at_a_refactor_gives_way_to_the_next(mission_window, monkeypatch):
+    # the slack start of the 60-step window refactors while it pivots;
+    # a refactor that proves singular ends that start and the fallback
+    # begins afresh, with the pivots made so far counted
+    lp = mission_window.lp
+    crash = _SimplexCore(lp).solve(warm=mission_window.fallback_basis())
+    core = _SimplexCore(lp)
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    slack = Basis(*core._initial_basis(lo, up, None))
+    built = []
+
+    def fallback():
+        built.append(1)
+        return mission_window.fallback_basis()
+
+    calls = _spy_splu(monkeypatch, singular_at=2)
+    sol = core.solve(warm=slack, fallback=fallback)
+    assert built == [1] and len(calls) >= 3
+    assert sol.factorizations == len(calls) - 1      # the failed call made none
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(crash.objective_value, abs=1e-7)
+    assert sol.iterations > crash.iterations
+    # the slack start has no next: there the singular refactor raises
+    from shipems.errors import NumericalBreakdown
+    _spy_splu(monkeypatch, singular_at=2)
+    with pytest.raises(NumericalBreakdown, match="singular basis during pivoting"):
+        _SimplexCore(lp).solve()
