@@ -14,11 +14,15 @@ produce the same objective on deterministic scenarios, which the tests
 pin down.
 
 A window that times out without an incumbent triggers a degraded mode:
-first reuse the previous plan shifted by one step, and if that is
-infeasible against the current state, hold the previous powers and shed
-load greedily by ascending weight until the balance holds.  Every such
-event is recorded on the result; genuine infeasibility is a hard error
-because a well-formed scenario can always shed to zero.
+first reuse the previous plan shifted by one step, and if the plant
+rules reject it from the current state, hold and shed: keep the
+generators at their previous powers, move each storage unit one ramp
+step toward the range that the windows' terminal unwind rows admit
+(``plant.unwind_envelope``), and serve loads in descending weight order
+from the supply that leaves, a stepped load floored to its grid.  The
+degraded mode takes every limit from ``plant``.  Every such event is
+recorded on the result; genuine infeasibility is a hard error because a
+well-formed scenario can always shed to zero.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ ENGINE_GAP = 1e-9
 #: Wall time a step's deadline keeps back from the solve for the decode
 #: and bookkeeping; a deadline at or below it leaves the solve no time.
 STEP_RESERVE_S = 0.01
+#: Slack (MW, service fraction) of the post-hoc trajectory audits.
+AUDIT_TOL = 1e-6
 
 
 @dataclass
@@ -236,7 +242,9 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
 
 def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
                       prev_plan: Optional[DispatchPlan], t: int):
-    """Degraded-mode actions when a window timed out with no incumbent."""
+    """Degraded-mode actions when a window timed out with no incumbent,
+    with the reason: the previous plan shifted one step if the plant
+    admits it from ``state``, else hold and shed."""
     if prev_plan is not None:
         offset = t - prev_plan.start_step
         if 0 <= offset < prev_plan.horizon:
@@ -247,34 +255,22 @@ def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
             soc = plant.soc_path(scenario, state.soc, column[2])
             if not plant.violations(scenario, state, *column, soc, tol=1e-7):
                 return cand, "shifted_previous_plan"
-    return _greedy_shed(scenario, state, t), "hold_and_shed"
-
-
-def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
-    """Hold previous powers, then serve loads in descending weight order."""
+    # hold the previous powers, then serve loads in descending weight order
     dt = scenario.dt_s
-    avail = scenario.generator_available[:, t]
-    pg = np.zeros(scenario.n_generators)
-    for g, gen in enumerate(scenario.generators):
-        if avail[g]:
-            pg[g] = np.clip(state.prev_generator_power[g], gen.p_min_mw, gen.p_max_mw)
+    gens = scenario.generators
+    pg = np.where(scenario.generator_available[:, t],
+                  np.clip(state.prev_generator_power,
+                          plant.unit_values(gens, "p_min_mw"),
+                          plant.unit_values(gens, "p_max_mw")), 0.0)
     pe = np.zeros(scenario.n_storage)
     for e, sto in enumerate(scenario.storage):
         prev = state.prev_storage_power[e]
-        # one ramp step from the previous power, inside the box
-        lo = max(sto.p_min_mw, prev + sto.ramp_down_mw_s * dt)
-        hi = min(sto.p_max_mw, prev + sto.ramp_up_mw_s * dt)
-        v = min(max(prev, lo), hi)
-        # clamp into the unwind-safe envelope as far as the ramp allows:
-        # after applying v the unit must still be able to ramp to zero
-        # inside the SoC box, or the next window wakes up in a dead end
-        v = max(lo, min(v, plant.unwind_limit(
-            (state.soc[e] - sto.soc_min) * sto.capacity_mj, dt,
-            -sto.ramp_down_mw_s * dt, sto.p_max_mw)))
-        v = min(hi, max(v, -plant.unwind_limit(
-            (sto.soc_max - state.soc[e]) * sto.capacity_mj, dt,
-            sto.ramp_up_mw_s * dt, -sto.p_min_mw)))
-        pe[e] = v
+        # toward the unwind envelope as far as one ramp step inside the box
+        # allows: the unit must still be able to ramp to zero inside the
+        # SoC box, or the next window wakes up in a dead end
+        v = np.clip(prev, *plant.unwind_envelope(sto, dt, state.soc[e]))
+        pe[e] = np.clip(v, max(sto.p_min_mw, prev + sto.ramp_down_mw_s * dt),
+                        min(sto.p_max_mw, prev + sto.ramp_up_mw_s * dt))
     supply = pg.sum() + pe.sum()
     demand = scenario.demand_mw[:, t]
     o_t = np.zeros(scenario.n_loads)
@@ -283,16 +279,16 @@ def _greedy_shed(scenario: ScenarioSpec, state: SystemState, t: int):
         if d <= 1e-12:
             o_t[i] = 1.0
             continue
-        step = scenario.loads[i].step_size
         frac = min(1.0, max(0.0, supply / d))
-        frac = np.floor(frac / step + 1e-9) * step
+        load = scenario.loads[i]
+        if load.is_stepped:
+            frac = np.floor(frac / load.step_size + 1e-9) * load.step_size
         o_t[i] = frac
         supply -= frac * d
-    return o_t, pg, pe
+    return (o_t, pg, pe), "hold_and_shed"
 
 
-def validate_trajectory(result: MissionResult, scenario: ScenarioSpec,
-                        tol: float = 1e-6):
+def validate_trajectory(result: MissionResult, scenario: ScenarioSpec):
     """Post-hoc invariant audit of an applied trajectory.
 
     Checks every plant limit (``plant.violations``, with the ramp seam
@@ -302,7 +298,7 @@ def validate_trajectory(result: MissionResult, scenario: ScenarioSpec,
     """
     bad = plant.violations(scenario, scenario.initial_state(),
                            result.load_fraction, result.gen_power,
-                           result.storage_power, result.soc, tol)
+                           result.storage_power, result.soc, AUDIT_TOL)
     if result.exact_propagation:
         path = plant.soc_path(scenario, scenario.initial_state().soc,
                               result.storage_power)
@@ -312,8 +308,7 @@ def validate_trajectory(result: MissionResult, scenario: ScenarioSpec,
     return bad
 
 
-def audit_shedding_order(result: MissionResult, scenario: ScenarioSpec,
-                         tol: float = 1e-6):
+def audit_shedding_order(result: MissionResult, scenario: ScenarioSpec):
     """Exchange check on shedding priority.
 
     Flags a step where a higher-weight load is shed while a
@@ -332,14 +327,14 @@ def audit_shedding_order(result: MissionResult, scenario: ScenarioSpec,
         for i in range(scenario.n_loads):
             d_i = demand[i, t]
             short = (1.0 - o[i]) * d_i
-            if short <= tol or d_i <= tol:
+            if short <= AUDIT_TOL or d_i <= AUDIT_TOL:
                 continue
             ld_i = scenario.loads[i]
             for j in range(scenario.n_loads):
                 d_j = demand[j, t]
-                if j == i or w_hat[j] >= w_hat[i] - tol:
+                if j == i or w_hat[j] >= w_hat[i] - AUDIT_TOL:
                     continue
-                if o[j] < 1.0 - tol or d_j <= tol:
+                if o[j] < 1.0 - AUDIT_TOL or d_j <= AUDIT_TOL:
                     continue
                 ld_j = scenario.loads[j]
                 # extra MW load i could absorb, snapped to its grid
@@ -347,16 +342,16 @@ def audit_shedding_order(result: MissionResult, scenario: ScenarioSpec,
                 if ld_i.is_stepped:
                     q = ld_i.step_size * d_i
                     x = np.floor(x / q + 1e-9) * q
-                if x <= tol:
+                if x <= AUDIT_TOL:
                     continue
                 # MW that must be curtailed from j to free x (grid-aware)
                 c = x
                 if ld_j.is_stepped:
                     q = ld_j.step_size * d_j
                     c = np.ceil(x / q - 1e-9) * q
-                if c > d_j + tol:
+                if c > d_j + AUDIT_TOL:
                     continue
                 gain = w_hat[i] * (x / d_i) - w_hat[j] * (c / d_j)
-                if gain > tol:
+                if gain > AUDIT_TOL:
                     violations.append((t, ld_i.id, ld_j.id, float(gain)))
     return violations

@@ -205,28 +205,20 @@ def _parse_demand(doc, load_ids, dt, declared_steps, base_dir: Path):
     mode = modes[0]
     if mode == "file":
         return _read_demand_csv(base_dir / doc["file"], load_ids)
+    table = doc[mode]
+    _require(isinstance(table, dict), f"demand.{mode}", "expected a mapping")
+    missing = [i for i in load_ids if i not in table]
+    extra = [i for i in table if i not in load_ids]
+    if missing or extra:
+        raise DimensionError(
+            f"demand.{mode}: load ids mismatch (missing {missing}, unknown {extra})")
     if mode == "inline":
-        table = doc["inline"]
-        _require(isinstance(table, dict), "demand.inline", "expected a mapping")
-        missing = [i for i in load_ids if i not in table]
-        extra = [i for i in table if i not in load_ids]
-        if missing or extra:
-            raise DimensionError(
-                f"demand.inline: load ids mismatch (missing {missing}, "
-                f"unknown {extra})")
         series = [_numbers(table[i], f"demand.inline.{i}") for i in load_ids]
         lengths = {len(s) for s in series}
         if len(lengths) != 1:
             raise DimensionError(f"demand.inline: unequal series lengths {sorted(lengths)}")
         return np.array(series)
     # constant demand needs a step count from somewhere
-    table = doc["constant"]
-    _require(isinstance(table, dict), "demand.constant", "expected a mapping")
-    missing = [i for i in load_ids if i not in table]
-    extra = [i for i in table if i not in load_ids]
-    if missing or extra:
-        raise DimensionError(
-            f"demand.constant: load ids mismatch (missing {missing}, unknown {extra})")
     steps = declared_steps or int(round(DEFAULT_MISSION_S / dt))
     col = np.array([_number(table[i], f"demand.constant.{i}") for i in load_ids])
     return np.tile(col[:, None], (1, steps))

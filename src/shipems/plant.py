@@ -2,9 +2,10 @@
 unwind guards and the objective terms.
 
 The window builder turns these rules into rows and bounds, the engine's
-degraded mode checks a candidate step against them, and the trajectory
-audit checks a whole mission against them; all three take them from
-here.
+degraded mode checks a candidate step against them and derives its
+storage step from the builder's terminal unwind rows, and the
+trajectory audit checks a whole mission against them; all three take
+them from here.
 
 Arrays are (unit, step) and start at ``state.step_index``; the state
 supplies the powers the first column ramps from.  A bound passes within
@@ -115,25 +116,6 @@ def violations(scenario: ScenarioSpec, state: SystemState, frac, gen_power,
     return bad
 
 
-def unwind_breakpoints(p_max_mw: float, step_mw: float) -> range:
-    """Steps j = 1..J of ramping p_max_mw down to zero by step_mw per step."""
-    return range(1, math.ceil(p_max_mw / step_mw - 1e-9) + 1)
-
-
-def unwind_limit(headroom_mj: float, dt: float, step_mw: float,
-                 p_max_mw: float) -> float:
-    """Largest power in [0, p_max_mw] that can be applied for one step
-    and then ramped down to zero by step_mw per step within headroom_mj.
-
-    Applying P and then decelerating uses dt * ((j+1) P - step j(j+1)/2)
-    maximized over j >= 0, so the limit is the minimum over the
-    breakpoints of (headroom/dt + step j(j+1)/2) / (j+1).
-    """
-    j = np.array([0, *unwind_breakpoints(p_max_mw, step_mw)])
-    limits = (max(headroom_mj, 0.0) / dt + step_mw * j * (j + 1) / 2.0) / (j + 1)
-    return min(p_max_mw, float(limits.min()))
-
-
 def unwind_guards(unit: StorageSpec, dt: float) -> list:
     """Terminal unwind guard rows of one storage unit, discharge side first.
 
@@ -147,10 +129,31 @@ def unwind_guards(unit: StorageSpec, dt: float) -> list:
     cap = unit.capacity_mj
     sides = ((1.0, unit.p_max_mw, -unit.ramp_down_mw_s * dt, unit.soc_min),
              (-1.0, -unit.p_min_mw, unit.ramp_up_mw_s * dt, unit.soc_max))
+    # breakpoints j = 1..J of ramping p_max down to zero by step per step
     return [(sign * dt * j, sign * cap,
              dt * j * (j + 1) / 2.0 * step - sign * cap * bound)
             for sign, p_max, step, bound in sides
-            for j in unwind_breakpoints(p_max, step)]
+            for j in range(1, math.ceil(p_max / step - 1e-9) + 1)]
+
+
+def unwind_envelope(unit: StorageSpec, dt: float, soc: float) -> tuple:
+    """Net-power range (lo, hi) of one step from ``soc`` that the SoC box
+    and every ``unwind_guards`` row admit, widened to contain 0.
+
+    The SoC box is the j = 0 row of each side.  With soc_end = soc -
+    dt P / cap, a row a * P - b * soc_end <= rhs bounds P by
+    (rhs + b * soc) / (a + b * dt / cap), from above where the divisor
+    is positive (discharge side) and from below where it is negative.
+    The unit's power box is not applied.
+    """
+    cap = unit.capacity_mj
+    rows = [(0.0, cap, -cap * unit.soc_min), (0.0, -cap, cap * unit.soc_max),
+            *unwind_guards(unit, dt)]
+    a, b, rhs = np.array(rows).T
+    coef = a + b * dt / cap
+    bound = (rhs + b * soc) / coef
+    return (min(float(bound[coef < 0].max()), 0.0),
+            max(float(bound[coef > 0].min()), 0.0))
 
 
 def objective_terms(scenario: ScenarioSpec, frac, storage_power,

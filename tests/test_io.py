@@ -150,6 +150,14 @@ demand:
         with pytest.raises(DimensionError):
             load_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize("mode, series", [("inline", [4.0]), ("constant", 4.0)])
+    def test_demand_load_ids_must_match(self, mode, series):
+        doc = yaml.safe_load(MINIMAL)
+        doc["demand"] = {mode: {"LX": series}}
+        with pytest.raises(DimensionError, match=rf"^demand\.{mode}: load ids mismatch "
+                           r"\(missing \['L1'\], unknown \['LX'\]\)$"):
+            parse_scenario(doc)
+
     def test_schema_error_carries_field_path(self, tmp_path):
         bad = MINIMAL.replace("rated_mw: 5.0", "rated_mw: -5.0")
         with pytest.raises(SchemaError) as err:

@@ -1,5 +1,6 @@
-"""The shared plant rules: unwind limit vs. the builder's guard rows, and
-agreement of the trajectory audit with the degraded mode's step check."""
+"""The shared plant rules: unwind envelope vs. the builder's guard rows,
+agreement of the trajectory audit with the degraded mode's step check,
+and the degraded mode's hold-and-shed step."""
 
 import re
 from dataclasses import replace
@@ -8,38 +9,43 @@ import numpy as np
 import pytest
 
 from shipems.builder import build_window_milp
-from shipems.engine import (_fallback_actions, _greedy_shed, run_rho,
-                            validate_trajectory)
+from shipems.engine import _fallback_actions, run_rho, validate_trajectory
+from shipems.io import parse_scenario, synth_scenario
+from shipems.milp import SolverConfig
 from shipems.model import (DispatchPlan, GeneratorSpec, LoadSpec,
                            ObjectiveTerms, ObjectiveWeights, ScenarioSpec,
                            StorageClass, StorageSpec, SystemState)
-from shipems.plant import soc_path, unwind_breakpoints, unwind_limit, violations
+from shipems.plant import soc_path, unwind_envelope, unwind_guards, violations
 
 
-def guarded_power_range(unit, dt):
-    """Net-power range of a one-step window's storage unit that every
-    terminal guard row and the SoC box admit, read off the built LP."""
+def guarded_power_ranges(unit, dt, socs):
+    """Net-power range, from each SoC of ``socs``, of a one-step window's
+    storage unit that every terminal guard row and the SoC box admit,
+    read off the built LP."""
     sc = ScenarioSpec(dt_s=dt, loads=[LoadSpec("L0", 1.0, 1.0)],
                       generators=[], storage=[unit], demand_mw=[[0.0]])
     prob, layout = build_window_milp(sc, sc.initial_state(), ObjectiveWeights(), 1)
     lp = prob.lp
     dis, soc = layout.discharge_cols[0, 0], layout.soc_cols[0, 0]
     a = lp.a_rg.toarray()
-    soc0, cap = unit.initial_soc, unit.capacity_mj
-    hi = min(lp.upper[dis], (soc0 - unit.soc_min) * cap / dt)
-    lo = max(-lp.upper[layout.charge_cols[0, 0]], -(unit.soc_max - soc0) * cap / dt)
-    # a guard row a_d (dis - chg) + a_s soc <= up, with soc = soc0 - dt P / cap
-    for r in np.flatnonzero((a[:, soc] != 0) & np.isneginf(lp.rg_lower)):
-        coef = a[r, dis] - a[r, soc] * dt / cap
-        bound = (lp.rg_upper[r] - a[r, soc] * soc0) / coef
-        if coef > 0:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-    return lo, hi
+    cap = unit.capacity_mj
+    ranges = []
+    for soc0 in socs:
+        hi = min(lp.upper[dis], (soc0 - unit.soc_min) * cap / dt)
+        lo = max(-lp.upper[layout.charge_cols[0, 0]], -(unit.soc_max - soc0) * cap / dt)
+        # a guard row a_d (dis - chg) + a_s soc <= up, with soc = soc0 - dt P / cap
+        for r in np.flatnonzero((a[:, soc] != 0) & np.isneginf(lp.rg_lower)):
+            coef = a[r, dis] - a[r, soc] * dt / cap
+            bound = (lp.rg_upper[r] - a[r, soc] * soc0) / coef
+            if coef > 0:
+                hi = min(hi, bound)
+            else:
+                lo = max(lo, bound)
+        ranges.append((lo, hi))
+    return ranges
 
 
-def test_unwind_limit_matches_builder_guard_rows():
+def test_unwind_envelope_matches_builder_guard_rows():
     rng = np.random.default_rng(11)
     units, many = [], 0
     # the unit the old 64-bracket scan cut to 6.4 MW; stopping from
@@ -58,17 +64,21 @@ def test_unwind_limit_matches_builder_guard_rows():
             rng.uniform(20.0, 5000.0), soc_min=soc_min, soc_max=soc_max,
             initial_soc=rng.uniform(soc_min, soc_max)), dt))
     for unit, dt in units:
-        step_dn = -unit.ramp_down_mw_s * dt
-        step_up = unit.ramp_up_mw_s * dt
-        many += len(unwind_breakpoints(unit.p_max_mw, step_dn)) > 64
-        lo, hi = guarded_power_range(unit, dt)
-        cap = unit.capacity_mj
-        assert unwind_limit((unit.initial_soc - unit.soc_min) * cap, dt, step_dn,
-                            unit.p_max_mw) == pytest.approx(hi, rel=1e-9, abs=1e-9)
-        assert -unwind_limit((unit.soc_max - unit.initial_soc) * cap, dt, step_up,
-                             -unit.p_min_mw) == pytest.approx(lo, rel=1e-9, abs=1e-9)
+        # discharge-side guard rows: one per breakpoint
+        many += sum(a > 0 for a, _, _ in unwind_guards(unit, dt)) > 64
+        # the initial SoC, the box edges, either side outside the box and
+        # a draw inside it
+        socs = [unit.initial_soc, unit.soc_min, unit.soc_max, unit.soc_min - 0.02,
+                unit.soc_max + 0.02, rng.uniform(unit.soc_min, unit.soc_max)]
+        for soc0, (lo, hi) in zip(socs, guarded_power_ranges(unit, dt, socs)):
+            env_lo, env_hi = unwind_envelope(unit, dt, soc0)
+            # the envelope is widened to contain 0 and leaves out the power box
+            assert max(env_lo, unit.p_min_mw) == pytest.approx(
+                min(lo, 0.0), rel=1e-9, abs=1e-9)
+            assert min(env_hi, unit.p_max_mw) == pytest.approx(
+                max(hi, 0.0), rel=1e-9, abs=1e-9)
     assert many > 30
-    assert unwind_limit(400.0, 0.5, 0.1, 10.0) == 10.0
+    assert unwind_envelope(units[0][0], 0.5, 0.5)[1] >= 10.0
 
 
 # --- audit vs. degraded-mode step check -------------------------------
@@ -174,13 +184,53 @@ def test_hold_and_shed_ramps_storage_toward_the_unwind_envelope():
     t = 2
     state = SystemState(np.array([b0.soc_min + 3e-4, 0.5]), np.array([3.0, 0.0]),
                         np.array([6.0, 4.0]), t)
-    frac, pg, pe = _greedy_shed(sc, state, t)
+    (frac, pg, pe), reason = _fallback_actions(sc, state, None, t)
+    assert reason == "hold_and_shed"
     assert pe[0] == pytest.approx(3.0 + b0.ramp_down_mw_s * sc.dt_s)
     soc = soc_path(sc, state.soc, pe[:, None])
     bad = violations(sc, state, frac[:, None], pg[:, None], pe[:, None], soc)
     assert not [v for v in bad if "ramp" in v], bad
     # from a state the envelope can reach in one step, the clamp is exact
     state.prev_storage_power[0] = 2.0
-    assert _greedy_shed(sc, state, t)[2][0] == pytest.approx(
-        unwind_limit(3e-4 * b0.capacity_mj, sc.dt_s, -b0.ramp_down_mw_s * sc.dt_s,
-                     b0.p_max_mw))
+    assert _fallback_actions(sc, state, None, t)[0][2][0] == pytest.approx(
+        unwind_envelope(b0, sc.dt_s, state.soc[0])[1])
+
+
+def test_hold_and_shed_serves_a_continuous_load_in_part():
+    # 16 MW held: A in full, then stepped C floored to its quarter grid
+    # (5 of 6 MW), then the 1 MW left to continuous B
+    loads = [LoadSpec("A", 10.0, 1.0), LoadSpec("B", 10.0, 0.2),
+             LoadSpec("C", 10.0, 0.5, steps=4)]
+    sc = ScenarioSpec(dt_s=0.5, loads=loads,
+                      generators=[GeneratorSpec("G", 0.0, 20.0, -1.0, 1.0,
+                                                initial_mw=16.0)],
+                      storage=[], demand_mw=np.full((3, 1), 10.0))
+    state = sc.initial_state()
+    (frac, pg, pe), reason = _fallback_actions(sc, state, None, 0)
+    assert reason == "hold_and_shed"
+    np.testing.assert_allclose(frac, [1.0, 0.1, 0.5], rtol=0, atol=1e-12)
+    assert violations(sc, state, frac[:, None], pg[:, None], pe[:, None],
+                      np.zeros((0, 1))) == []
+
+
+@pytest.mark.parametrize("mission", ["fault_scenario", "synth_seed7"])
+def test_hold_and_shed_from_every_state_of_a_clean_mission(mission):
+    # the step the degraded mode takes from any state a clean mission
+    # passes through satisfies every plant rule
+    if mission == "fault_scenario":
+        sc, horizon, cfg = fault_scenario(), 4, None
+    else:
+        sc, _ = parse_scenario(synth_scenario(7, steps=120))
+        horizon, cfg = 8, SolverConfig(gap_tol=1e-6, rel_gap=1e-4)
+    res = run_rho(sc, ObjectiveWeights(0.005, 0.03, 0.05), horizon, cfg=cfg)
+    assert res.fully_optimal and validate_trajectory(res, sc) == []
+    states = [sc.initial_state()] + [
+        SystemState(res.soc[:, t].copy(), res.storage_power[:, t].copy(),
+                    res.gen_power[:, t].copy(), t + 1) for t in range(res.steps - 1)]
+    for state in states:
+        t = state.step_index
+        (frac, pg, pe), reason = _fallback_actions(sc, state, None, t)
+        assert reason == "hold_and_shed"
+        soc = soc_path(sc, state.soc, pe[:, None])
+        assert violations(sc, state, frac[:, None], pg[:, None], pe[:, None],
+                          soc) == [], t
