@@ -18,11 +18,13 @@ first reuse the previous plan shifted by one step, and if the plant
 rules reject it from the current state, hold and shed: keep the
 generators at their previous powers, move each storage unit one ramp
 step toward the range that the windows' terminal unwind rows admit
-(``plant.unwind_envelope``), and serve loads in descending weight order
-from the supply that leaves, a stepped load floored to its grid.  The
-degraded mode takes every limit from ``plant``.  Every such event is
-recorded on the result; genuine infeasibility is a hard error because a
-well-formed scenario can always shed to zero.
+(``plant.unwind_envelope``), raise storage within that reach while
+supply is negative (charging units toward zero first), and serve loads
+in descending weight order from the supply that leaves, a stepped load
+floored to its grid.  The degraded mode takes every limit from
+``plant``.  Every such event is recorded on the result; genuine
+infeasibility is a hard error because a well-formed scenario can
+always shed to zero.
 """
 
 from __future__ import annotations
@@ -212,18 +214,21 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
                                           cfg, tick, f"window at step {t}", root)
         statuses.append(status)
         if plan is not None:
+            # the plan's SoC path starts from this state: its first column
+            # is the applied step's
             actions = (plan.load_fraction[:, 0], plan.gen_power[:, 0],
                        plan.storage_power[:, 0])
+            new_soc = plan.soc[:, 0].copy()
             prev_plan = plan
         else:
             actions, reason = _fallback_actions(scenario, state, prev_plan, t)
             fallbacks.append((t, reason))
+            new_soc = plant.soc_path(scenario, state.soc, actions[2][:, None])[:, 0]
 
         o_t, pg_t, pe_t = actions
         frac[:, t] = o_t
         pgen[:, t] = pg_t
         psto[:, t] = pe_t
-        new_soc = plant.soc_path(scenario, state.soc, pe_t[:, None])[:, 0]
         soc[:, t] = new_soc
         state = SystemState(soc=new_soc,
                             prev_storage_power=np.asarray(pe_t, dtype=float).copy(),
@@ -263,15 +268,28 @@ def _fallback_actions(scenario: ScenarioSpec, state: SystemState,
                           plant.unit_values(gens, "p_min_mw"),
                           plant.unit_values(gens, "p_max_mw")), 0.0)
     pe = np.zeros(scenario.n_storage)
+    reach = np.zeros(scenario.n_storage)
     for e, sto in enumerate(scenario.storage):
         prev = state.prev_storage_power[e]
         # toward the unwind envelope as far as one ramp step inside the box
         # allows: the unit must still be able to ramp to zero inside the
         # SoC box, or the next window wakes up in a dead end
-        v = np.clip(prev, *plant.unwind_envelope(sto, dt, state.soc[e]))
-        pe[e] = np.clip(v, max(sto.p_min_mw, prev + sto.ramp_down_mw_s * dt),
-                        min(sto.p_max_mw, prev + sto.ramp_up_mw_s * dt))
+        env_lo, env_up = plant.unwind_envelope(sto, dt, state.soc[e])
+        step_up = min(sto.p_max_mw, prev + sto.ramp_up_mw_s * dt)
+        pe[e] = np.clip(np.clip(prev, env_lo, env_up),
+                        max(sto.p_min_mw, prev + sto.ramp_down_mw_s * dt), step_up)
+        reach[e] = max(pe[e], min(step_up, env_up))
     supply = pg.sum() + pe.sum()
+    # storage held charging from generators that have since tripped
+    # leaves supply below zero: raise storage within its reach, charging
+    # units toward zero first, until supply is not negative
+    for cap in (np.minimum(reach, np.maximum(pe, 0.0)), reach):
+        for e in np.flatnonzero(cap > pe):
+            if supply >= 0.0:
+                break
+            rise = min(cap[e] - pe[e], -supply)
+            pe[e] += rise
+            supply += rise
     demand = scenario.demand_mw[:, t]
     o_t = np.zeros(scenario.n_loads)
     for i in np.argsort(-scenario.w_hat):

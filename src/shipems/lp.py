@@ -39,17 +39,23 @@ mission), 158 times in 1,075 pivots and 284 solves (window 8) and 353
 times in 2,970 pivots and 240 solves (window 60).
 
 Every factorization, at a start or at a refactor, takes one path, which
-keeps the last basis matrix the core factored together with its SuperLU
-object.  A basis matrix equal to it bit for bit (index arrays and
-values) shares that object, with an empty eta file, and is not repaired:
-SuperLU factored it without a zero pivot, so it has full structural
-rank and the repair would return it unchanged.  The match is on the
-matrix, never on where the basis came from, so a start that matches
-still passes the start checks below.  A receding-horizon window often
-starts from the very matrix the window before factored last: in steady
-stretches the shifted optimal basis keeps its columns in their
-positions, and none of them holds an entry the patch rewrote.  On the
-window-8 benchmark mission that spares 161 of 319 factorizations.
+keeps the SuperLU object of the last basis the core factored, with its
+column list (as repaired) and the number of the load it was factored
+under.  Each load (a patch) stamps every structural column one of whose
+scaled entries changed, a row-scale change included.  A basis that
+lists the same columns in the same positions as the one factored last,
+none stamped since, has its matrix: it shares that SuperLU object with
+an empty eta file, gathers nothing and is not repaired (SuperLU
+factored the matrix without a zero pivot, so the repair would return
+it unchanged).  The match is on the columns, never on where the basis
+came from, so a matching start still passes the start checks below.
+An equal matrix reached through another column list, or through an
+entry written back to an earlier value, factors afresh.  A
+receding-horizon window often starts from the very basis the window
+before factored last: in steady stretches the shifted optimal basis
+keeps its columns in their positions, and none of them holds an entry
+the patch rewrote.  On the window-8 benchmark mission that spares 161
+of 319 factorizations.
 
 The pivot loop updates the basic values and phase-2 reduced costs
 incrementally; one flag, ``stale``, marks a pivot or bound flip since
@@ -83,13 +89,13 @@ scales the rows into fresh arrays (the caller's matrix is only read),
 and lays out the columns of G = [A, -I] as CSC arrays, A's columns then
 one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
 matrix, whatever its mix of columns, is one gather over them.  A core
-keeps no start basis, only its last factored matrix: a basis it
-returned (branch and bound warm-starts each child from its parent's)
-starts the next solve as any other basis does, checked, and repaired
-unless its matrix is the one last factored.  A core also serves the
-next problem with the same row pattern (the next receding-horizon
-window of the same length): a patch rewrites its values in place and
-keeps what depends on the pattern alone.
+keeps no start basis, only its last factorization: a basis it returned
+(branch and bound warm-starts each child from its parent's) starts the
+next solve as any other basis does, checked, and repaired unless it is
+the one last factored, unchanged since.  A core also serves the next
+problem with the same row pattern (the next receding-horizon window of
+the same length): a patch rewrites its values in place and keeps what
+depends on the pattern alone.
 
 Every solve returns one record, an ``LpSolution``, however it ends;
 it counts the pivots and the SuperLU factorizations the solve made.
@@ -317,18 +323,21 @@ class _SimplexCore:
 
     Branch-and-bound runs each MILP on one core and re-solves with node
     bounds, a warm basis and a fallback; every solve checks its starting
-    basis, and repairs and factors it unless its matrix is the one the
-    core factored last (``_factor``, module docstring).  Nothing here
-    mutates the owning problem, which the caller has validated.
+    basis, and repairs and factors it unless it is the basis the core
+    factored last, unchanged since (``_factor``, module docstring).
+    Nothing here mutates the owning problem, which the caller has
+    validated.
 
     Kept for the core's life, as they depend on the row pattern alone:
     the row runs, the CSC order of A's entries and G = [A, -I]'s index
     arrays (``_gp``, ``_gi``, ``_glen``).  Rewritten by each problem
     (``_load``): the scaled entries (``a_csr``'s data and ``_gd``, which
     the CSR view ``a_t_csr`` of A^T shares), the scaled row sides, the
-    boxes and the costs.  Replaced by each fresh factorization: the last
-    basis matrix factored and its SuperLU object (``_factored``), which
-    a patch leaves alone, since a match is on the matrix's values.
+    boxes and the costs, and ``_stamps``: per column of G, the number
+    (``_loads``) of the last load that changed one of its scaled entries.
+    Replaced by each fresh factorization: ``_factored``, the SuperLU
+    object, the bytes of the basic list it factored and the load number
+    then, which a patch leaves alone.
     """
 
     def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
@@ -349,7 +358,8 @@ class _SimplexCore:
             a.eliminate_zeros()
             self._runs = _row_runs(a.indptr)
         counts = self._runs[0]
-        self.a_csr = sp.csr_matrix((np.empty(a.nnz), a.indices, a.indptr), shape=(m, n))
+        # zeros until the first load, which then stamps every column
+        self.a_csr = sp.csr_matrix((np.zeros(a.nnz), a.indices, a.indptr), shape=(m, n))
         # the columns of G = [A, -I]: A's CSC arrays, then one -1 per
         # logical, so the basis matrix of any mix of columns is one gather
         cols = a.indices
@@ -372,7 +382,9 @@ class _SimplexCore:
         self.c = self._cobj[:n]
         self.row_lo, self.row_up = np.empty(m), np.empty(m)
         self.col_lo, self.col_up = np.empty(n), np.empty(n)
-        # the last basis matrix factored and its SuperLU object (``_factor``)
+        self._stamps = np.zeros(n + m, dtype=np.int64)
+        self._loads = 0
+        # the last factorization: SuperLU object, basic bytes, load number
         self._factored = None
         self._load(lp, a.data, scale)
 
@@ -389,8 +401,12 @@ class _SimplexCore:
 
     def _load(self, lp, data, scale):
         """Write ``lp``'s values into the core's arrays: ``data`` are the
-        entries of the core's pattern, unscaled."""
-        np.multiply(data, np.repeat(scale, self._runs[0]), out=self.a_csr.data)
+        entries of the core's pattern, unscaled.  Stamps every structural
+        column one of whose scaled entries changed."""
+        scaled = data * np.repeat(scale, self._runs[0])
+        self._loads += 1
+        self._stamps[self.a_csr.indices[scaled != self.a_csr.data]] = self._loads
+        self.a_csr.data[:] = scaled
         np.take(self.a_csr.data, self._by_col, out=self._gd[:self.a_csr.nnz])
         np.multiply(lp.rg_lower, scale, out=self.row_lo)
         np.multiply(lp.rg_upper, scale, out=self.row_up)
@@ -420,24 +436,22 @@ class _SimplexCore:
     def _factor(self, basic, repair=None):
         """Every factorization of the core: a ``_BasisFactor`` of the
         basis matrix of ``basic`` with an empty eta file, and the number
-        of fresh SuperLU factorizations that took (0 or 1).  A matrix
-        equal bit for bit to the last one this core factored (index
-        arrays and values) shares its SuperLU object; any other is first
-        passed through ``repair``, when given, and factored afresh.
-        Raises RuntimeError when SuperLU finds the matrix singular."""
-        mat = self._basis_matrix(basic)
-        # compared as bytes: a tenth of np.array_equal's cost, which every
-        # refactor pays
+        of fresh SuperLU factorizations that took (0 or 1).  A ``basic``
+        equal to the list this core factored last, none of its columns
+        stamped since, shares that SuperLU object; any other basis
+        matrix is first passed through ``repair``, when given, and
+        factored afresh.  Raises RuntimeError when SuperLU finds the
+        matrix singular."""
         last = self._factored
-        if last is not None and mat.indptr.tobytes() == last[0].indptr.tobytes() \
-                and mat.indices.tobytes() == last[0].indices.tobytes() \
-                and mat.data.tobytes() == last[0].data.tobytes():
-            return _BasisFactor(last[1]), 0
+        if last is not None and basic.tobytes() == last[1] \
+                and self._stamps[basic].max(initial=0) <= last[2]:
+            return _BasisFactor(last[0]), 0
+        mat = self._basis_matrix(basic)
         if repair is not None:
             mat = repair(mat)
         lu = splu(mat, permc_spec="COLAMD", relax=1, panel_size=1,
                   options={"SymmetricMode": False})
-        self._factored = (mat, lu)
+        self._factored = (lu, basic.tobytes(), self._loads)
         return _BasisFactor(lu), 1
 
     def point_feasible(self, x) -> bool:

@@ -260,6 +260,29 @@ def test_rho_full_horizon_equals_fho():
         assert rho.fallbacks == []
 
 
+@pytest.fixture(scope="module")
+def seed42_fho():
+    """Synth seed 42 at 40 steps and its whole-mission optimum."""
+    from shipems.io import parse_scenario, synth_scenario
+    sc, _ = parse_scenario(synth_scenario(42, steps=40))
+    cfg = SolverConfig(gap_tol=1e-6, rel_gap=1e-5)
+    return sc, cfg, run_fho(sc, ObjectiveWeights(0.005, 0.03, 0.05), cfg)
+
+
+@pytest.mark.parametrize("horizon", [4, 8, 20])
+def test_rho_never_beats_fho_beyond_its_gap(seed42_fho, horizon):
+    # the applied RHO trajectory is a feasible point of the FHO MILP, so
+    # it cannot score above the FHO optimum by more than FHO's own gap;
+    # if it does, a guard row or an objective term differs between the
+    # window and the whole-mission problem
+    sc, cfg, fho = seed42_fho
+    rho = run_rho(sc, fho.weights, horizon,
+                  cfg=SolverConfig(gap_tol=1e-6, rel_gap=1e-4))
+    assert rho.fallbacks == [] and validate_trajectory(rho, sc) == []
+    gap = max(cfg.gap_tol, cfg.rel_gap * abs(fho.objective()))
+    assert fho.objective() >= rho.objective() - gap
+
+
 def test_rho_myopic_horizon_cannot_beat_lookahead():
     # shortfall at steps 4..7 needs pre-charging that a one-step
     # lookahead never does (idle storage is free, charging costs f1 now)

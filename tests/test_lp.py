@@ -709,6 +709,14 @@ def _optimal_basis(core):
     return basis, again
 
 
+def _patched(lp, data):
+    """``lp`` with its row entries replaced by ``data``."""
+    return LinearProgram(lp.objective, lp.lower, lp.upper,
+                         sp.csr_matrix((data, lp.a_rg.indices, lp.a_rg.indptr),
+                                       shape=lp.a_rg.shape),
+                         lp.rg_lower, lp.rg_upper)
+
+
 def test_a_resolve_from_the_factored_basis_reuses_its_factor(monkeypatch):
     lp, _ = _WINDOW
     core = _SimplexCore(lp)
@@ -729,10 +737,7 @@ def test_a_patched_basic_column_is_factored_afresh(monkeypatch):
     k = int(np.flatnonzero(np.isin(lp.a_rg.indices, basis.basic))[0])
     data = lp.a_rg.data.copy()
     data[k] *= 1.5
-    patched = LinearProgram(lp.objective, lp.lower, lp.upper,
-                            sp.csr_matrix((data, lp.a_rg.indices, lp.a_rg.indptr),
-                                          shape=lp.a_rg.shape),
-                            lp.rg_lower, lp.rg_upper)
+    patched = _patched(lp, data)
     assert core.patch(patched)
     calls = _spy_splu(monkeypatch)
     sol = core.solve(warm=basis)
@@ -749,6 +754,95 @@ def test_the_same_columns_in_another_order_are_factored_afresh(monkeypatch):
     assert len(calls) == turned.factorizations == 1
     assert turned.status is LpStatus.OPTIMAL
     assert turned.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+
+_WINDOW_BASIS = _SimplexCore(_WINDOW[0]).solve().basis
+
+
+def _window_edits():
+    """Edits of the window's row entries: (kind, which, factor).  ``basic``
+    and ``nonbasic`` rescale one entry of a column in or out of the
+    window's optimal basis, ``row_max`` rescales a row's largest entry,
+    which moves the row's power-of-two scale when it crosses one, and
+    ``row_pow2`` scales a whole row by a power of two, which changes its
+    scale but none of its scaled entries."""
+    kinds = st.sampled_from(["basic", "nonbasic", "row_max", "row_pow2"])
+    return st.lists(st.tuples(kinds, st.integers(0, 10**6),
+                              st.sampled_from([0.3, 0.75, 1.5, 3.0])), max_size=4)
+
+
+@given(_window_edits(), st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_shared_start_is_exactly_an_unchanged_factored_basis(edits, reorder):
+    # a core whose last factorization is the window's optimal basis is
+    # patched and solved from that basis (``reorder``: with two of its
+    # positions swapped); the record must equal a fresh core's, and the
+    # start must share the last factor exactly when it lists the same
+    # columns in the same positions and no scaled entry of them changed
+    lp, _ = _WINDOW
+    basis = _WINDOW_BASIS
+    a = lp.a_rg
+    data = a.data.copy()
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    in_basis = np.isin(a.indices, basis.basic)
+    for kind, which, factor in edits:
+        if kind in ("basic", "nonbasic"):
+            pool = np.flatnonzero(in_basis == (kind == "basic"))
+            data[pool[which % pool.size]] *= factor
+        else:
+            rows = np.unique(row_of)
+            r = rows[which % rows.size]
+            entries = np.flatnonzero(row_of == r)
+            if kind == "row_max":
+                data[entries[np.argmax(np.abs(data[entries]))]] *= factor
+            else:
+                data[entries] *= 2.0 ** np.round(np.log2(factor))
+    patched = _patched(lp, data)
+    warm = basis
+    if reorder:
+        basic = basis.basic.copy()
+        basic[[0, -1]] = basic[[-1, 0]]
+        warm = Basis(basis.vstat, basic)
+
+    core = _SimplexCore(lp)
+    assert core.solve(warm=basis).factorizations == 1
+    structural = basis.basic[basis.basic < lp.n_vars]
+    before = _SimplexCore(lp).a_csr.toarray()[:, structural]
+    after = _SimplexCore(patched).a_csr.toarray()[:, structural]
+    shared = not reorder and np.array_equal(before, after)
+    assert core.patch(patched)
+    fresh = []
+    factor = core._factor
+
+    def spy(*args):
+        out = factor(*args)
+        fresh.append(out[1])
+        return out
+
+    core._factor = spy
+    sol = core.solve(warm=warm)
+    # the start's factorization, then any refactor while pivoting
+    assert fresh[0] == (0 if shared else 1)
+    assert sol.factorizations == sum(fresh)
+    assert _same_record(sol, _SimplexCore(patched).solve(warm=warm)._replace(
+        factorizations=sol.factorizations))
+
+
+def test_a_value_written_back_is_factored_afresh(monkeypatch):
+    # one entry of a basic column changed by one patch and restored by
+    # the next: the matrix equals the one factored last, but the column
+    # changed since, so the start factors afresh
+    lp, _ = _WINDOW
+    core = _SimplexCore(lp)
+    basis, first = _optimal_basis(core)
+    k = int(np.flatnonzero(np.isin(lp.a_rg.indices, basis.basic))[0])
+    data = lp.a_rg.data.copy()
+    data[k] *= 1.5
+    assert core.patch(_patched(lp, data)) and core.patch(lp)
+    calls = _spy_splu(monkeypatch)
+    again = core.solve(warm=basis)
+    assert len(calls) == again.factorizations == 1
+    assert _same_record(again, first._replace(factorizations=1))
 
 
 def test_a_singular_start_after_a_factored_one_is_repaired(monkeypatch):

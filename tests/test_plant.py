@@ -196,6 +196,25 @@ def test_hold_and_shed_ramps_storage_toward_the_unwind_envelope():
         unwind_envelope(b0, sc.dt_s, state.soc[0])[1])
 
 
+def test_hold_and_shed_stops_charging_from_a_tripped_generator():
+    # both units charging 3 MW from G0, which trips at step 5 with G1 at
+    # 0 MW: held, the charging alone would leave supply at -6 MW.  B0 can
+    # ramp 0.5 MW in the step, S0 all the way, so S0 stops charging and
+    # discharges the 2.5 MW B0 still draws
+    sc = fault_scenario()
+    t = 5
+    assert not sc.generator_available[0, t]
+    state = SystemState(np.array([0.5, 0.5]), np.array([-3.0, -3.0]),
+                        np.array([6.0, 0.0]), t)
+    (frac, pg, pe), reason = _fallback_actions(sc, state, None, t)
+    assert reason == "hold_and_shed"
+    np.testing.assert_array_equal(pg, [0.0, 0.0])
+    np.testing.assert_allclose(pe, [-2.5, 2.5], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(frac, 0.0)
+    soc = soc_path(sc, state.soc, pe[:, None])
+    assert violations(sc, state, frac[:, None], pg[:, None], pe[:, None], soc) == []
+
+
 def test_hold_and_shed_serves_a_continuous_load_in_part():
     # 16 MW held: A in full, then stepped C floored to its quarter grid
     # (5 of 6 MW), then the 1 MW left to continuous B
