@@ -5,9 +5,10 @@ plant propagation, and the mission-level resilience metrics.
 actions, propagates the state through the storage kinematics, and
 repeats, starting each window's simplex from the previous window's
 optimal root basis shifted one step, on the simplex core of the
-previous window of its length.  A window of a new length (the first,
-and each shorter window at mission end) starts cold, from its crash
-basis, on a fresh core.  ``run_fho`` solves one window
+previous window of its length.  Only the first window starts cold,
+from its crash basis (and a window after a root relaxation that
+stopped short of optimality); it and each shorter window at mission
+end run on a fresh core.  ``run_fho`` solves one window
 spanning the whole mission and applies it open loop.  With the horizon
 equal to the mission length and no measurement perturbations the two
 produce the same objective on deterministic scenarios, which the tests
@@ -202,9 +203,8 @@ def run_rho(scenario: ScenarioSpec, weights: ObjectiveWeights, horizon: int, *,
     state = scenario.initial_state()
     prev_plan: Optional[DispatchPlan] = None
     # the previous window's template, root basis and simplex core: the
-    # next window of the same length reuses the template, starts from
-    # the basis shifted one step and is patched into the core; a window
-    # of a new length starts cold
+    # next window starts from the basis shifted one step, and one of the
+    # same length reuses the template and is patched into the core
     root = None
     t_start = time.perf_counter()
 

@@ -35,27 +35,27 @@ magnitude, or once the etas hold more nonzeros than the factor itself
 The factor's fill sizes the rule to the basis: about 20,600 nonzeros on
 whole-mission bases, about 690 on 8-step windows.  The unperturbed
 benchmark missions call SuperLU 160 times in 2,763 pivots (whole
-mission), 158 times in 1,075 pivots and 284 solves (window 8) and 353
-times in 2,970 pivots and 240 solves (window 60).
+mission), 155 times in 1,004 pivots and 284 solves (window 8) and 352
+times in 2,914 pivots and 240 solves (window 60).
 
 Every factorization, at a start or at a refactor, takes one path, which
 keeps the SuperLU object of the last basis the core factored, with its
-column list (as repaired) and the number of the load it was factored
+column list (as completed) and the number of the load it was factored
 under.  Each load (a patch) stamps every structural column one of whose
 scaled entries changed, a row-scale change included.  A basis that
 lists the same columns in the same positions as the one factored last,
 none stamped since, has its matrix: it shares that SuperLU object with
-an empty eta file, gathers nothing and is not repaired (SuperLU
-factored the matrix without a zero pivot, so the repair would return
-it unchanged).  The match is on the columns, never on where the basis
-came from, so a matching start still passes the start checks below.
-An equal matrix reached through another column list, or through an
-entry written back to an earlier value, factors afresh.  A
+an empty eta file, gathers nothing and is not completed (SuperLU
+factored the matrix without a zero pivot, so the completion would
+return it unchanged).  The match is on the columns, never on where the
+basis came from, so a matching start still passes the start checks
+below.  An equal matrix reached through another column list, or through
+an entry written back to an earlier value, factors afresh.  A
 receding-horizon window often starts from the very basis the window
 before factored last: in steady stretches the shifted optimal basis
 keeps its columns in their positions, and none of them holds an entry
 the patch rewrote.  On the window-8 benchmark mission that spares 161
-of 319 factorizations.
+of 316 factorizations.
 
 The pivot loop updates the basic values and phase-2 reduced costs
 incrementally; one flag, ``stale``, marks a pivot or bound flip since
@@ -63,26 +63,32 @@ the basic values were last computed afresh (at the start and at each
 refactor).  With no eligible column and ``stale`` set, a solve
 recomputes them, re-prices once, and only then decides.
 
-Every solve takes one path, a problem without rows included (its
-basis is 0 x 0).  It tries the warm basis if there is one, then the
-caller's fallback basis if there is one, then the slack basis, and
-checks each start the same way.  A malformed start gives way to the
-next, and so does one that leaves a column with no finite bound (a
-free row's slack) nonbasic.  A nonbasic column on an infinite bound
-moves to its finite one.  The basis is then repaired structurally
-before it is factored: a maximum bipartite matching pairs rows with
-basic columns, and each column left unmatched is swapped for the slack
-of a row left unmatched (Suhl & Suhl 1990).  The repaired basis matrix
-has full structural rank.  Without the repair a structurally singular
-basis reaches SuperLU, and with ``relax=1, panel_size=1`` (scipy 1.17)
-SuperLU may crash the process on it instead of raising, as it does
-with its default options.  A start that still proves numerically
-singular gives way to the next, and so does one whose basis proves
-singular at a refactor while it pivots (a basis of full structural rank
-may be numerically rank deficient, and its pivots may then reach a
-structurally singular one).  The next start begins afresh; the pivots
-made so far count toward the cap and the deadline runs on.  Only a
-failure of the slack start raises.
+Every solve takes one path, a problem without rows included (its basis
+is 0 x 0).  It tries the warm basis if there is one, then the caller's
+fallback basis if there is one, then the slack basis, and checks each
+start the same way.  A start lists distinct columns, exactly those it
+marks basic, in any number: a malformed one gives way to the next, and
+so does one that leaves a column with no finite bound (a free row's
+slack) nonbasic.  A nonbasic column on an infinite bound moves to its
+finite one.  The start is then completed into a basis of full
+structural rank before it is factored (Suhl & Suhl 1990): one maximum
+matching of rows to basic positions (a maximum transversal, Duff 1981)
+keeps the columns it matches, in their order, each column it leaves out
+goes to the bound nearer zero, and the slack of each row it leaves out
+takes a dropped position, or a new one after the last; dropped
+positions left over close up.  A start with too few or too many basic
+columns is completed the same way as a structurally singular one.
+Without the completion a structurally singular basis reaches SuperLU,
+and with ``relax=1, panel_size=1`` (scipy 1.17) SuperLU may crash the
+process on it instead of raising, as it does with its default options.
+A start that still proves numerically singular gives way to the next,
+and so does one whose basis proves singular at a refactor while it
+pivots (a basis of full structural rank may be numerically rank
+deficient, and its pivots may then reach a structurally singular one).
+The next start begins afresh; the pivots made so far count toward the
+cap and the deadline runs on.  Only a failure of the slack start
+raises.  The cap, ``_iteration_cap``, is a safety net against a stuck
+loop, not a budget.
 
 A simplex core prepares one problem for any number of solves: it
 scales the rows into fresh arrays (the caller's matrix is only read),
@@ -91,8 +97,8 @@ one -1 per logical, with A^T as a CSR view of the same arrays.  A basis
 matrix, whatever its mix of columns, is one gather over them.  A core
 keeps no start basis, only its last factorization: a basis it returned
 (branch and bound warm-starts each child from its parent's) starts the
-next solve as any other basis does, checked, and repaired unless it is
-the one last factored, unchanged since.  A core also serves the next
+next solve as any other basis does, checked, and completed unless it
+is the one last factored, unchanged since.  A core also serves the next
 problem with the same row pattern (the next receding-horizon window of
 the same length): a patch rewrites its values in place and keeps what
 depends on the pattern alone.
@@ -112,7 +118,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, NumericalBreakdown
@@ -129,6 +135,12 @@ TOL = 1e-7
 #: Length of the degenerate-pivot streak past which Bland's rule picks
 #: the entering column; a nondegenerate pivot or a bound flip ends it.
 BLAND_AFTER = 50
+
+
+def _iteration_cap(n: int, m: int) -> int:
+    """Pivots past which a solve over ``n`` columns and ``m`` rows raises
+    NumericalBreakdown."""
+    return 10_000 + 25 * (n + m)
 
 
 class LpStatus(Enum):
@@ -323,7 +335,7 @@ class _SimplexCore:
 
     Branch-and-bound runs each MILP on one core and re-solves with node
     bounds, a warm basis and a fallback; every solve checks its starting
-    basis, and repairs and factors it unless it is the basis the core
+    basis, and completes and factors it unless it is the basis the core
     factored last, unchanged since (``_factor``, module docstring).
     Nothing here mutates the owning problem, which the caller has
     validated.
@@ -340,12 +352,10 @@ class _SimplexCore:
     then, which a patch leaves alone.
     """
 
-    def __init__(self, lp: LinearProgram, max_iter: Optional[int] = None):
+    def __init__(self, lp: LinearProgram):
         self.n = n = lp.n_vars
         a = lp.a_rg
         self.m = m = a.shape[0]
-        default_cap = 10_000 + 25 * (n + m)
-        self.max_iter = int(max_iter) if max_iter is not None else default_cap
 
         # scales from the caller's entries as given; the scaled rows keep
         # what a product with diag(scale) keeps, duplicates summed and
@@ -424,35 +434,36 @@ class _SimplexCore:
         return out
 
     def _basis_matrix(self, basic):
-        """CSC basis matrix G[:, basic]: one gather over G's arrays."""
+        """CSC matrix G[:, basic], m x len(basic): one gather over G's
+        arrays."""
         counts = self._glen[basic]
-        indptr = np.zeros(self.m + 1, dtype=np.int32)
+        indptr = np.zeros(basic.size + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
         src = np.repeat(self._gp[basic] - indptr[:-1], counts)
         src += np.arange(indptr[-1], dtype=np.int32)
         return sp.csc_matrix((self._gd[src], self._gi[src], indptr),
-                             shape=(self.m, self.m))
+                             shape=(self.m, basic.size))
 
     def _factor(self, basic, repair=None):
         """Every factorization of the core: a ``_BasisFactor`` of the
-        basis matrix of ``basic`` with an empty eta file, and the number
-        of fresh SuperLU factorizations that took (0 or 1).  A ``basic``
-        equal to the list this core factored last, none of its columns
-        stamped since, shares that SuperLU object; any other basis
-        matrix is first passed through ``repair``, when given, and
-        factored afresh.  Raises RuntimeError when SuperLU finds the
-        matrix singular."""
+        basis matrix of ``basic`` with an empty eta file, the number of
+        fresh SuperLU factorizations that took (0 or 1), and the basic
+        list factored.  A ``basic`` equal to the list this core factored
+        last, none of its columns stamped since, shares that SuperLU
+        object; any other list and its matrix are first passed through
+        ``repair``, when given, and the result is factored afresh.
+        Raises RuntimeError when SuperLU finds the matrix singular."""
         last = self._factored
         if last is not None and basic.tobytes() == last[1] \
                 and self._stamps[basic].max(initial=0) <= last[2]:
-            return _BasisFactor(last[0]), 0
+            return _BasisFactor(last[0]), 0, basic
         mat = self._basis_matrix(basic)
         if repair is not None:
-            mat = repair(mat)
+            basic, mat = repair(basic, mat)
         lu = splu(mat, permc_spec="COLAMD", relax=1, panel_size=1,
                   options={"SymmetricMode": False})
         self._factored = (lu, basic.tobytes(), self._loads)
-        return _BasisFactor(lu), 1
+        return _BasisFactor(lu), 1, basic
 
     def point_feasible(self, x) -> bool:
         """Explicit feasibility check of a candidate point against the
@@ -494,6 +505,7 @@ class _SimplexCore:
             yield None
 
         iters = factorizations = 0
+        cap = _iteration_cap(n, m)
         free_range = up - lo > 0.0
         for start in starts():
             begun = self._initial_basis(lo, up, start)
@@ -501,8 +513,8 @@ class _SimplexCore:
                 continue
             vstat, basic = begun
             try:
-                factor, fresh = self._factor(
-                    basic, lambda mat: self._repair(vstat, basic, lo, up, mat))
+                factor, fresh, basic = self._factor(
+                    basic, lambda basic, mat: self._repair(vstat, basic, lo, up, mat))
             except RuntimeError:
                 if start is None:
                     raise NumericalBreakdown("singular initial basis")
@@ -543,9 +555,8 @@ class _SimplexCore:
                 return dd
 
             while True:
-                if iters > self.max_iter:
-                    raise NumericalBreakdown(
-                        f"simplex exceeded iteration cap {self.max_iter}")
+                if iters > cap:
+                    raise NumericalBreakdown(f"simplex exceeded iteration cap {cap}")
                 if deadline is not None and iters % 16 == 0 \
                         and time.perf_counter() > deadline:
                     return LpSolution(None, point(), -_INF, iters, snapshot(),
@@ -673,7 +684,7 @@ class _SimplexCore:
 
                 if factor.update(r, w):
                     try:
-                        factor, fresh = self._factor(basic)
+                        factor, fresh, _ = self._factor(basic)
                     except RuntimeError as exc:
                         if start is None:
                             raise NumericalBreakdown(
@@ -685,70 +696,59 @@ class _SimplexCore:
                     stale = False
 
     def _repair(self, vstat, basic, lo, up, mat):
-        """Make the basis structurally nonsingular, in place: every basic
-        position a maximum matching of rows to positions leaves out takes
-        the slack of an unmatched row, and its column leaves for the
-        bound nearer zero.  Among the maximum matchings, the one taken
-        leaves out the last positions it can, so a caller lists the
-        basic columns it trusts least last.  Returns the basis matrix
-        of the result (``mat``, the current one, when nothing changed).
+        """Complete ``basic``, a list of any length with matrix ``mat``,
+        into a basis of full structural rank: the columns of one maximum
+        matching of rows to positions stay, in their order, every other
+        column leaves for the bound nearer zero, and the slack of each
+        row left unmatched takes a dropped position while there is one,
+        and a new last position after that; dropped positions left over
+        close up.  Updates ``vstat`` in place; returns the completed list
+        and its basis matrix (``basic`` and ``mat`` when nothing
+        changed).
         """
-        graph = mat.T                  # positions x rows
-        row_of = maximum_bipartite_matching(graph, perm_type="column")
-        out = np.flatnonzero(row_of < 0)
-        if not out.size:
-            return mat
-        owner = np.repeat(np.arange(self.m), np.diff(graph.indptr))
-        for k, p in enumerate(out.tolist()):
-            # a position reaches the positions matched to its rows; any
-            # position p reaches can be left out instead of p, by moving
-            # the matching one row along the path
-            pos_of = np.full(self.m, -1)
-            pos_of[row_of[row_of >= 0]] = np.flatnonzero(row_of >= 0)
-            head = pos_of[graph.indices]
-            edge = head >= 0
-            reach = sp.csr_matrix((np.ones(int(edge.sum())),
-                                   (owner[edge], head[edge])),
-                                  shape=(self.m, self.m))
-            order, pred = breadth_first_order(reach, p,
-                                              return_predecessors=True)
-            last = q = int(order.max())
-            moved = row_of.copy()
-            while q != p:
-                moved[pred[q]] = row_of[q]
-                q = pred[q]
-            moved[last] = -1
-            row_of = moved
-            out[k] = last
-        free = np.ones(self.m, dtype=bool)
-        free[row_of[row_of >= 0]] = False
-        cols = basic[out]
+        row_of = maximum_bipartite_matching(mat.T, perm_type="column")
+        # a column no bound holds (a free row's slack) keeps its one row,
+        # and a position the matching gave that row to is dropped instead
+        held = np.flatnonzero(np.isinf(lo[basic]) & np.isinf(up[basic]))
+        row_of[np.isin(row_of, basic[held] - self.n)] = -1
+        row_of[held] = basic[held] - self.n
+        dropped = np.flatnonzero(row_of < 0)
+        unmatched = np.ones(self.m, dtype=bool)
+        unmatched[row_of[row_of >= 0]] = False
+        slacks = self.n + np.flatnonzero(unmatched)
+        if not (dropped.size or slacks.size):
+            return basic, mat
+        cols = basic[dropped]
         vstat[cols] = np.where(np.abs(lo[cols]) <= np.abs(up[cols]),
                                AT_LOWER, AT_UPPER)
-        basic[out] = self.n + np.flatnonzero(free)
-        vstat[basic[out]] = BASIC
-        return self._basis_matrix(basic)
+        vstat[slacks] = BASIC
+        basic[dropped[:slacks.size]] = slacks[:dropped.size]
+        basic = np.concatenate([np.delete(basic, dropped[slacks.size:]),
+                                slacks[dropped.size:]])
+        return basic, self._basis_matrix(basic)
 
     def _initial_basis(self, lo, up, start: Optional[Basis]):
         """Working copies of ``start``, or of the slack basis when
-        ``start`` is None; None when ``start`` is malformed.  A nonbasic
-        column of ``start`` on an infinite bound moves to its other
-        bound; one with no finite bound (the slack of a free row) makes
-        ``start`` malformed."""
-        n, m, nm = self.n, self.m, self.n + self.m
+        ``start`` is None; None when ``start`` is malformed.  ``start``
+        may list any number of basic columns (``_repair`` completes
+        them).  A nonbasic column of ``start`` on an infinite bound moves
+        to its other bound; one with no finite bound (the slack of a
+        free row) makes ``start`` malformed."""
+        n, nm = self.n, self.n + self.m
         if start is not None:
             vstat = np.array(start.vstat, dtype=np.int8)
             basic = np.array(start.basic, dtype=np.int64)
-            if not (vstat.size == nm and basic.size == m
+            if not (vstat.size == nm and basic.ndim == 1
                     and ((basic >= 0) & (basic < nm)).all()):
                 return None
-            # m distinct positions marked, exactly the BASIC ones: basic
-            # lists m distinct columns, all BASIC, and no other column is
-            # BASIC
+            # as many positions marked as listed, exactly the BASIC ones:
+            # basic lists distinct columns, all BASIC, and no other column
+            # is BASIC
             mark = np.zeros(nm, dtype=bool)
             mark[basic] = True
             is_basic = vstat == BASIC
-            if not (np.count_nonzero(mark) == m and np.array_equal(mark, is_basic)):
+            if not (np.count_nonzero(mark) == basic.size
+                    and np.array_equal(mark, is_basic)):
                 return None
             no_lo, no_up = ~is_basic & ~np.isfinite(lo), ~is_basic & ~np.isfinite(up)
             if (no_lo & no_up).any():
@@ -764,21 +764,18 @@ class _SimplexCore:
         return vstat, basic
 
 
-def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
-             basis: Optional[Basis] = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, basis: Optional[Basis] = None) -> LpSolution:
     """Solve a box-bounded LP to optimality (maximize orientation).
 
     Parameters
     ----------
     lp : LinearProgram
         Problem with finite variable boxes; must pass ``lp.validate()``.
-    max_iter : int, optional
-        Pivot cap; exceeding it raises :class:`NumericalBreakdown`.
-        Defaults to ``10_000 + 25 * (variables + rows)``.
     basis : Basis, optional
         Warm-start basis from a previous solve of a problem with the
-        same rows (bounds may differ).  It is checked and repaired
-        structurally before it is factored; a malformed or numerically
+        same rows (bounds may differ).  It is checked and completed into
+        a basis of full structural rank before it is factored, whatever
+        the number of basic columns it lists; a malformed or numerically
         singular one gives way to the slack basis.
 
     Returns
@@ -788,7 +785,8 @@ def solve_lp(lp: LinearProgram, *, max_iter: Optional[int] = None,
         OPTIMAL, ``x`` is feasible within ``TOL`` and no feasible point
         beats ``objective_value`` by more than ``TOL``.  Degenerate streaks
         longer than ``BLAND_AFTER`` pivots switch to Bland's rule.  A
-        ray that no bound blocks raises :class:`NumericalBreakdown`.
+        ray that no bound blocks, or more pivots than
+        ``_iteration_cap``, raises :class:`NumericalBreakdown`.
     """
     lp.validate()
-    return _SimplexCore(lp, max_iter=max_iter).solve(warm=basis)
+    return _SimplexCore(lp).solve(warm=basis)

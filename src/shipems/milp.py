@@ -11,8 +11,8 @@ Branching picks the most-fractional relaxation value, ties broken by
 lowest variable index, which keeps replays deterministic.  The root
 starts from the problem's ``basis_hint`` and each child from its
 parent's optimal basis; every node passes the problem's fallback, and
-the simplex checks and repairs whichever start it takes (one start rule,
-``lp`` module docstring).  The solution hands back the root
+the simplex checks and completes whichever start it takes (one start
+rule, ``lp`` module docstring).  The solution hands back the root
 relaxation's optimal basis, which a receding-horizon caller shifts
 into the next window.
 

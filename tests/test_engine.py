@@ -378,12 +378,13 @@ def test_unreachable_storage_state_aborts_the_mission():
 
 
 def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
-    # every window of the previous window's length starts from the
-    # previous root basis shifted one step; through a generator trip and
-    # its recovery, a stepped load, and a battery with four unwind guard
-    # rows per side next to a supercapacitor whose guards are vacuous,
-    # that start (repaired where it is structurally singular) reaches the
-    # crash basis's optimum
+    # every window after the first starts from the previous root basis
+    # shifted one step, the shorter windows at mission end included;
+    # through a generator trip and its recovery, a stepped load, and a
+    # battery with four unwind guard rows per side next to a
+    # supercapacitor whose guards are vacuous, that start (completed
+    # where its basic count is off or it is structurally singular)
+    # reaches the crash basis's optimum
     from scipy.sparse.csgraph import structural_rank
 
     from shipems import engine
@@ -392,8 +393,8 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     T, horizon = 12, 5
     avail = np.ones((2, T), dtype=bool)
     avail[1, 4:7] = False
-    # demand that forces shedding: three of the shifted bases here are
-    # structurally singular
+    # demand that forces shedding: three of the shifted bases here lack
+    # basic columns (and each of their columns is kept)
     demand = np.random.default_rng(27).uniform(3.0, 8.0, (3, T))
     supercap = StorageSpec(id="S1", kind=StorageClass.SUPERCAPACITOR,
                            p_min_mw=-10.0, p_max_mw=10.0, ramp_down_mw_s=-100.0,
@@ -435,28 +436,26 @@ def test_shifted_start_reaches_the_crash_optimum(monkeypatch):
     assert all(a is b for a, b in zip(templates[:8], templates[1:8]))
     distinct = list({id(tpl): tpl for tpl in templates}.values())
     assert [tpl.horizon for tpl in distinct] == [5, 4, 3, 2, 1]
-    # a window takes a shifted basis exactly when its length is the
-    # previous window's; the first window and each shorter one start cold
-    lengths = [0] + [tpl.horizon for tpl in templates]
+    # only the first window starts cold
     assert [problem.basis_hint is not None for problem, _ in windows] \
-        == [a == b for a, b in zip(lengths[:-1], lengths[1:])]
-    repaired = 0
-    for t, (problem, _) in enumerate(windows):
-        if problem.basis_hint is None:
-            continue
+        == [False] + [True] * 11
+    short = singular = 0
+    for t, (problem, _) in enumerate(windows[1:], 1):
         crash = _SimplexCore(problem.lp).solve(warm=problem.fallback_basis())
         core = _SimplexCore(problem.lp)
         lo = np.concatenate([core.col_lo, core.row_lo])
         up = np.concatenate([core.col_up, core.row_up])
         vstat, basic = core._initial_basis(lo, up, problem.basis_hint)
         mat = core._basis_matrix(basic)
-        repaired += structural_rank(mat) < core.m
-        assert structural_rank(core._repair(vstat, basic, lo, up, mat)) == core.m
+        short += basic.size < core.m
+        singular += structural_rank(mat) < min(mat.shape)
+        basic, mat = core._repair(vstat, basic, lo, up, mat)
+        assert mat.shape == (core.m, core.m) and structural_rank(mat) == core.m
         shifted = core.solve(warm=problem.basis_hint)
         assert crash.status is shifted.status is LpStatus.OPTIMAL
         assert shifted.objective_value == pytest.approx(crash.objective_value,
                                                         abs=1e-7), f"step {t}"
-    assert repaired == 3
+    assert (short, singular) == (3, 0)
 
 
 def test_zero_demand_window_builds_a_fresh_core(monkeypatch):

@@ -322,40 +322,49 @@ def test_warm_start_reaches_same_optimum():
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
-       n=st.integers(1, 12), density=st.floats(0.05, 0.6))
-@settings(max_examples=80, deadline=None)
-def test_structural_repair_keeps_the_matched_columns(seed, m, n, density):
+       n=st.integers(1, 12), extra=st.integers(-3, 3),
+       density=st.floats(0.05, 0.6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_structural_repair_keeps_the_matched_columns(seed, m, n, extra, density):
+    # a start of k = m - 3 ... m + 3 basic positions is completed into a
+    # square basis of full structural rank that keeps the columns of one
+    # maximum matching, in their order and, short of a surplus, in their
+    # positions
     rng = np.random.default_rng(seed)
     a = sp.random(m, n, density=density, random_state=rng, format="csr",
                   data_rvs=lambda k: rng.uniform(0.5, 2.0, k))
-    lp = LinearProgram(objective=np.ones(n), lower=np.zeros(n),
-                       upper=np.ones(n), a_rg=a, rg_lower=np.full(m, -1.0),
-                       rg_upper=np.full(m, 1.0))
+    # boxes around zero, nearer it on either side
+    lp = LinearProgram(objective=np.ones(n), lower=-rng.uniform(0.0, 2.0, n),
+                       upper=rng.uniform(0.0, 2.0, n), a_rg=a,
+                       rg_lower=-rng.uniform(0.0, 2.0, m),
+                       rg_upper=rng.uniform(0.0, 2.0, m))
     core = _SimplexCore(lp)
-    basic = rng.choice(n + m, size=m, replace=False)
+    k = min(max(m + extra, 0), n + m)
+    basic = rng.choice(n + m, size=k, replace=False)
     vstat = np.where(rng.random(n + m) < 0.5, AT_LOWER, AT_UPPER).astype(np.int8)
     vstat[basic] = BASIC
     before = basic.copy()
     mat = core._basis_matrix(basic)
-    rank = structural_rank(mat)
-    # positions that some maximum matching leaves out
-    spare = [i for i in range(m)
-             if structural_rank(mat[:, np.delete(np.arange(m), i)]) == rank]
+    assert mat.shape == (m, k)
     lo = np.concatenate([core.col_lo, core.row_lo])
     up = np.concatenate([core.col_up, core.row_up])
-    repaired = core._repair(vstat, basic, lo, up, mat)
-    kept = basic == before
-    assert structural_rank(repaired) == m
-    assert (repaired != core._basis_matrix(basic)).nnz == 0
-    # every column of a maximum matching stays at its position, and
-    # each of the others gave way to a slack
-    assert kept.sum() == rank
-    assert np.all(basic[~kept] >= n)
-    assert np.unique(basic).size == m
-    assert np.array_equal(np.flatnonzero(vstat == BASIC), np.sort(basic))
-    if rank == m - 1:
-        # the one position given up is the last one that can be
-        assert np.flatnonzero(~kept).tolist() == [max(spare)]
+    done, repaired = core._repair(vstat, basic, lo, up, mat)
+    assert repaired.shape == (m, m) and structural_rank(repaired) == m
+    assert (repaired != core._basis_matrix(done)).nnz == 0
+    assert np.unique(done).size == m
+    assert np.array_equal(np.flatnonzero(vstat == BASIC), np.sort(done))
+    # the columns kept are as many as a maximum matching has; they keep
+    # their order, and every column added is a slack
+    kept = np.isin(before, done)
+    assert kept.sum() == structural_rank(mat)
+    assert np.array_equal(done[np.isin(done, before)], before[kept])
+    assert np.all(done[~np.isin(done, before)] >= n)
+    if k <= m:
+        assert np.array_equal(done[:k][kept], before[kept])
+    # every other column leaves for the bound nearer zero
+    left = before[~kept]
+    assert np.array_equal(vstat[left], np.where(np.abs(lo[left]) <= np.abs(up[left]),
+                                                AT_LOWER, AT_UPPER))
 
 
 @st.composite
@@ -493,8 +502,8 @@ def test_returned_basis_restarts_after_a_patch_opens_its_side():
 @pytest.mark.parametrize("vstat_basic, basic", [
     ([0], [0, 0]),              # a column listed twice
     ([0, 1], [0, 0]),
-    ([0, 1], [0]),              # too few basic positions
-    ([0, 1, 2], [0, 1, 2]),     # too many
+    ([0, 1], [0]),              # a basic column not listed
+    ([0, 1], [0, 5]),           # a column out of range
     ([0, 3], [0, 4]),           # vstat and basic disagree
 ])
 def test_malformed_outside_basis_starts_from_slacks(vstat_basic, basic):
@@ -514,6 +523,30 @@ def test_malformed_outside_basis_starts_from_slacks(vstat_basic, basic):
     assert warm.iterations == cold.iterations
 
 
+@pytest.mark.parametrize("basic", [
+    [0, 1, 2],                  # too many basic columns for two rows
+    [2],                        # too few
+    [],
+])
+def test_an_outside_basis_of_any_count_is_completed(basic):
+    # a start that lists distinct basic columns, exactly those it marks
+    # basic, is completed into a basis, whatever their number
+    lp = make_lp([1.0, 2.0, 3.0], a_ub=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                 b_ub=[4.0, 2.0], upper=[3.0, 3.0, 3.0])
+    cold = solve_lp(lp)
+    vstat = np.full(5, AT_LOWER, dtype=np.int8)
+    vstat[basic] = BASIC
+    start = Basis(vstat=vstat, basic=np.array(basic, dtype=np.int64))
+    core = _SimplexCore(lp)
+    lo = np.concatenate([core.col_lo, core.row_lo])
+    up = np.concatenate([core.col_up, core.row_up])
+    assert core._initial_basis(lo, up, start)[1].tolist() == basic
+    warm = core.solve(warm=start)
+    assert warm.status is cold.status is LpStatus.OPTIMAL
+    assert warm.basis.basic.size == 2
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+
 def test_outside_basis_with_a_nonbasic_free_slack_gives_way():
     # max x0 + x1 over [0, 2]^2 with a free row x0 + x1 (both sides
     # open) and x0 - x1 <= 1: the start leaves the free row's slack
@@ -530,6 +563,20 @@ def test_outside_basis_with_a_nonbasic_free_slack_gives_way():
     warm = solve_lp(lp, basis=bad)
     assert warm.status is LpStatus.OPTIMAL
     assert warm.objective_value == solve_lp(lp).objective_value == 4.0
+
+
+@pytest.mark.parametrize("basic", [[0, 1, 2], [2, 0, 1], [1, 3, 2], [3, 2, 0], [2]])
+def test_a_completed_start_keeps_a_free_rows_slack(basic):
+    # the free row's slack (column 2) has no finite bound to leave for:
+    # completing the start keeps it on its row, whatever a maximum
+    # matching of the start would drop
+    lp = LinearProgram(objective=[1.0, 1.0], lower=[0.0, 0.0], upper=[2.0, 2.0],
+                       a_rg=[[1.0, 1.0], [1.0, -1.0]], rg_upper=[np.inf, 1.0])
+    vstat = np.full(4, AT_LOWER, dtype=np.int8)
+    vstat[basic] = BASIC
+    sol = solve_lp(lp, basis=Basis(vstat=vstat, basic=np.array(basic)))
+    assert sol.status is LpStatus.OPTIMAL and sol.objective_value == 4.0
+    assert 2 in sol.basis.basic
 
 
 def test_basis_factor_solves_with_the_current_basis():
@@ -574,15 +621,16 @@ def test_basis_factor_refactors_after_a_tiny_pivot(pivot, asks):
     assert factor.update(1, w) is asks
 
 
-def test_iteration_cap_raises_breakdown():
+def test_iteration_cap_raises_breakdown(monkeypatch):
+    from shipems import lp as lp_module
     from shipems.errors import NumericalBreakdown
     rng = np.random.default_rng(13)
     c, a, b, lower, upper = _random_lp(rng)
     while a is None or len(c) < 4:
         c, a, b, lower, upper = _random_lp(rng)
-    with pytest.raises(NumericalBreakdown):
-        solve_lp(make_lp(c, a_ub=a, b_ub=b, lower=lower, upper=upper),
-                 max_iter=1)
+    monkeypatch.setattr(lp_module, "_iteration_cap", lambda n, m: 1)
+    with pytest.raises(NumericalBreakdown, match="iteration cap 1"):
+        solve_lp(make_lp(c, a_ub=a, b_ub=b, lower=lower, upper=upper))
 
 
 @pytest.fixture(scope="module")
@@ -867,7 +915,7 @@ def test_a_singular_start_after_a_factored_one_is_repaired(monkeypatch):
 
     def spy(self, vstat, basic, lo, up, mat):
         out = repair(self, vstat, basic, lo, up, mat)
-        ranks.append((structural_rank(mat), structural_rank(out)))
+        ranks.append((structural_rank(mat), structural_rank(out[1])))
         return out
 
     monkeypatch.setattr(_SimplexCore, "_repair", spy)
