@@ -61,7 +61,23 @@ The pivot loop updates the basic values and phase-2 reduced costs
 incrementally; one flag, ``stale``, marks a pivot or bound flip since
 the basic values were last computed afresh (at the start and at each
 refactor).  With no eligible column and ``stale`` set, a solve
-recomputes them, re-prices once, and only then decides.
+recomputes them, re-prices once, and only then decides.  Beside
+``vstat`` the loop keeps a sign vector ``sgn``: +1 for a nonbasic column
+that may rise, -1 for one that may fall, 0 for a basic or fixed one.  A
+bound flip negates one entry, a pivot rewrites two (the leaving and the
+entering column), and pricing reads eligibility off ``sgn * d > TOL``
+(never true at a NaN) instead of a mask over ``vstat`` and the column
+ranges.  The basics' bounds are kept in basis order, and also widened
+by ``TOL``, so the feasibility test and the phase-1 ratio test subtract
+nothing.  On a feasible iterate, no basic outside its bounds by more
+than ``TOL``, the ratio test has no phase-1 cases: each moving row
+blocks at the bound it moves toward, and its ratio ``(x_i - bound) /
+t_i`` is already +inf at an infinite bound, so the ratios, the leaving
+row and its bound are the general test's, bit for bit, for finite basic
+values.  The pivot row and the Devex update are written into work
+arrays the core keeps.  None of this changes the arithmetic: a solve
+takes the pivots and reaches the iterates the plain mask and the
+general ratio test give.
 
 Every solve takes one path, a problem without rows included (its basis
 is 0 x 0).  It tries the warm basis if there is one, then the caller's
@@ -291,19 +307,99 @@ class _BasisFactor:
         return u
 
     def btran(self, v):
-        """``B^-T v`` for the current basis B."""
+        """``B^-T v`` for the current basis B (``v`` is only read)."""
+        if not self.etas:
+            return self.lu.solve(v, trans="T")
         y = v.copy()
         for p, idx, vals, wp in reversed(self.etas):
             y[p] = (y[p] - (vals @ y[idx] - wp * y[p])) / wp
         return self.lu.solve(y, trans="T")
 
-    def update(self, r, w) -> bool:
+    def update(self, r, w, abs_w=None) -> bool:
         """Record that the column ``w = B^-1 a_j`` replaced basis position
-        ``r``; True when the basis should be factored afresh."""
-        idx = np.flatnonzero(np.abs(w) > 1e-12)
-        self.etas.append((r, idx, w[idx].copy(), w[r]))
+        ``r``; True when the basis should be factored afresh.  ``abs_w``
+        is ``|w|`` when the caller has it already."""
+        if abs_w is None:
+            abs_w = np.abs(w)
+        idx = (abs_w > 1e-12).nonzero()[0]
+        self.etas.append((r, idx, w[idx], w[r]))
         self.eta_nnz += idx.size
-        return bool(abs(w[r]) < 1e-8 or self.eta_nnz > self.lu.nnz)
+        return bool(abs_w[r] < 1e-8 or self.eta_nnz > self.lu.nnz)
+
+
+#: Entering rules of ``_entering``.
+_BLAND, _PHASE1, _DEVEX = range(3)
+#: The direction a nonbasic column may move in, by its ``vstat``: up from
+#: its lower bound, down from its upper bound.
+_SIGNS = np.array([1.0, -1.0, 0.0])
+
+
+def _signs(vstat, lo, up):
+    """The sign vector of a basis: +1 for a nonbasic column that may
+    rise, -1 for one that may fall, 0 for a basic or fixed column."""
+    return np.where(up > lo, _SIGNS.take(vstat), 0.0)
+
+
+def _entering(t, d, gamma, rule):
+    """The entering column for reduced costs ``d``, or -1 when no column
+    is eligible.  ``t = sgn * d`` signs them by the direction each column
+    may move in (``_signs``), so column j is eligible when
+    ``t[j] > TOL``, and never when ``t[j]`` is NaN.
+    ``rule`` picks among the eligible: ``_BLAND`` the first, ``_PHASE1``
+    the largest ``t`` (which is ``|d|`` there), ``_DEVEX`` the largest
+    ``d * d / gamma`` (``gamma`` None: every reference weight one); ties
+    go to the first."""
+    if rule == _BLAND:
+        eligible = t > TOL
+        j = int(eligible.argmax())
+        return j if eligible[j] else -1
+    if rule == _PHASE1:
+        j = int(t.argmax())
+        if t[j] > TOL:
+            return j
+        # none eligible, or argmax stopped at the first NaN
+        score = np.where(t > TOL, t, -1.0)
+    else:
+        score = d * d
+        if gamma is not None:
+            score /= gamma
+        score = np.where(t > TOL, score, -1.0)
+    j = int(score.argmax())
+    return j if score[j] != -1.0 else -1
+
+
+def _row_ratios(idx, ti, xb, lob, upb, lot, upt, feasible):
+    """Ratio test over the moving basic rows ``idx``, basic i moving as
+    ``xb[i] - ti * step``: each row's ratio (the step at which it blocks,
+    at least 0, +inf if never) and the bound it blocks at.  ``lob`` and
+    ``upb`` are the basics' bounds, ``lot`` and ``upt`` the same widened
+    by ``TOL``.  In general a basic outside its bounds by more than
+    ``TOL`` blocks at the violated bound as it moves back and never as
+    it moves further out, and an infinite bound never blocks.  On a
+    ``feasible`` iterate, no basic that far out, each row blocks at the
+    bound it moves toward, where ``(z - tgt) / ti`` is already +inf if
+    that bound is infinite: the same ratios and bounds, for finite
+    ``xb``."""
+    zi, loi, upi = xb[idx], lob[idx], upb[idx]
+    if feasible:
+        tgt = np.where(ti > 0, loi, upi)
+        rr = (zi - tgt) / ti
+    else:
+        loti, upti = lot[idx], upt[idx]
+        tgt = np.where(ti > 0,
+                       np.where(zi > upti, upi, loi),
+                       np.where(zi < loti, loi, upi))
+        # violated basics moving further out never block
+        block = np.where(ti > 0, zi >= loti, zi <= upti)
+        block &= np.isfinite(tgt)
+        rr = np.where(block, (zi - tgt) / ti, _INF)
+    return np.maximum(rr, 0.0, out=rr), tgt
+
+
+def _leaving(ratios, min_ratio, abs_ti):
+    """Position in ``ratios`` of the leaving row: among the ratios within
+    1e-9 of ``min_ratio``, the one with the largest ``|w|``."""
+    return int(np.argmax(np.where(ratios <= min_ratio + 1e-9, abs_ti, -1.0)))
 
 
 def _row_runs(indptr):
@@ -341,8 +437,9 @@ class _SimplexCore:
     validated.
 
     Kept for the core's life, as they depend on the row pattern alone:
-    the row runs, the CSC order of A's entries and G = [A, -I]'s index
-    arrays (``_gp``, ``_gi``, ``_glen``).  Rewritten by each problem
+    the row runs, the CSC order of A's entries, G = [A, -I]'s index
+    arrays (``_gp``, ``_gi``, ``_glen``) and the pivot loop's work
+    arrays.  Rewritten by each problem
     (``_load``): the scaled entries (``a_csr``'s data and ``_gd``, which
     the CSR view ``a_t_csr`` of A^T shares), the scaled row sides, the
     boxes and the costs, and ``_stamps``: per column of G, the number
@@ -394,6 +491,11 @@ class _SimplexCore:
         self.col_lo, self.col_up = np.empty(n), np.empty(n)
         self._stamps = np.zeros(n + m, dtype=np.int64)
         self._loads = 0
+        # work arrays of the pivot loop, rewritten at every pivot: a
+        # column of G, a unit vector (zero between uses), sgn * d, the
+        # pivot row and one temporary
+        self._gbuf, self._e_r = np.empty(m), np.zeros(m)
+        self._t, self._alpha, self._tmp = np.empty(n + m), np.empty(n + m), np.empty(n + m)
         # the last factorization: SuperLU object, basic bytes, load number
         self._factored = None
         self._load(lp, a.data, scale)
@@ -491,11 +593,11 @@ class _SimplexCore:
         tol = TOL
         lo = np.concatenate([self.col_lo if col_lo is None else col_lo, self.row_lo])
         up = np.concatenate([self.col_up if col_up is None else col_up, self.row_up])
-        if (lo > up).any():
+        if np.count_nonzero(lo > up):
             # empty box: trivially infeasible
             return LpSolution(LpStatus.INFEASIBLE, None, -_INF, 0)
         cobj = self._cobj
-        gbuf = np.empty(m)
+        a_t = self.a_t_csr
 
         def starts():
             if warm is not None:
@@ -506,7 +608,6 @@ class _SimplexCore:
 
         iters = factorizations = 0
         cap = _iteration_cap(n, m)
-        free_range = up - lo > 0.0
         for start in starts():
             begun = self._initial_basis(lo, up, start)
             if begun is None:
@@ -521,13 +622,17 @@ class _SimplexCore:
                 continue
             factorizations += fresh
             # nonbasic values sit in z (0 at the basics); the basic values
-            # and their bounds are kept in basis order, so a pivot patches
-            # one position instead of gathering them through ``basic``
+            # and their bounds, also widened by TOL, are kept in basis
+            # order, so a pivot patches one position instead of gathering
+            # them through ``basic``
             z = np.where(vstat == AT_UPPER, up, lo)
             z[basic] = 0.0
             xb = factor.ftran(z[n:] - self.a_csr @ z[:n])
             lob = lo[basic]
             upb = up[basic]
+            lot = lob - tol
+            upt = upb + tol
+            sgn = _signs(vstat, lo, up)
 
             def point():
                 x = z.copy()
@@ -539,18 +644,19 @@ class _SimplexCore:
 
             degen_streak = 0
             # phase-2 reduced costs maintained incrementally through the
-            # pivotal row; Devex reference weights approximate steepest edge
+            # pivotal row; Devex reference weights approximate steepest
+            # edge, all one (None) until the first phase-2 pivot
             d_cache = None
+            gamma = None
             # a pivot or bound flip since xb was last computed afresh
             stale = False
-            gamma = np.ones(nm)
 
             def price(cb, cn):
                 """Reduced costs ``cn - A^T y`` of the structurals and ``y``
                 of the logicals, for basic costs ``cb`` (``y = B^-T cb``)."""
                 y = factor.btran(cb)
                 dd = np.empty(nm)
-                dd[:n] = cn - self.a_t_csr @ y
+                np.subtract(cn, a_t @ y, out=dd[:n])
                 dd[n:] = y
                 return dd
 
@@ -562,23 +668,23 @@ class _SimplexCore:
                     return LpSolution(None, point(), -_INF, iters, snapshot(),
                                       factorizations=factorizations)
 
-                below = xb < lob - tol
-                above = xb > upb + tol
-                infeasible = bool(below.any() or above.any())
+                below = xb < lot
+                above = xb > upt
+                infeasible = bool(np.count_nonzero(below) or np.count_nonzero(above))
 
                 if infeasible:
                     # phase 1: the cost is the total bound violation
-                    d = price(below.astype(np.float64) - above, 0.0)
+                    d = price(np.subtract(below, above, dtype=np.float64), 0.0)
                     d_cache = None
                 else:
                     if d_cache is None:
                         d_cache = price(cobj[basic], cobj[:n])
                     d = d_cache
 
-                eligible = free_range & (
-                    ((vstat == AT_LOWER) & (d > tol)) | ((vstat == AT_UPPER) & (d < -tol))
-                )
-                if not eligible.any():
+                t = np.multiply(sgn, d, out=self._t)
+                j = _entering(t, d, gamma, _BLAND if degen_streak > BLAND_AFTER
+                              else _PHASE1 if infeasible else _DEVEX)
+                if j < 0:
                     if stale:
                         # incremental values can drift; confirm on freshly
                         # computed basics and prices before declaring
@@ -593,35 +699,18 @@ class _SimplexCore:
                     return LpSolution(LpStatus.OPTIMAL, x, float(cobj[:n] @ x), iters,
                                       snapshot(), d[:n], factorizations)
 
-                if degen_streak > BLAND_AFTER:
-                    j = int(np.argmax(eligible))
-                elif infeasible:
-                    score = np.where(eligible, np.abs(d), -1.0)
-                    j = int(np.argmax(score))
-                else:
-                    score = np.where(eligible, d * d / gamma, -1.0)
-                    j = int(np.argmax(score))
-
-                sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
-                w = factor.ftran(self._column(j, gbuf))
+                sigma = 1.0 if sgn[j] > 0 else -1.0
+                w = factor.ftran(self._column(j, self._gbuf))
+                abs_w = np.abs(w)
 
                 # ratio test over the rows that move: basic r moves as
                 # xb_r - sigma * w_r * step
-                idx = np.flatnonzero(np.abs(w) > 1e-10)
+                idx = (abs_w > 1e-10).nonzero()[0]
                 min_row_ratio = _INF
                 if idx.size:
                     ti = sigma * w[idx]
-                    zi = xb[idx]
-                    loi = lob[idx]
-                    upi = upb[idx]
-                    tgt = np.where(ti > 0,
-                                   np.where(zi > upi + tol, upi, loi),
-                                   np.where(zi < loi - tol, loi, upi))
-                    # violated basics moving further out never block
-                    block = np.where(ti > 0, zi >= loi - tol, zi <= upi + tol)
-                    block &= np.isfinite(tgt)
-                    rr = np.where(block, (zi - tgt) / ti, _INF)
-                    ratios = np.maximum(rr, 0.0)
+                    ratios, tgt = _row_ratios(idx, ti, xb, lob, upb, lot, upt,
+                                              not infeasible)
                     min_row_ratio = ratios.min()
                 own_range = up[j] - lo[j]
                 # every column is boxed, so only a blocking row dropped as
@@ -636,14 +725,13 @@ class _SimplexCore:
                     xb -= w * (sigma * step)
                     vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
                     z[j] = up[j] if vstat[j] == AT_UPPER else lo[j]
+                    sgn[j] = -sgn[j]
                     iters += 1
                     degen_streak = 0
                     stale = True
                     continue
 
-                # leaving choice: among near-minimal ratios take the largest |w|
-                cand = ratios <= min_row_ratio + 1e-9
-                k = int(np.argmax(np.where(cand, np.abs(ti), -1.0)))
+                k = _leaving(ratios, min_row_ratio, abs_w[idx])
                 r = int(idx[k])
                 step = ratios[k]
                 leave = basic[r]
@@ -651,17 +739,22 @@ class _SimplexCore:
                 # pivotal row: maintains phase-2 reduced costs without a full
                 # re-pricing and feeds the Devex weight updates
                 if not infeasible:
-                    e_r = np.zeros(m)
+                    e_r, alpha, tmp = self._e_r, self._alpha, self._tmp
                     e_r[r] = 1.0
                     rho = factor.btran(e_r)
-                    alpha = np.empty(nm)
-                    alpha[:n] = self.a_t_csr @ rho
-                    alpha[n:] = -rho
+                    e_r[r] = 0.0
+                    alpha[:n] = a_t @ rho
+                    np.negative(rho, out=alpha[n:])
+                    if gamma is None:
+                        gamma = np.ones(nm)
                     aq = w[r]
                     dq = d_cache[j]
                     gq = max(gamma[j], 1.0)
-                    np.maximum(gamma, (alpha / aq) ** 2 * gq, out=gamma)
-                    d_cache -= (dq / aq) * alpha
+                    np.divide(alpha, aq, out=tmp)
+                    np.square(tmp, out=tmp)
+                    tmp *= gq
+                    np.maximum(gamma, tmp, out=gamma)
+                    d_cache -= np.multiply(alpha, dq / aq, out=tmp)
                     d_cache[j] = 0.0
                     gamma[leave] = max(gq / (aq * aq), 1.0)
                     gamma[j] = gq
@@ -672,17 +765,21 @@ class _SimplexCore:
                 xb -= w * (sigma * step)
                 z[leave] = tgt[k]
                 vstat[leave] = AT_UPPER if tgt[k] == upb[r] else AT_LOWER
+                sgn[leave] = _SIGNS[vstat[leave]] if up[leave] > lo[leave] else 0.0
                 xb[r] = (lo[j] if sigma > 0 else up[j]) + sigma * step
                 z[j] = 0.0
                 vstat[j] = BASIC
+                sgn[j] = 0.0
                 basic[r] = j
                 lob[r] = lo[j]
                 upb[r] = up[j]
+                lot[r] = lo[j] - tol
+                upt[r] = up[j] + tol
                 iters += 1
                 stale = True
                 degen_streak = degen_streak + 1 if step <= 1e-9 else 0
 
-                if factor.update(r, w):
+                if factor.update(r, w, abs_w):
                     try:
                         factor, fresh, _ = self._factor(basic)
                     except RuntimeError as exc:
@@ -710,8 +807,9 @@ class _SimplexCore:
         # a column no bound holds (a free row's slack) keeps its one row,
         # and a position the matching gave that row to is dropped instead
         held = np.flatnonzero(np.isinf(lo[basic]) & np.isinf(up[basic]))
-        row_of[np.isin(row_of, basic[held] - self.n)] = -1
-        row_of[held] = basic[held] - self.n
+        if held.size:
+            row_of[np.isin(row_of, basic[held] - self.n)] = -1
+            row_of[held] = basic[held] - self.n
         dropped = np.flatnonzero(row_of < 0)
         unmatched = np.ones(self.m, dtype=bool)
         unmatched[row_of[row_of >= 0]] = False
@@ -738,8 +836,9 @@ class _SimplexCore:
         if start is not None:
             vstat = np.array(start.vstat, dtype=np.int8)
             basic = np.array(start.basic, dtype=np.int64)
-            if not (vstat.size == nm and basic.ndim == 1
-                    and ((basic >= 0) & (basic < nm)).all()):
+            # read as unsigned, a negative entry is out of range too
+            if not (vstat.shape == (nm,) and basic.ndim == 1
+                    and not np.count_nonzero(basic.view(np.uint64) >= nm)):
                 return None
             # as many positions marked as listed, exactly the BASIC ones:
             # basic lists distinct columns, all BASIC, and no other column
@@ -747,14 +846,16 @@ class _SimplexCore:
             mark = np.zeros(nm, dtype=bool)
             mark[basic] = True
             is_basic = vstat == BASIC
-            if not (np.count_nonzero(mark) == basic.size
-                    and np.array_equal(mark, is_basic)):
+            if np.count_nonzero(mark) != basic.size or np.count_nonzero(mark != is_basic):
                 return None
-            no_lo, no_up = ~is_basic & ~np.isfinite(lo), ~is_basic & ~np.isfinite(up)
-            if (no_lo & no_up).any():
-                return None
-            vstat[no_lo & (vstat == AT_LOWER)] = AT_UPPER
-            vstat[no_up & (vstat == AT_UPPER)] = AT_LOWER
+            # nonbasic columns on an infinite bound
+            at = np.where(vstat == AT_UPPER, up, lo)
+            off = np.flatnonzero(~(np.isfinite(at) | is_basic))
+            if off.size:
+                to_upper = vstat[off] != AT_UPPER
+                if not np.isfinite(np.where(to_upper, up[off], lo[off])).all():
+                    return None
+                vstat[off] = np.where(to_upper, AT_UPPER, AT_LOWER)
             return vstat, basic
         vstat = np.empty(nm, dtype=np.int8)
         nearer_low = np.abs(lo[:n]) <= np.abs(up[:n])

@@ -9,8 +9,9 @@ from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import splu
 
 from shipems.errors import DimensionMismatch
-from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, Basis, LinearProgram,
-                        LpSolution, LpStatus, _BasisFactor, _SimplexCore,
+from shipems.lp import (AT_LOWER, AT_UPPER, BASIC, TOL, _BLAND, _DEVEX, _PHASE1,
+                        Basis, LinearProgram, LpSolution, LpStatus, _BasisFactor,
+                        _SimplexCore, _entering, _leaving, _row_ratios, _signs,
                         solve_lp)
 from shipems.milp import MilpProblem
 
@@ -621,6 +622,99 @@ def test_basis_factor_refactors_after_a_tiny_pivot(pivot, asks):
     assert factor.update(1, w) is asks
 
 
+def _entering_as_masked(d, vstat, lo, up, gamma, rule):
+    """Pricing as an eligibility mask over ``vstat`` and the column
+    ranges, the reference the sign vector must reproduce."""
+    free_range = up - lo > 0.0
+    eligible = free_range & (((vstat == AT_LOWER) & (d > TOL))
+                             | ((vstat == AT_UPPER) & (d < -TOL)))
+    if not eligible.any():
+        return -1, eligible
+    if rule == _BLAND:
+        return int(np.argmax(eligible)), eligible
+    if rule == _PHASE1:
+        score = np.where(eligible, np.abs(d), -1.0)
+    else:
+        weights = np.ones(d.size) if gamma is None else gamma
+        score = np.where(eligible, d * d / weights, -1.0)
+    return int(np.argmax(score)), eligible
+
+
+# reduced costs around the tolerance, repeated values (ties), NaN and
+# +-inf; column boxes that are open, fixed, or a free row's slack (both
+# sides open)
+_REDUCED = st.one_of(
+    st.sampled_from([0.0, -0.0, TOL, -TOL, np.nextafter(TOL, 1.0),
+                     -np.nextafter(TOL, 1.0), 0.5, -0.5, 2.0, -2.0,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3))
+_BOXES = st.sampled_from([(0.0, 1.0), (-np.inf, 1.0), (0.0, np.inf), (2.0, 2.0),
+                          (-np.inf, np.inf)])
+
+
+@given(st.lists(st.tuples(_REDUCED, st.sampled_from([AT_LOWER, AT_UPPER, BASIC]),
+                          _BOXES, st.sampled_from([1.0, 2.0, 1e10]) | st.floats(1.0, 1e10)),
+                min_size=1, max_size=30),
+       st.booleans(), st.sampled_from([_BLAND, _PHASE1, _DEVEX]))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_sign_vector_pricing_equals_the_masked_one(columns, unit_weights, rule):
+    d, vstat, boxes, gamma = (np.array(v) for v in zip(*columns))
+    vstat = vstat.astype(np.int8)
+    lo, up = boxes[:, 0].copy(), boxes[:, 1].copy()
+    gamma = None if unit_weights else gamma
+    with np.errstate(invalid="ignore"):
+        t = _signs(vstat, lo, up) * d
+        want, eligible = _entering_as_masked(d, vstat, lo, up, gamma, rule)
+        got = _entering(t, d, gamma, rule)
+    np.testing.assert_array_equal(t > TOL, eligible)
+    assert got == want
+
+
+@st.composite
+def feasible_iterates(draw):
+    """Basics within ``TOL`` of their bounds, some of them by less than
+    1e-9 apart (ties in the ratio test), some bounds infinite, and moving
+    rows with ``|w|`` at and just above the 1e-10 cut."""
+    size = draw(st.integers(1, 12))
+    lob, upb, xb, w = [], [], [], []
+    for _ in range(size):
+        lo, up = draw(st.sampled_from([(-1.0, 2.0), (0.5, 0.5), (0.0, np.inf),
+                                       (-np.inf, 1.0), (-np.inf, np.inf)]))
+        ends = [b for b in (lo, up) if np.isfinite(b)]
+        at = draw(st.sampled_from(ends)) if ends else draw(st.floats(-5.0, 5.0))
+        gap = draw(st.sampled_from([0.0, 1e-10, 5e-10, 1e-9, 1.5e-9, 0.5 * TOL, TOL, 0.3]))
+        x = draw(st.sampled_from([at - gap, at + gap]))
+        x = min(max(x, lo - TOL), up + TOL)
+        lob.append(lo)
+        upb.append(up)
+        xb.append(x)
+        w.append(draw(st.sampled_from([0.0, 1e-10, -1e-10, np.nextafter(1e-10, 1.0),
+                                       -np.nextafter(1e-10, 1.0), 1e-12, 1.0, -1.0, 0.5,
+                                       -2.0]) | st.floats(-10.0, 10.0)))
+    sigma = draw(st.sampled_from([1.0, -1.0]))
+    return np.array(lob), np.array(upb), np.array(xb), np.array(w), sigma
+
+
+@given(feasible_iterates())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_feasible_ratio_test_equals_the_general_one(case):
+    lob, upb, xb, w, sigma = case
+    lot, upt = lob - TOL, upb + TOL
+    assert not (xb < lot).any() and not (xb > upt).any()
+    abs_w = np.abs(w)
+    idx = (abs_w > 1e-10).nonzero()[0]
+    if not idx.size:
+        return
+    ti = sigma * w[idx]
+    ratios, tgt = _row_ratios(idx, ti, xb, lob, upb, lot, upt, True)
+    want_ratios, want_tgt = _row_ratios(idx, ti, xb, lob, upb, lot, upt, False)
+    assert ratios.tobytes() == want_ratios.tobytes()
+    assert tgt.tobytes() == want_tgt.tobytes()
+    least = want_ratios.min()
+    k = _leaving(ratios, least, abs_w[idx])
+    assert k == _leaving(want_ratios, least, np.abs(ti))
+
+
 def test_iteration_cap_raises_breakdown(monkeypatch):
     from shipems import lp as lp_module
     from shipems.errors import NumericalBreakdown
@@ -646,6 +740,27 @@ def mission_window():
     problem, _ = build_window_milp(spec, spec.initial_state(),
                                    ObjectiveWeights(0.005, 0.03, 0.05), 60)
     return problem
+
+
+@pytest.mark.parametrize("start, iterations, factorizations, x_sha256", [
+    ("slack", 1569, 90,
+     "793e15bd4e62260490440f1404693c80f4d9b63d67eceb7feb8373606e10ff81"),
+    ("crash", 60, 5,
+     "9e0b0ea19b11b09cb354944d1d71fcb1e440348ce3ab043f72c6e0100cbc18b3"),
+])
+def test_mission_window_pivot_path_is_pinned(mission_window, start, iterations,
+                                             factorizations, x_sha256):
+    # the pivot path of the 60-step window, cold (mostly phase 1) and from
+    # its crash basis (phase 2 throughout), pinned count for count and x
+    # bit for bit: a rewrite of the pivot loop that is meant to do the
+    # same arithmetic must leave all three as they are (numpy 2.4, scipy
+    # 1.17, as the CI pins them)
+    import hashlib
+    warm = mission_window.fallback_basis() if start == "crash" else None
+    sol = _SimplexCore(mission_window.lp).solve(warm=warm)
+    assert sol.status is LpStatus.OPTIMAL
+    assert (sol.iterations, sol.factorizations) == (iterations, factorizations)
+    assert hashlib.sha256(sol.x.tobytes()).hexdigest() == x_sha256
 
 
 def _clock_past_deadline_at_pivot_16(monkeypatch):
